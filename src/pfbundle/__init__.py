@@ -51,7 +51,7 @@ from .operators import (
     smat3,
     svec3,
 )
-from .prox import Cut, NewtonParams, ProxSolution, project_box, solve_prox
+from .prox import Cut, ProxSolution, project_box, solve_prox
 
 __version__ = "0.1.0"
 
@@ -64,7 +64,6 @@ __all__ = [
     "EigenResult",
     "IterationRecord",
     "NetworkFormatError",
-    "NewtonParams",
     "OperatingLimits",
     "PenaltyObjective",
     "PlantedInstance",

@@ -402,13 +402,23 @@ class SolveReport:
 
 
 def solve(problem: PenaltyObjective, config: SolverConfig | None = None) -> SolveReport:
-    """Run the bundle loop to the model-gap tolerance and recover a certificate."""
+    """Run the bundle loop to the model-gap tolerance and recover a certificate.
+
+    An eigensolver failure at any stage ends the run with a not_converged
+    report whose warning names the stage.
+    """
     if config is None:
         config = SolverConfig()
     if config.alpha is not None and config.alpha != problem.alpha:
         problem = replace(problem, alpha=float(config.alpha))
     t0 = time.perf_counter()
-    state = init_state(problem, config)
+    try:
+        state = init_state(problem, config)
+    except EigenFailure as exc:
+        state = BundleState(problem, config, np.random.default_rng(config.seed),
+                            problem.start_point().flat, float("nan"), cuts=[],
+                            warnings=[f"eigen solver failed at the start point: {exc}"])
+        return _report(state, _unrecovered("no eigenpair at the start point"), float("inf"), t0)
     final_delta = float("inf")
     try:
         while state.iteration < config.max_iters and not state.converged:
@@ -424,9 +434,14 @@ def solve(problem: PenaltyObjective, config: SolverConfig | None = None) -> Solv
         )
 
     center_pt = DualPoint(flat=state.center, n_buses=problem.n_buses)
-    certificate = recover_primal(
-        problem, center_pt, state.rng, config, f_value=state.f_center
-    )
+    try:
+        certificate = recover_primal(
+            problem, center_pt, state.rng, config, f_value=state.f_center
+        )
+    except EigenFailure as exc:
+        state.converged = False
+        state.warnings.append(f"eigen solver failed in primal recovery: {exc}")
+        return _report(state, _unrecovered("no eigenpair at the final center"), final_delta, t0)
     if certificate.recovered and certificate.voltage is not None:
         trace_w = float(np.vdot(certificate.voltage, certificate.voltage).real)
         if problem.alpha <= trace_w:
@@ -434,14 +449,22 @@ def solve(problem: PenaltyObjective, config: SolverConfig | None = None) -> Solv
                 f"penalty weight alpha={problem.alpha:.3g} does not dominate the"
                 f" recovered trace {trace_w:.3g}; raise alpha and re-run"
             )
+    return _report(state, certificate, final_delta, t0)
 
-    serious_steps = sum(1 for r in state.history if r.serious)
+
+def _unrecovered(detail: str) -> PrimalCertificate:
+    return PrimalCertificate(
+        recovered=False, verdict="infeasible_or_undecided", detail=detail
+    )
+
+
+def _report(state: BundleState, certificate, final_delta: float, t0: float) -> SolveReport:
     return SolveReport(
-        n_buses=problem.n_buses,
-        config=config,
+        n_buses=state.problem.n_buses,
+        config=state.config,
         converged=state.converged,
         iterations=state.iteration,
-        serious_steps=serious_steps,
+        serious_steps=sum(1 for r in state.history if r.serious),
         f_best=state.f_center,
         final_delta=final_delta,
         certificate=certificate,

@@ -2,11 +2,12 @@
 
 The subproblem minimizes the max of three affine cuts plus a quadratic
 anchored at the current center, over a box on the multiplier part (the
-Hermitian tail is unconstrained).  Its dual is a quadratic program over the
-weight simplex, solved sequentially: single-cut supports first, then pairs by
-a breakpoint sweep of the piecewise-linear equal-height function, then the
-full support by a semismooth Newton iteration with a support-enumeration
-fallback.
+Hermitian tail is unconstrained).  Its dual is a concave piecewise-quadratic
+program over the weight simplex, solved exactly: single-cut supports first,
+then pairs by a breakpoint sweep of the piecewise-linear equal-height
+function, then the full support by a bracketed root of the slice slope whose
+inner weight comes from the same sweep.  The support-enumeration oracle is
+only a safety net for an interior solve whose KKT residual is off.
 """
 
 from __future__ import annotations
@@ -22,8 +23,19 @@ _EDGES = ((0, 1), (0, 2), (1, 2))
 # Case-acceptance slack, relative to the cut-value scale.  Loose acceptance
 # bleeds straight into the model decrease and caps the reachable accuracy, so
 # this sits near roundoff; a wrong rejection only falls through to the next
-# case (worst case the enumeration fallback), never to a wrong answer.
+# case, never to a wrong answer.
 _CASE_TOL = 1e-12
+
+# KKT residual above which the interior solve hands over to the enumeration
+# oracle.  The exact solve lands near roundoff, far below this.
+_KKT_TOL = 1e-10
+
+# Slice evaluations allowed in the interior case; the bracket at least halves
+# every other evaluation, so it reaches roundoff width within about 106.
+_MAX_SLICES = 128
+
+# A slice slope within this many ulps of the cut-value magnitudes is zero.
+_ROUNDOFF = 8.0 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -36,15 +48,6 @@ class Cut:
 
     def value(self, flat: np.ndarray) -> float:
         return self.intercept + float(self.slope @ flat)
-
-
-@dataclass(frozen=True)
-class NewtonParams:
-    max_iters: int = 200
-    ftol_scale: float = 1e-10
-    damping_init: float = 1e-8
-    damping_max: float = 1e-2
-    backtrack_floor: float = 1e-16
 
 
 @dataclass(frozen=True)
@@ -98,44 +101,40 @@ def vertex_case(center, a, S, rho, beta, n_box):
     return None
 
 
-def edge_root(center, a, S, i, j, rho, beta, n_box):
-    """Root of the equal-height function of cuts i and j along their edge.
+def _sweep_root(phi0, dh, w0, rate, rho, beta, n_box) -> float:
+    """Root in [0, 1] of phi(s) = phi0 + dh . (P(w0 - s rate dh / rho) - P(w0)).
 
-    The difference of cut values along the edge is piecewise linear and
-    nonincreasing in the weight s of cut i; its breakpoints are the weights
-    where a box coordinate of the projected point hits a bound.  A single
-    left-to-right sweep tracks the slope through those clamp toggles and
-    solves the active segment in closed form.  Returns s in (0, 1) or None.
+    phi is piecewise linear and nonincreasing for rate >= 0; its breakpoints
+    are the s where a box coordinate of the projected point hits a bound.  A
+    single left-to-right sweep tracks the slope through those clamp toggles
+    and solves the active segment in closed form.  Returns 0 when phi0 < 0
+    and 1 when phi stays positive on the whole interval.
     """
-    dh = S[i] - S[j]
-    w0 = center - S[j] / rho
-    dhb = dh[:n_box]
-    w0b = w0[:n_box]
-    slope_free = (dh[n_box:] @ dh[n_box:]) / rho   # the free tail never clamps
-
-    z0 = project_box(w0, beta, n_box)
-    vals0 = a + S @ z0
-    phi0 = float(vals0[i] - vals0[j])
     if phi0 < 0.0:
-        return None
+        return 0.0
+    step = rate * dh
+    stb = step[:n_box]
+    w0b = w0[:n_box]
+    slope_free = (dh[n_box:] @ step[n_box:]) / rho   # the free tail never clamps
 
-    nz = dhb != 0.0
-    dnz = dhb[nz]
+    nz = stb != 0.0
+    dnz = dh[:n_box][nz]
+    enz = stb[nz]
     wnz = w0b[nz]
     with np.errstate(divide="ignore", invalid="ignore"):
-        s_zero = rho * wnz / dnz
-        s_beta = rho * (wnz - beta) / dnz
+        s_zero = rho * wnz / enz
+        s_beta = rho * (wnz - beta) / enz
     # Toggle sign: does the coordinate become free (+) or clamped (-) there?
-    gain = dnz * dnz / rho
+    gain = dnz * enz / rho
     ev_s = np.concatenate([s_zero, s_beta])
-    ev_delta = np.concatenate([np.where(dnz > 0, -gain, gain),
-                               np.where(dnz > 0, gain, -gain)])
+    ev_delta = np.concatenate([np.where(enz > 0, -gain, gain),
+                               np.where(enz > 0, gain, -gain)])
     inside = (ev_s > 0.0) & (ev_s < 1.0)
     ev_s = ev_s[inside]
     ev_delta = ev_delta[inside]
 
-    free0 = ((wnz > 0.0) | ((wnz == 0.0) & (dnz < 0.0))) & (
-        (wnz < beta) | ((wnz == beta) & (dnz > 0.0))
+    free0 = ((wnz > 0.0) | ((wnz == 0.0) & (enz < 0.0))) & (
+        (wnz < beta) | ((wnz == beta) & (enz > 0.0))
     )
     slope0 = float(gain[free0].sum()) + slope_free
 
@@ -148,22 +147,28 @@ def edge_root(center, a, S, i, j, rho, beta, n_box):
     else:
         bounds = np.array([0.0, 1.0])
         seg_slope = np.array([slope0])
-    seg_len = np.diff(bounds)
-    ends = phi0 - np.cumsum(seg_slope * seg_len)
+    ends = phi0 - np.cumsum(seg_slope * np.diff(bounds))
     if ends[-1] > 0.0:
-        return None
+        return 1.0
     p = int(np.argmax(ends <= 0.0))
     start_val = phi0 if p == 0 else float(ends[p - 1])
-    if start_val < 0.0:
-        return None
     if seg_slope[p] > 0.0:
         s_star = bounds[p] + start_val / seg_slope[p]
-        s_star = min(max(s_star, bounds[p]), bounds[p + 1])
-    else:
-        s_star = 0.5 * (bounds[p] + bounds[p + 1])
-    if not 0.0 < s_star < 1.0:
-        return None
-    return float(s_star)
+        return float(min(max(s_star, bounds[p]), bounds[p + 1]))
+    return float(0.5 * (bounds[p] + bounds[p + 1]))
+
+
+def edge_root(center, a, S, i, j, rho, beta, n_box):
+    """Root of the equal-height function of cuts i and j along their edge.
+
+    The difference of cut values along the edge is piecewise linear and
+    nonincreasing in the weight s of cut i; `_sweep_root` finds its zero.
+    Returns s in (0, 1) or None.
+    """
+    w0 = center - S[j] / rho
+    vals0 = a + S @ project_box(w0, beta, n_box)
+    s = _sweep_root(float(vals0[i] - vals0[j]), S[i] - S[j], w0, 1.0, rho, beta, n_box)
+    return s if 0.0 < s < 1.0 else None
 
 
 def edge_case(center, a, S, rho, beta, n_box):
@@ -184,84 +189,66 @@ def edge_case(center, a, S, rho, beta, n_box):
     return None
 
 
-def interior_newton(center, a, S, rho, beta, n_box, params: NewtonParams = NewtonParams()):
-    """Semismooth Newton on the two equal-height equations of the full support.
+def interior_case(center, a, S, rho, beta, n_box):
+    """Exact full-support solve: bracketed root of the slice slope in mu.
 
-    The residual stacks the height differences of cuts 1 and 2 against cut 3
-    at the projected point; the generalized Jacobian masks out clamped box
-    coordinates.  Levenberg damping is escalated when the 2x2 system is
-    ill-conditioned and steps are backtracked to stay strictly inside the
-    simplex.  Returns (theta, z, iterations) or None when the iteration must
-    hand off to the enumeration fallback.
+    Weights are theta = (mu lam, mu (1 - lam), 1 - mu).  For fixed mu the
+    best lam is the equal-height root of cuts 0 and 1, found by the
+    breakpoint sweep; the dual's derivative along the slice is then
+    g(mu) = lam (v0 - v2) + (1 - lam) (v1 - v2), nonincreasing in mu.  Each
+    trial mu is the 2x2 equal-height solve on the current clamp pattern,
+    which is exact once the pattern is the optimal one.  A bisection replaces
+    a trial that leaves the bracket, or any trial once the bracket has not
+    halved over two evaluations.  Returns (z, theta, slice evaluations).
     """
+    d01 = S[0] - S[1]
+    c01 = float(a[0] - a[1])
     d1 = S[0] - S[2]
     d2 = S[1] - S[2]
-    c1 = a[0] - a[2]
-    c2 = a[1] - a[2]
-    base = center - S[2] / rho
-    d1b, d2b = d1[:n_box], d2[:n_box]
-    g11_tail = float(d1[n_box:] @ d1[n_box:])
-    g12_tail = float(d1[n_box:] @ d2[n_box:])
-    g22_tail = float(d2[n_box:] @ d2[n_box:])
+    free = np.ones(S.shape[1], dtype=bool)     # the tail never clamps
+    abs_a, abs_s = np.abs(a), np.abs(S)
 
-    def evaluate(t1, t2):
-        w = base - (t1 * d1 + t2 * d2) / rho
+    def evaluate(mu):
+        base = center - ((1.0 - mu) * S[2] + mu * S[1]) / rho
+        phi0 = c01 + float(d01 @ project_box(base, beta, n_box))
+        lam = _sweep_root(phi0, d01, base, mu, rho, beta, n_box)
+        theta = np.array([mu * lam, mu * (1.0 - lam), 1.0 - mu])
+        w = center - (S.T @ theta) / rho
         z = project_box(w, beta, n_box)
-        F = np.array([c1 + float(d1 @ z), c2 + float(d2 @ z)])
-        return w, z, F, float(np.linalg.norm(F))
+        vals = a + S @ z
+        r1 = float(vals[0] - vals[2])
+        r2 = float(vals[1] - vals[2])
+        floor = _ROUNDOFF * float((abs_a + abs_s @ np.abs(z)).max())
+        return theta, w, z, r1, r2, lam * r1 + (1.0 - lam) * r2, floor
 
-    t1, t2 = 1.0 / 3.0, 1.0 / 3.0
-    w, z, F, normF = evaluate(t1, t2)
-    stop = params.ftol_scale * (1.0 + float(np.abs(a).sum()))
-    damping = 0.0
-    stalls = 0
-    for it in range(1, params.max_iters + 1):
-        if normF <= stop:
-            theta = np.array([t1, t2, 1.0 - t1 - t2])
-            return theta, z, it - 1
-        mask = (w[:n_box] > 0.0) & (w[:n_box] < beta)
-        m1 = d1b[mask]
-        m2 = d2b[mask]
-        g11 = float(m1 @ m1) + g11_tail
-        g12 = float(m1 @ m2) + g12_tail
-        g22 = float(m2 @ m2) + g22_tail
-        solved = False
-        mu = damping
-        while True:
-            j11 = -(g11 / rho) - mu
-            j22 = -(g22 / rho) - mu
-            j12 = -(g12 / rho)
-            det = j11 * j22 - j12 * j12
-            scale = max(abs(j11), abs(j22), abs(j12), 1e-30)
-            if abs(det) > 1e-14 * scale * scale:
-                p1 = (-F[0] * j22 + F[1] * j12) / det
-                p2 = (F[0] * j12 - F[1] * j11) / det
-                solved = True
-                break
-            mu = params.damping_init if mu == 0.0 else mu * 10.0
-            if mu > params.damping_max:
-                break
-        if not solved:
+    def pattern_root(theta, w, r1, r2):
+        # v0 - v2 and v1 - v2 are affine in (theta0, theta1) while no box
+        # coordinate changes state, with Jacobian -G / rho.
+        free[:n_box] = (w[:n_box] > 0.0) & (w[:n_box] < beta)
+        m1 = d1[free]
+        m2 = d2[free]
+        g11, g12, g22 = float(m1 @ m1), float(m1 @ m2), float(m2 @ m2)
+        det = g11 * g22 - g12 * g12
+        if not det > 1e-14 * max(g11 * g22, 1e-300):
             return None
-        tau = 1.0
-        accepted = False
-        while tau >= params.backtrack_floor:
-            n1, n2 = t1 + tau * p1, t2 + tau * p2
-            if n1 > 0.0 and n2 > 0.0 and n1 + n2 < 1.0:
-                wn, zn, Fn, normn = evaluate(n1, n2)
-                if normn <= (1.0 - 1e-4 * tau) * normF:
-                    t1, t2, w, z, F, normF = n1, n2, wn, zn, Fn, normn
-                    accepted = True
-                    break
-            tau *= 0.5
-        if not accepted:
-            stalls += 1
-            damping = params.damping_init if damping == 0.0 else min(
-                damping * 10.0, params.damping_max
-            )
-            if stalls >= 3:
-                return None
-    return None
+        return float(theta[0] + theta[1]) + rho * ((g22 - g12) * r1 + (g11 - g12) * r2) / det
+
+    lo, hi = 0.0, 1.0
+    widths = [2.0, 2.0]         # bracket widths before the last two evaluations
+    mu = 2.0 / 3.0              # equal weights
+    for evals in range(1, _MAX_SLICES + 1):
+        widths = [widths[1], hi - lo]
+        theta, w, z, r1, r2, g, floor = evaluate(mu)
+        if abs(g) <= floor:
+            break
+        lo, hi = (mu, hi) if g > 0.0 else (lo, mu)
+        trial = pattern_root(theta, w, r1, r2)
+        if hi - lo <= 4e-16 or (trial is not None and abs(trial - mu) <= 4e-16):
+            break
+        if trial is None or not lo < trial < hi or hi - lo > 0.5 * widths[0]:
+            trial = 0.5 * (lo + hi)
+        mu = trial
+    return z, theta, evals
 
 
 def solve_prox(
@@ -270,9 +257,8 @@ def solve_prox(
     rho: float,
     beta: float,
     n_box: int,
-    newton: NewtonParams = NewtonParams(),
 ) -> ProxSolution:
-    """Solve the three-cut proximal subproblem by the sequential case chain.
+    """Solve the three-cut proximal subproblem exactly.
 
     Args:
         center: flat anchor point of the quadratic term.
@@ -281,47 +267,38 @@ def solve_prox(
         beta: multiplier box upper bound.
         n_box: number of leading box-constrained coordinates.
 
-    Returns a ProxSolution whose diagnostics record which cases ran, the
-    Newton iteration count, and whether the enumeration fallback fired.
+    Returns a ProxSolution whose diagnostics record which cases ran and the
+    support of the weights; the interior case also records its slice
+    evaluations.
     """
     a, S = _cut_arrays(cuts)
-    tried = []
-
-    tried.append("vertex")
     hit = vertex_case(center, a, S, rho, beta, n_box)
     if hit is not None:
         z, theta, idx = hit
-        return _finish(center, a, S, rho, beta, n_box, z, theta, "vertex", tried,
-                       {"support": (idx,)})
+        return _finish(center, a, S, rho, beta, n_box, z, theta, "vertex", support=(idx,))
 
-    tried.append("edge")
     hit = edge_case(center, a, S, rho, beta, n_box)
     if hit is not None:
         z, theta, pair = hit
-        return _finish(center, a, S, rho, beta, n_box, z, theta, "edge", tried,
-                       {"support": pair})
+        return _finish(center, a, S, rho, beta, n_box, z, theta, "edge", support=pair)
 
-    tried.append("interior")
-    hit = interior_newton(center, a, S, rho, beta, n_box, newton)
-    if hit is not None:
-        theta, z, iters = hit
-        return _finish(center, a, S, rho, beta, n_box, z, theta, "interior", tried,
-                       {"support": (0, 1, 2), "newton_iters": iters})
-
-    tried.append("fallback")
+    z, theta, evals = interior_case(center, a, S, rho, beta, n_box)
+    sol = _finish(center, a, S, rho, beta, n_box, z, theta, "interior",
+                  support=(0, 1, 2), slice_evals=evals)
+    if sol.kkt_residual <= _KKT_TOL:
+        return sol
     ref = qp_support_enumeration(center, a, S, rho, beta, n_box)
-    return _finish(center, a, S, rho, beta, n_box, ref.z, ref.theta, "fallback", tried,
-                   {"support": ref.support, "newton_fallback": True})
+    return _finish(center, a, S, rho, beta, n_box, ref.z, ref.theta, "fallback",
+                   support=ref.support, interior_kkt=sol.kkt_residual)
 
 
-def _finish(center, a, S, rho, beta, n_box, z, theta, case, tried, extra):
-    diagnostics = {"cases_tried": tuple(tried)}
-    diagnostics.update(extra)
+def _finish(center, a, S, rho, beta, n_box, z, theta, case, **extra):
+    cases = ("vertex", "edge", "interior", "fallback")
     return ProxSolution(
         z=z,
         theta=theta,
         case_used=case,
         kkt_residual=_kkt_residual(center, a, S, rho, beta, n_box, z, theta),
         objective=_primal_objective(center, a, S, rho, z),
-        diagnostics=diagnostics,
+        diagnostics={"cases_tried": cases[: cases.index(case) + 1], **extra},
     )

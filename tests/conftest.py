@@ -24,6 +24,36 @@ from pfbundle import (
 )
 
 
+def criterion_2_triples(count=1000):
+    """Prox instances of acceptance criterion 2, for rho 4 and beta 0.1.
+
+    Yields (center, intercepts, slopes, n_box).  Every tenth triple from the
+    eighth on duplicates a cut, repeats a box part, or ties all three cuts at
+    one cut's prox point.
+    """
+    from pfbundle.prox import project_box
+
+    rng = np.random.default_rng(102)
+    for trial in range(count):
+        dim = int(rng.integers(3, 40))
+        n_box = int(rng.integers(0, dim + 1))
+        center = rng.normal(size=dim)
+        if n_box:
+            center[:n_box] = rng.uniform(-0.05, 0.15, size=n_box)
+        slopes = rng.normal(size=(3, dim))
+        intercepts = rng.normal(size=3)
+        mode = trial % 10
+        if mode == 7:
+            slopes[1] = slopes[0]
+            intercepts[1] = intercepts[0]
+        elif mode == 8:
+            slopes[1][:n_box] = slopes[0][:n_box]
+        elif mode == 9:
+            z = project_box(center - slopes[0] / 4.0, 0.1, n_box)
+            intercepts = np.array([0.3 - s @ z for s in slopes])
+        yield center, intercepts, slopes, n_box
+
+
 def build_two_bus():
     """Hand-built two-bus feeder with phase coupling on every block."""
     cpl, shunt = 0.5, 0.45

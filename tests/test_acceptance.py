@@ -35,9 +35,9 @@ from pfbundle.oracle import (
     projected_subgradient_reference,
     qp_support_enumeration,
 )
-from pfbundle.prox import Cut, project_box, solve_prox
+from pfbundle.prox import Cut, solve_prox
 
-from conftest import ACCEPTANCE_LINES
+from conftest import ACCEPTANCE_LINES, criterion_2_triples
 
 
 def record(number, ok, detail):
@@ -96,27 +96,10 @@ def test_criterion_1_adjoint_identity_suite():
 
 
 def test_criterion_2_prox_oracle_equivalence():
-    rng = np.random.default_rng(102)
     t0 = time.perf_counter()
     worst_obj = 0.0
     worst_kkt = 0.0
-    for trial in range(1000):
-        dim = int(rng.integers(3, 40))
-        n_box = int(rng.integers(0, dim + 1))
-        center = rng.normal(size=dim)
-        if n_box:
-            center[:n_box] = rng.uniform(-0.05, 0.15, size=n_box)
-        slopes = rng.normal(size=(3, dim))
-        intercepts = rng.normal(size=3)
-        mode = trial % 10
-        if mode == 7:
-            slopes[1] = slopes[0]
-            intercepts[1] = intercepts[0]
-        elif mode == 8:
-            slopes[1][:n_box] = slopes[0][:n_box]
-        elif mode == 9:
-            z = project_box(center - slopes[0] / 4.0, 0.1, n_box)
-            intercepts = np.array([0.3 - s @ z for s in slopes])
+    for center, intercepts, slopes, n_box in criterion_2_triples():
         cuts = [Cut(float(a), s) for a, s in zip(intercepts, slopes)]
         sol = solve_prox(center, cuts, 4.0, 0.1, n_box)
         ref = qp_support_enumeration(

@@ -7,6 +7,7 @@ import pytest
 
 from pfbundle import (
     DualPoint,
+    EigenFailure,
     OperatingLimits,
     SolverConfig,
     ThreePhaseNetwork,
@@ -18,6 +19,7 @@ from pfbundle import (
     solve,
     step,
 )
+from pfbundle import bundle
 from pfbundle.oracle import dense_penalty_value
 
 
@@ -286,6 +288,23 @@ def test_iteration_budget_exhaustion_is_reported(two_bus, two_bus_planted):
     assert not report.converged
     assert report.verdict == "not_converged"
     assert any("model gap" in w for w in report.warnings)
+
+
+@pytest.mark.parametrize("stage", ["init_state", "recover_primal"])
+def test_eigen_failure_ends_in_a_named_report(two_bus, two_bus_planted, monkeypatch, stage):
+    def fail(*args, **kwargs):
+        raise EigenFailure("forced")
+
+    monkeypatch.setattr(bundle, stage, fail)
+    problem = build_problem(two_bus, two_bus_planted.limits, two_bus_planted.u)
+    report = solve(problem)
+    assert report.verdict == "not_converged"
+    where = "at the start point" if stage == "init_state" else "in primal recovery"
+    assert report.warnings[-1] == f"eigen solver failed {where}: forced"
+    assert not report.certificate.recovered
+    json.dumps(report.to_dict())
+    if stage == "recover_primal":
+        assert report.iterations > 0
 
 
 def test_config_alpha_overrides_problem_alpha(two_bus, two_bus_planted):

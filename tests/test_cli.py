@@ -72,6 +72,22 @@ def test_assess_budget_exhaustion_returns_one(feasible_case, capsys):
     assert code == EXIT_ERROR
 
 
+def test_assess_eigen_failure_writes_report_and_returns_one(tmp_path, capsys):
+    # A Krylov budget this small cannot reach the tolerance at the start point.
+    net_path = str(tmp_path / "c120.json")
+    main(["generate", "radial", net_path, "--buses", "120", "--planted", "feasible"])
+    report_path = tmp_path / "report.json"
+    code = main(["assess", net_path, "--injection", str(tmp_path / "c120.u.json"),
+                 "--max-krylov", "5", "--max-restarts", "0", "--eig-tol", "1e-15",
+                 "--out", str(report_path)])
+    err = capsys.readouterr().err
+    assert code == EXIT_ERROR
+    doc = json.loads(report_path.read_text())
+    assert doc["verdict"] == "not_converged"
+    assert doc["warnings"][0].startswith("eigen solver failed at the start point")
+    assert "warning: eigen solver failed at the start point" in err
+
+
 def test_assess_inline_injection_and_validation(feasible_case, capsys):
     net_path, _, inst = feasible_case
     tokens = ",".join(str(float(v)) for v in inst.u)

@@ -1,19 +1,20 @@
-"""Proximal subproblem: case chain, breakpoint sweep, Newton, and fallback."""
+"""Proximal subproblem: case chain, breakpoint sweep, exact interior, safety net."""
 
 import numpy as np
 import pytest
 
+from pfbundle import prox
 from pfbundle.oracle import qp_support_enumeration
 from pfbundle.prox import (
     Cut,
-    NewtonParams,
     ProxSolution,
     edge_root,
-    interior_newton,
     project_box,
     solve_prox,
     vertex_case,
 )
+
+from conftest import criterion_2_triples
 
 
 def make_cuts(intercepts, slopes):
@@ -130,7 +131,7 @@ def test_edge_height_difference_is_nonincreasing():
 
 def test_interior_newton_symmetric_instance():
     # Three balanced slopes in a free plane meet at the anchor itself, so the
-    # full support is optimal with equal weights and zero Newton iterations.
+    # full support is optimal with equal weights.
     s3 = np.sqrt(3.0) / 2.0
     cuts = make_cuts(
         [0.0, 0.0, 0.0], [[1.0, 0.0], [-0.5, s3], [-0.5, -s3]]
@@ -141,7 +142,6 @@ def test_interior_newton_symmetric_instance():
     assert sol.diagnostics["cases_tried"] == ("vertex", "edge", "interior")
     np.testing.assert_allclose(sol.theta, [1 / 3, 1 / 3, 1 / 3], atol=1e-12)
     np.testing.assert_allclose(sol.z, [0.0, 0.0], atol=1e-12)
-    assert sol.diagnostics["newton_iters"] == 0
 
 
 def test_interior_newton_recovers_planted_weights():
@@ -168,27 +168,66 @@ def test_interior_newton_recovers_planted_weights():
         assert sol.kkt_residual <= 1e-8
 
 
-def test_newton_single_iteration_budget_falls_back():
-    # Find an instance the production chain solves with several Newton steps,
-    # then starve the iteration budget: the enumeration fallback must fire
-    # and land on the same objective.
+def test_inexact_interior_solve_falls_back_to_oracle(monkeypatch):
+    # Perturb the exact interior weights: the KKT check must hand the
+    # instance to the enumeration oracle and land on its objective.
     rng = np.random.default_rng(6)
     found = None
     for _ in range(2000):
         center, cuts, rho, beta, n_box = random_triple(rng)
-        sol = solve_prox(center, cuts, rho, beta, n_box)
-        if sol.case_used == "interior" and sol.diagnostics["newton_iters"] >= 2:
-            found = (center, cuts, rho, beta, n_box, sol)
+        if solve_prox(center, cuts, rho, beta, n_box).case_used == "interior":
+            found = (center, cuts, rho, beta, n_box)
             break
     assert found is not None
-    center, cuts, rho, beta, n_box, sol = found
-    starved = solve_prox(center, cuts, rho, beta, n_box, newton=NewtonParams(max_iters=1))
-    assert starved.case_used == "fallback"
-    assert starved.diagnostics["newton_fallback"] is True
-    assert starved.diagnostics["cases_tried"] == (
-        "vertex", "edge", "interior", "fallback",
-    )
-    assert starved.objective == pytest.approx(sol.objective, abs=1e-7)
+    center, cuts, rho, beta, n_box = found
+    exact = prox.interior_case
+
+    def perturbed(*args):
+        z, theta, evals = exact(*args)
+        return z, theta + np.array([1e-3, -1e-3, 0.0]), evals
+
+    monkeypatch.setattr(prox, "interior_case", perturbed)
+    sol = solve_prox(center, cuts, rho, beta, n_box)
+    assert sol.case_used == "fallback"
+    assert sol.diagnostics["cases_tried"] == ("vertex", "edge", "interior", "fallback")
+    assert sol.diagnostics["interior_kkt"] > 1e-10
+    a = np.array([c.intercept for c in cuts])
+    S = np.vstack([c.slope for c in cuts])
+    ref = qp_support_enumeration(center, a, S, rho, beta, n_box)
+    assert sol.objective == pytest.approx(ref.objective, abs=1e-8)
+
+
+def test_interior_with_equal_box_slopes_and_clamped_box():
+    # Cuts 0 and 1 agree on every box coordinate and the anchor sits outside
+    # the box, so every box coordinate stays clamped: the box part of the
+    # equal-height Jacobian has rank one and only the 9-coordinate tail
+    # separates the cuts.
+    rng = np.random.default_rng(12)
+    interior = 0
+    for _ in range(40):
+        n_box = int(rng.integers(1, 30))
+        center = rng.normal(size=n_box + 9)
+        center[:n_box] = rng.choice([-1.0, 1.0], size=n_box)
+        slopes = rng.normal(size=(3, n_box + 9))
+        slopes[1][:n_box] = slopes[0][:n_box]
+        theta_star = rng.dirichlet([3.0, 3.0, 3.0])
+        z_star = project_box(center - (slopes.T @ theta_star) / 4.0, 0.1, n_box)
+        intercepts = [0.3 - s @ z_star for s in slopes]
+        sol = solve_prox(center, make_cuts(intercepts, slopes), 4.0, 0.1, n_box)
+        interior += sol.case_used == "interior"
+        ref = qp_support_enumeration(center, np.array(intercepts), slopes, 4.0, 0.1, n_box)
+        assert abs(sol.objective - ref.objective) <= 1e-12
+        np.testing.assert_allclose(sol.z, z_star, atol=1e-9)
+        assert sol.kkt_residual <= 1e-12
+    assert interior > 30
+
+
+def test_criterion_2_triples_never_reach_the_fallback():
+    cases = set()
+    for center, intercepts, slopes, n_box in criterion_2_triples():
+        sol = solve_prox(center, make_cuts(intercepts, slopes), 4.0, 0.1, n_box)
+        cases.add(sol.case_used)
+    assert cases == {"vertex", "edge", "interior"}
 
 
 def test_cut_order_does_not_change_the_solution():
@@ -236,7 +275,7 @@ def test_prox_solution_reports_consistent_objective():
 
 
 def test_interior_newton_handles_box_clamping():
-    # Force clamp toggles inside the Newton path: a narrow box with large
+    # Force clamp toggles inside the interior solve: a narrow box with large
     # slopes leaves several coordinates pinned at the bounds.
     rng = np.random.default_rng(10)
     solved = 0
