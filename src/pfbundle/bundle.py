@@ -12,8 +12,9 @@ separation) decide the verdict.
 
 from __future__ import annotations
 
+import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -28,29 +29,60 @@ from .operators import (
     penalty_value,
     svec3,
 )
-from .prox import Cut, ProxSolution, solve_prox
+from .prox import ProxSolution, solve_prox
+
+
+def _knob(default, help_text: str):
+    return field(default=default, metadata={"help": help_text})
+
+
+def as_json_dict(obj, **overrides) -> dict:
+    """A dataclass's fields, then overrides, as a strict-JSON-ready dict.
+
+    Tuples become lists, and a non-finite float becomes None (JSON null).
+    """
+    out = {f.name: getattr(obj, f.name) for f in fields(obj)}
+    out.update(overrides)
+    return {key: _strict(value) for key, value in out.items()}
+
+
+def _strict(value):
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    if isinstance(value, (list, tuple)):
+        return [_strict(v) for v in value]
+    return value
 
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Tunable knobs of the bundle loop and the certificate thresholds."""
+    """Tunable knobs of the bundle loop and the certificate thresholds.
 
-    rho: float = 4.0
-    eta: float = 0.1
-    eps: float = 1e-5
-    beta: float = 0.1
-    alpha: float | None = None
-    max_iters: int = 2000
-    eig_tol: float = 1e-9
-    max_krylov: int = 60
-    max_restarts: int = 50
-    dense_threshold: int = 300
-    feas_tol: float = 1e-6
-    comp_scale: float = 1e-6
-    gap_tol: float = 1e-8
-    seed: int = 0
+    Each field is also a CLI override flag, its help text in the metadata.
+    """
+
+    rho: float = _knob(4.0, "prox weight")
+    eta: float = _knob(0.1, "descent-test fraction in (0, 1)")
+    eps: float = _knob(1e-5, "model-gap stopping tolerance")
+    beta: float = _knob(0.1, "multiplier box upper bound")
+    alpha: float | None = _knob(None, "penalty weight (default: limit rule)")
+    max_iters: int = _knob(2000, "bundle iteration budget")
+    eig_tol: float = _knob(1e-9, "eigenpair residual tolerance")
+    max_krylov: int = _knob(60, "Lanczos basis size")
+    max_restarts: int = _knob(50, "Lanczos restarts before an eigen failure")
+    dense_threshold: int = _knob(300, "largest dimension with a dense eigen fallback")
+    feas_tol: float = _knob(1e-6, "certificate limit-slack tolerance")
+    comp_scale: float = _knob(1e-6, "complementarity tolerance relative to ||H||")
+    gap_tol: float = _knob(1e-8, "least eigenvalue separation of a certificate")
+    seed: int = _knob(0, "Lanczos start-vector seed")
 
     def validate(self) -> None:
+        # Reports write non-finite floats as null, which --from-report could
+        # not read back, so a knob must be finite.
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite")
         if self.rho <= 0:
             raise ValueError("rho must be positive")
         if not 0.0 < self.eta < 1.0:
@@ -61,24 +93,6 @@ class SolverConfig:
             raise ValueError("beta must be positive")
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
-
-    def to_dict(self) -> dict:
-        return {
-            "rho": self.rho,
-            "eta": self.eta,
-            "eps": self.eps,
-            "beta": self.beta,
-            "alpha": self.alpha,
-            "max_iters": self.max_iters,
-            "eig_tol": self.eig_tol,
-            "max_krylov": self.max_krylov,
-            "max_restarts": self.max_restarts,
-            "dense_threshold": self.dense_threshold,
-            "feas_tol": self.feas_tol,
-            "comp_scale": self.comp_scale,
-            "gap_tol": self.gap_tol,
-            "seed": self.seed,
-        }
 
 
 @dataclass(frozen=True)
@@ -98,33 +112,22 @@ class IterationRecord:
     prox_seconds: float
     step_norm: float
 
-    def to_dict(self) -> dict:
-        return {
-            "iteration": self.iteration,
-            "f_center": self.f_center,
-            "f_candidate": self.f_candidate,
-            "model_value": self.model_value,
-            "delta": self.delta,
-            "serious": self.serious,
-            "case_used": self.case_used,
-            "kkt_residual": self.kkt_residual,
-            "lambda_neg": self.lambda_neg,
-            "eig_matvecs": self.eig_matvecs,
-            "prox_seconds": self.prox_seconds,
-            "step_norm": self.step_norm,
-        }
-
 
 @dataclass
 class BundleState:
-    """Mutable loop state: center, its value, the three cuts, and the trace."""
+    """Mutable loop state: center, its value, the three cuts, and the trace.
+
+    The cuts are a + S @ x with intercepts a (3,) and slope rows S (3, n):
+    the fixed, the current and the aggregate cut.
+    """
 
     problem: PenaltyObjective
     config: SolverConfig
     rng: np.random.Generator
     center: np.ndarray
     f_center: float
-    cuts: list
+    a: np.ndarray
+    S: np.ndarray
     iteration: int = 0
     converged: bool = False
     history: list = field(default_factory=list)
@@ -151,20 +154,14 @@ def init_state(problem: PenaltyObjective, config: SolverConfig) -> BundleState:
         dense_threshold=config.dense_threshold,
     )
     f0, _ = penalty_value(problem, x0, eig)
-    slope = problem.fixed_slope
-    cuts = [
-        Cut(0.0, slope, "fixed"),
-        Cut(0.0, slope.copy(), "current"),
-        Cut(0.0, slope.copy(), "aggregate"),
-    ]
     return BundleState(
         problem=problem,
         config=config,
         rng=rng,
         center=np.array(x0.flat, dtype=float),
         f_center=f0,
-        cuts=cuts,
-        history=[],
+        a=np.zeros(3),
+        S=np.tile(problem.fixed_slope, (3, 1)),
     )
 
 
@@ -180,14 +177,13 @@ def step(state: BundleState) -> IterationRecord:
     config = state.config
     state.iteration += 1
 
+    a, S = state.a, state.S
     t0 = time.perf_counter()
     prox: ProxSolution = solve_prox(
-        state.center, state.cuts, config.rho, config.beta, problem.n_box
+        state.center, a, S, config.rho, config.beta, problem.n_box
     )
     prox_seconds = time.perf_counter() - t0
     z = prox.z
-    a = np.array([c.intercept for c in state.cuts])
-    S = np.vstack([c.slope for c in state.cuts])
     model_value = float((a + S @ z).max())
     delta = state.f_center - model_value
 
@@ -231,15 +227,13 @@ def step(state: BundleState) -> IterationRecord:
         return record
 
     # Aggregate: the weight-combined cut, whose value at z equals the model
-    # optimum up to roundoff; combining minorants keeps it a minorant.
+    # optimum up to roundoff; combining minorants keeps it a minorant.  It
+    # combines the old cuts, so it is formed before the rows are overwritten.
     agg_slope = S.T @ prox.theta
-    agg_intercept = float(prox.theta @ a)
-    cur_intercept = f_lambda_z - float(g @ z)
-    state.cuts = [
-        state.cuts[0],
-        Cut(cur_intercept, g, "current"),
-        Cut(agg_intercept, agg_slope, "aggregate"),
-    ]
+    a[2] = float(prox.theta @ a)
+    a[1] = f_lambda_z - float(g @ z)
+    S[1] = g
+    S[2] = agg_slope
     return record
 
 
@@ -261,19 +255,8 @@ class PrimalCertificate:
     detail: str = ""
 
     def to_dict(self) -> dict:
-        out = {
-            "recovered": self.recovered,
-            "verdict": self.verdict,
-            "slack_total": self.slack_total,
-            "top_block_err": self.top_block_err,
-            "comp_res": self.comp_res,
-            "comp_tol": self.comp_tol,
-            "eigen_gap": self.eigen_gap,
-            "lambda_min": self.lambda_min,
-            "primal_objective": self.primal_objective,
-            "duality_gap": self.duality_gap,
-            "detail": self.detail,
-        }
+        out = as_json_dict(self)
+        del out["voltage"]
         if self.voltage is not None:
             out["voltage"] = [[float(c.real), float(c.imag)] for c in self.voltage]
         return out
@@ -384,21 +367,14 @@ class SolveReport:
         return self.certificate.verdict
 
     def to_dict(self) -> dict:
-        return {
-            "n_buses": self.n_buses,
-            "config": self.config.to_dict(),
-            "converged": self.converged,
-            "iterations": self.iterations,
-            "serious_steps": self.serious_steps,
-            "f_best": self.f_best,
-            "final_delta": self.final_delta,
-            "verdict": self.verdict,
-            "certificate": self.certificate.to_dict(),
-            "center": [float(t) for t in self.center],
-            "warnings": list(self.warnings),
-            "wall_seconds": self.wall_seconds,
-            "history": [r.to_dict() for r in self.history],
-        }
+        return as_json_dict(
+            self,
+            config=as_json_dict(self.config),
+            verdict=self.verdict,
+            certificate=self.certificate.to_dict(),
+            center=[float(t) for t in self.center],
+            history=[as_json_dict(r) for r in self.history],
+        )
 
 
 def solve(problem: PenaltyObjective, config: SolverConfig | None = None) -> SolveReport:
@@ -416,8 +392,8 @@ def solve(problem: PenaltyObjective, config: SolverConfig | None = None) -> Solv
         state = init_state(problem, config)
     except EigenFailure as exc:
         state = BundleState(problem, config, np.random.default_rng(config.seed),
-                            problem.start_point().flat, float("nan"), cuts=[],
-                            warnings=[f"eigen solver failed at the start point: {exc}"])
+                            problem.start_point().flat, float("nan"), np.zeros(3),
+                            np.tile(problem.fixed_slope, (3, 1)), warnings=[f"eigen solver failed at the start point: {exc}"])
         return _report(state, _unrecovered("no eigenpair at the start point"), float("inf"), t0)
     final_delta = float("inf")
     try:

@@ -1,4 +1,4 @@
-"""Command line front end: assess a case, generate instances, run benchmarks.
+"""Command line front end: assess a case, or generate synthetic instances.
 
 Exit codes for `assess`: 0 when the run converged and certified a feasible
 operating point, 2 when it converged without a feasibility certificate, 1 on
@@ -10,19 +10,19 @@ run can be reproduced from its own output via --from-report.
 from __future__ import annotations
 
 import argparse
-import csv
+import dataclasses
 import datetime
 import json
 import platform
 import resource
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import scipy
 
-from .bundle import SolverConfig, solve
+from . import __version__
+from .bundle import SolverConfig, as_json_dict, solve
 from .instances import plant_feasible, plant_infeasible
 from .network import (
     NetworkFormatError,
@@ -39,48 +39,23 @@ EXIT_FEASIBLE = 0
 EXIT_ERROR = 1
 EXIT_NOT_FEASIBLE = 2
 
-_VERSION = "0.1.0"
-
-_CONFIG_FLAGS = (
-    "rho",
-    "eta",
-    "eps",
-    "beta",
-    "alpha",
-    "max_iters",
-    "eig_tol",
-    "max_krylov",
-    "max_restarts",
-    "dense_threshold",
-    "feas_tol",
-    "comp_scale",
-    "gap_tol",
-    "seed",
-)
-
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
+    """One override flag per SolverConfig field, typed by its default."""
     g = parser.add_argument_group("solver overrides")
-    g.add_argument("--rho", type=float, help="prox weight")
-    g.add_argument("--eta", type=float, help="descent-test fraction in (0, 1)")
-    g.add_argument("--eps", type=float, help="model-gap stopping tolerance")
-    g.add_argument("--beta", type=float, help="multiplier box upper bound")
-    g.add_argument("--alpha", type=float, help="penalty weight (default: limit rule)")
-    g.add_argument("--max-iters", type=int, dest="max_iters")
-    g.add_argument("--eig-tol", type=float, dest="eig_tol")
-    g.add_argument("--max-krylov", type=int, dest="max_krylov")
-    g.add_argument("--max-restarts", type=int, dest="max_restarts")
-    g.add_argument("--dense-threshold", type=int, dest="dense_threshold")
-    g.add_argument("--feas-tol", type=float, dest="feas_tol")
-    g.add_argument("--comp-scale", type=float, dest="comp_scale")
-    g.add_argument("--gap-tol", type=float, dest="gap_tol")
-    g.add_argument("--seed", type=int)
+    for f in dataclasses.fields(SolverConfig):
+        g.add_argument(
+            "--" + f.name.replace("_", "-"),
+            dest=f.name,
+            type=float if f.default is None else type(f.default),
+            help=f.metadata["help"],
+        )
 
 
 def resolve_config(args: argparse.Namespace) -> SolverConfig:
     """Defaults, then config file, then --from-report, then explicit flags."""
-    values = SolverConfig().to_dict()
-    cfg_path = getattr(args, "config", None)
+    values = dataclasses.asdict(SolverConfig())
+    cfg_path = args.config
     if cfg_path:
         with open(cfg_path) as fh:
             doc = json.load(fh)
@@ -92,15 +67,14 @@ def resolve_config(args: argparse.Namespace) -> SolverConfig:
                 f"{cfg_path}: unknown config keys {sorted(unknown)}"
             )
         values.update(doc)
-    report_path = getattr(args, "from_report", None)
-    if report_path:
-        with open(report_path) as fh:
+    if args.from_report:
+        with open(args.from_report) as fh:
             doc = json.load(fh)
         values.update(doc.get("config", {}))
-    for key in _CONFIG_FLAGS:
-        flag = getattr(args, key, None)
+    for f in dataclasses.fields(SolverConfig):
+        flag = getattr(args, f.name, None)
         if flag is not None:
-            values[key] = flag
+            values[f.name] = flag
     config = SolverConfig(**values)
     config.validate()
     return config
@@ -110,7 +84,7 @@ def run_manifest(argv, config: SolverConfig, wall_seconds: float) -> dict:
     usage = resource.getrusage(resource.RUSAGE_SELF)
     return {
         "argv": list(argv),
-        "version": _VERSION,
+        "version": __version__,
         "python": platform.python_version(),
         "numpy": np.__version__,
         "scipy": scipy.__version__,
@@ -118,7 +92,7 @@ def run_manifest(argv, config: SolverConfig, wall_seconds: float) -> dict:
         "finished_at": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         "wall_seconds": wall_seconds,
         "peak_rss_kb": usage.ru_maxrss,
-        "config": config.to_dict(),
+        "config": as_json_dict(config),
     }
 
 
@@ -186,12 +160,12 @@ def cmd_assess(args: argparse.Namespace) -> int:
         doc["manifest"]["reproduced_from"] = args.from_report
 
     if args.out == "-":
-        json.dump(doc, sys.stdout, indent=1)
+        json.dump(doc, sys.stdout, indent=1, allow_nan=False)
         sys.stdout.write("\n")
     else:
         if args.out:
             with open(args.out, "w") as fh:
-                json.dump(doc, fh, indent=1)
+                json.dump(doc, fh, indent=1, allow_nan=False)
                 fh.write("\n")
         cert = report.certificate
         print(f"verdict      {report.verdict}")
@@ -272,119 +246,6 @@ def cmd_generate(args: argparse.Namespace) -> int:
     raise NetworkFormatError(f"unknown generate kind {args.kind!r}")
 
 
-def _bench_task(payload: dict) -> dict:
-    """One benchmark cell: replicate the base, plant a case, solve it."""
-    network, limits = load_network(payload["base"])
-    k = payload["k"]
-    if k > 1:
-        network, limits = replicate_feeder(network, limits, k)
-    inst = plant_feasible(network)
-    values = dict(payload["config"])
-    values["seed"] = payload["seed"]
-    config = SolverConfig(**values)
-    problem = build_problem(
-        network, inst.limits, inst.u, alpha=config.alpha, beta=config.beta
-    )
-    report = solve(problem, config)
-    prox_times = [r.prox_seconds for r in report.history]
-    matvecs = sum(r.eig_matvecs for r in report.history)
-    return {
-        "k": k,
-        "repeat": payload["repeat"],
-        "n_buses": network.n_buses,
-        "dim": 3 * network.n_buses,
-        "seed": payload["seed"],
-        "converged": report.converged,
-        "verdict": report.verdict,
-        "iterations": report.iterations,
-        "serious_steps": report.serious_steps,
-        "f_best": report.f_best,
-        "wall_seconds": report.wall_seconds,
-        "prox_seconds_total": float(np.sum(prox_times)) if prox_times else 0.0,
-        "prox_seconds_mean": float(np.mean(prox_times)) if prox_times else 0.0,
-        "eig_matvecs_total": matvecs,
-    }
-
-
-def run_bench(base_path, sizes, repeats, config: SolverConfig, workers: int = 1):
-    """Per-(size, repeat) solve rows on replicated copies of a base feeder."""
-    tasks = [
-        {
-            "base": base_path,
-            "k": k,
-            "repeat": r,
-            "seed": config.seed + 1000 * k + r,
-            "config": config.to_dict(),
-        }
-        for k in sizes
-        for r in range(repeats)
-    ]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_bench_task, tasks))
-    else:
-        rows = [_bench_task(t) for t in tasks]
-    return rows
-
-
-_BENCH_COLUMNS = (
-    "k",
-    "repeat",
-    "n_buses",
-    "dim",
-    "seed",
-    "converged",
-    "verdict",
-    "iterations",
-    "serious_steps",
-    "f_best",
-    "wall_seconds",
-    "prox_seconds_total",
-    "prox_seconds_mean",
-    "eig_matvecs_total",
-)
-
-
-def cmd_bench(args: argparse.Namespace) -> int:
-    sizes = [int(tok) for tok in args.sizes.split(",") if tok]
-    if not sizes or min(sizes) < 1:
-        raise NetworkFormatError("--sizes must be a comma list of positive integers")
-    config = resolve_config(args)
-    base = args.base
-    temp_doc = None
-    if base is None:
-        network, limits = synth_radial(args.buses, seed=config.seed)
-        base = args.out + ".base.json"
-        save_network(base, network, limits)
-        temp_doc = base
-    rows = run_bench(base, sizes, args.repeats, config, workers=args.workers)
-    with open(args.out, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=_BENCH_COLUMNS)
-        writer.writeheader()
-        for row in rows:
-            writer.writerow(row)
-    for k in sizes:
-        cell = [r for r in rows if r["k"] == k]
-        mean_prox = float(np.mean([r["prox_seconds_mean"] for r in cell]))
-        print(
-            f"k={k:<3d} buses={cell[0]['n_buses']:<5d}"
-            f" prox_mean={mean_prox:.3e}s"
-            f" iters={float(np.mean([r['iterations'] for r in cell])):.1f}"
-        )
-    if len(sizes) >= 2:
-        lo, hi = min(sizes), max(sizes)
-        lo_mean = float(
-            np.mean([r["prox_seconds_mean"] for r in rows if r["k"] == lo])
-        )
-        hi_mean = float(
-            np.mean([r["prox_seconds_mean"] for r in rows if r["k"] == hi])
-        )
-        if lo_mean > 0.0:
-            print(f"prox time factor k={lo} -> k={hi}: {hi_mean / lo_mean:.2f}")
-    print(f"wrote {args.out}" + (f" (base: {temp_doc})" if temp_doc else ""))
-    return EXIT_FEASIBLE
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pfbundle",
@@ -429,19 +290,6 @@ def build_parser() -> argparse.ArgumentParser:
     pp.add_argument("--tie-json", dest="tie_json",
                     help="JSON {\"y\": [[re, im] x 9]} Hermitian tie admittance")
     pp.set_defaults(func=cmd_generate)
-
-    p = sub.add_parser("bench", help="time solves on replicated feeders")
-    p.add_argument("--sizes", default="1,2,5,10",
-                   help="comma list of replication counts")
-    p.add_argument("--repeats", type=int, default=3)
-    p.add_argument("--base", help="base network JSON (default: synthesize one)")
-    p.add_argument("--buses", type=int, default=10,
-                   help="bus count of the synthesized base")
-    p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--out", required=True, help="CSV output path")
-    p.add_argument("--config", help="JSON file with solver settings")
-    _add_config_flags(p)
-    p.set_defaults(func=cmd_bench)
 
     return parser
 

@@ -392,28 +392,13 @@ def penalty_value(problem: PenaltyObjective, x: DualPoint, eig: EigenResult):
     return f, f_lambda
 
 
-def penalty_subgradient(
-    problem: PenaltyObjective,
-    eig: EigenResult,
-    x: DualPoint | None = None,
-    residual_tol: float | None = None,
-) -> np.ndarray:
+def penalty_subgradient(problem: PenaltyObjective, eig: EigenResult) -> np.ndarray:
     """Flat subgradient slope of the unclipped penalized objective.
 
     The slope is the linear part minus alpha times the capacity map applied to
-    the eigenvector's rank-one matrix.  When x is given the eigenpair is
-    revalidated against H(x) so a stale pair is rejected.
+    the eigenvector's rank-one matrix.
     """
     v = eig.vector
-    if x is not None:
-        tol = residual_tol if residual_tol is not None else 1e-6
-        H = dual_matrix(problem, x)
-        resid = float(np.linalg.norm(-(H @ v) - eig.value * v))
-        if resid > tol:
-            raise ValueError(
-                f"stale eigenpair: residual {resid:.3e} against the given point"
-                f" exceeds {tol:.1e}"
-            )
     a_q = apply_constraint_rank1(problem, v)
     q_block = np.outer(v[:3], v[:3].conj())
     y_slope = -problem.m_vec - problem.alpha * a_q

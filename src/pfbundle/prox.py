@@ -39,18 +39,6 @@ _ROUNDOFF = 8.0 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
-class Cut:
-    """Affine minorant intercept + slope . x in flat coordinates."""
-
-    intercept: float
-    slope: np.ndarray = field(repr=False)
-    kind: str = ""
-
-    def value(self, flat: np.ndarray) -> float:
-        return self.intercept + float(self.slope @ flat)
-
-
-@dataclass(frozen=True)
 class ProxSolution:
     z: np.ndarray = field(repr=False)
     theta: np.ndarray
@@ -65,12 +53,6 @@ def project_box(flat: np.ndarray, beta: float, n_box: int) -> np.ndarray:
     out = np.array(flat, dtype=float, copy=True)
     np.clip(out[:n_box], 0.0, beta, out=out[:n_box])
     return out
-
-
-def _cut_arrays(cuts) -> tuple:
-    a = np.array([c.intercept for c in cuts], dtype=float)
-    S = np.vstack([c.slope for c in cuts])
-    return a, S
 
 
 def _primal_objective(center, a, S, rho, z) -> float:
@@ -253,7 +235,8 @@ def interior_case(center, a, S, rho, beta, n_box):
 
 def solve_prox(
     center: np.ndarray,
-    cuts,
+    a: np.ndarray,
+    S: np.ndarray,
     rho: float,
     beta: float,
     n_box: int,
@@ -262,16 +245,16 @@ def solve_prox(
 
     Args:
         center: flat anchor point of the quadratic term.
-        cuts: three Cut objects (order fixes tie-breaking).
+        a: (3,) cut intercepts.
+        S: (3, n) cut slopes, one row per cut (row order fixes tie-breaking).
         rho: prox weight.
         beta: multiplier box upper bound.
         n_box: number of leading box-constrained coordinates.
 
-    Returns a ProxSolution whose diagnostics record which cases ran and the
-    support of the weights; the interior case also records its slice
-    evaluations.
+    Returns a ProxSolution whose case_used names the case that solved it and
+    whose diagnostics record the support of the weights; the interior case
+    also records its slice evaluations.
     """
-    a, S = _cut_arrays(cuts)
     hit = vertex_case(center, a, S, rho, beta, n_box)
     if hit is not None:
         z, theta, idx = hit
@@ -293,12 +276,11 @@ def solve_prox(
 
 
 def _finish(center, a, S, rho, beta, n_box, z, theta, case, **extra):
-    cases = ("vertex", "edge", "interior", "fallback")
     return ProxSolution(
         z=z,
         theta=theta,
         case_used=case,
         kkt_residual=_kkt_residual(center, a, S, rho, beta, n_box, z, theta),
         objective=_primal_objective(center, a, S, rho, z),
-        diagnostics={"cases_tried": cases[: cases.index(case) + 1], **extra},
+        diagnostics=extra,
     )

@@ -8,34 +8,38 @@ factor but only data-production problems fail the test.
 
 import json
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from pfbundle import (
-    DualPoint,
+    RadialParams,
     SolverConfig,
-    apply_constraint_rank1,
     build_problem,
-    constraint_adjoint_matrix,
-    init_state,
-    lanczos_extreme,
     plant_feasible,
     plant_infeasible,
+    replicate_feeder,
     save_network,
-    slack_block_matrix,
     solve,
-    step,
     synth_radial,
 )
-from pfbundle.cli import EXIT_NOT_FEASIBLE, main, run_bench
+from pfbundle.bundle import init_state, step
+from pfbundle.cli import EXIT_NOT_FEASIBLE, main
+from pfbundle.operators import (
+    DualPoint,
+    apply_constraint_rank1,
+    constraint_adjoint_matrix,
+    lanczos_extreme,
+    slack_block_matrix,
+)
 from pfbundle.oracle import (
     dense_lambda_max,
     dense_penalty_value,
     projected_subgradient_reference,
     qp_support_enumeration,
 )
-from pfbundle.prox import Cut, solve_prox
+from pfbundle.prox import solve_prox
 
 from conftest import ACCEPTANCE_LINES, criterion_2_triples
 
@@ -100,8 +104,7 @@ def test_criterion_2_prox_oracle_equivalence():
     worst_obj = 0.0
     worst_kkt = 0.0
     for center, intercepts, slopes, n_box in criterion_2_triples():
-        cuts = [Cut(float(a), s) for a, s in zip(intercepts, slopes)]
-        sol = solve_prox(center, cuts, 4.0, 0.1, n_box)
+        sol = solve_prox(center, intercepts, slopes, 4.0, 0.1, n_box)
         ref = qp_support_enumeration(
             center, np.asarray(intercepts), slopes, 4.0, 0.1, n_box
         )
@@ -242,6 +245,7 @@ def check_bundle_invariants(problem, config, rng, n_points=100):
         y = rng.uniform(0.0, config.beta, size=problem.n_box)
         tail = rng.normal(size=9)
         samples.append(np.concatenate([y, tail]))
+    samples = np.array(samples)
     f_samples = np.array([
         dense_penalty_value(problem, DualPoint(flat=s, n_buses=problem.n_buses))[0]
         for s in samples
@@ -253,9 +257,8 @@ def check_bundle_invariants(problem, config, rng, n_points=100):
     serious_ok = True
     prev = state.f_center
     while not state.converged and state.iteration < config.max_iters:
-        for cut in state.cuts:
-            vals = np.array([cut.value(s) for s in samples])
-            worst_gap = min(worst_gap, float((f_samples - vals).min()))
+        vals = samples @ state.S.T + state.a       # one column per cut
+        worst_gap = min(worst_gap, float((f_samples[:, None] - vals).min()))
         rec = step(state)
         worst_delta = min(worst_delta, rec.delta / (1.0 + abs(prev)))
         if rec.serious and not (
@@ -327,22 +330,22 @@ def test_criterion_8_cross_method_bound(
     )
 
 
-def test_criterion_9_prox_scaling_soft_gate(tmp_path):
-    params = dict(series_min=0.5, series_max=1.25, shunt=0.1)
-    from pfbundle import RadialParams
-
-    net, lim = synth_radial(10, seed=3, params=RadialParams(**params))
-    base = tmp_path / "base.json"
-    save_network(base, net, lim)
+def test_criterion_9_prox_scaling_soft_gate():
+    params = RadialParams(series_min=0.5, series_max=1.25, shunt=0.1)
+    base, base_limits = synth_radial(10, seed=3, params=params)
     config = SolverConfig()
-    rows = run_bench(str(base), sizes=(1, 10), repeats=2, config=config)
-    ok_runs = all(r["converged"] for r in rows)
+    prox_means = {1: [], 10: []}
+    ok_runs = True
+    for k, means in prox_means.items():
+        net = base if k == 1 else replicate_feeder(base, base_limits, k)[0]
+        inst = plant_feasible(net)
+        problem = build_problem(net, inst.limits, inst.u, alpha=config.alpha, beta=config.beta)
+        for r in range(2):
+            report = solve(problem, replace(config, seed=config.seed + 1000 * k + r))
+            ok_runs = ok_runs and report.converged
+            means.append(np.mean([rec.prox_seconds for rec in report.history]))
 
-    def mean_prox(k):
-        cell = [r["prox_seconds_mean"] for r in rows if r["k"] == k]
-        return float(np.mean(cell))
-
-    factor = mean_prox(10) / mean_prox(1)
+    factor = np.mean(prox_means[10]) / np.mean(prox_means[1])
     soft_ok = factor <= 8.0
     status = "within" if soft_ok else "EXCEEDS"
     # Soft gate: the measured factor is reported; only broken runs fail.

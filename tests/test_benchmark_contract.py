@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from pfbundle import prox
-from pfbundle.prox import Cut, solve_prox
+from pfbundle.prox import solve_prox
 
 from conftest import criterion_2_triples
 
@@ -38,8 +38,8 @@ def test_every_traced_attribute_resolves(tracing):
 def test_prox_cases_are_the_traced_ones(tracing, monkeypatch):
     seen = {}
     for center, intercepts, slopes, n_box in criterion_2_triples(count=100):
-        cuts = [Cut(float(a), s) for a, s in zip(intercepts, slopes)]
-        seen.setdefault(solve_prox(center, cuts, 4.0, 0.1, n_box).case_used, (center, cuts, n_box))
+        case = solve_prox(center, intercepts, slopes, 4.0, 0.1, n_box).case_used
+        seen.setdefault(case, (center, intercepts, slopes, n_box))
     assert set(seen) == {"vertex", "edge", "interior"}
 
     # The safety net's label, forced by an interior solve that is off.
@@ -50,7 +50,7 @@ def test_prox_cases_are_the_traced_ones(tracing, monkeypatch):
         return z, np.roll(theta, 1), evals
 
     monkeypatch.setattr(prox, "interior_case", off)
-    center, cuts, n_box = seen["interior"]
-    seen[solve_prox(center, cuts, 4.0, 0.1, n_box).case_used] = None
+    center, intercepts, slopes, n_box = seen["interior"]
+    seen[solve_prox(center, intercepts, slopes, 4.0, 0.1, n_box).case_used] = None
     assert "fallback" in seen
     assert set(seen) <= set(tracing.PROX_CASES)

@@ -1,25 +1,21 @@
 """Bundle loop invariants, certificates, and end-to-end planted solves."""
 
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
 from pfbundle import (
-    DualPoint,
-    EigenFailure,
     OperatingLimits,
     SolverConfig,
     ThreePhaseNetwork,
     build_problem,
-    init_state,
-    leading_eigenpair,
-    penalty_value,
-    recover_primal,
     solve,
-    step,
 )
 from pfbundle import bundle
+from pfbundle.bundle import init_state, recover_primal, step
+from pfbundle.operators import DualPoint, EigenFailure, leading_eigenpair, penalty_value
 from pfbundle.oracle import dense_penalty_value
 
 
@@ -76,20 +72,22 @@ def test_solver_config_validation():
         SolverConfig(beta=-1.0).validate()
     with pytest.raises(ValueError, match="max_iters"):
         SolverConfig(max_iters=0).validate()
+    with pytest.raises(ValueError, match="gap_tol must be finite"):
+        SolverConfig(gap_tol=float("inf")).validate()
+    with pytest.raises(ValueError, match="rho must be finite"):
+        SolverConfig(rho=float("nan")).validate()
     cfg = SolverConfig()
     assert (cfg.rho, cfg.eta, cfg.eps, cfg.beta) == (4.0, 0.1, 1e-5, 0.1)
-    assert json.dumps(cfg.to_dict())
+    assert json.loads(json.dumps(bundle.as_json_dict(cfg))) == dataclasses.asdict(cfg)
 
 
 def test_init_state_builds_linear_model(two_bus, two_bus_planted):
     problem = build_problem(two_bus, two_bus_planted.limits, two_bus_planted.u)
     state = init_state(problem, SolverConfig())
-    assert len(state.cuts) == 3
-    kinds = [c.kind for c in state.cuts]
-    assert kinds == ["fixed", "current", "aggregate"]
-    for cut in state.cuts:
-        assert cut.intercept == 0.0
-        np.testing.assert_array_equal(cut.slope, problem.fixed_slope)
+    np.testing.assert_array_equal(state.a, np.zeros(3))
+    assert state.S.shape == (3, problem.n_flat)
+    for slope in state.S:
+        np.testing.assert_array_equal(slope, problem.fixed_slope)
     np.testing.assert_array_equal(
         state.center[: problem.n_box], np.full(problem.n_box, 0.05)
     )
@@ -134,16 +132,13 @@ def test_cut_refresh_makes_model_tight_at_candidate(two_bus, two_bus_planted):
         z = state.center if record.serious else None
         # Recover the candidate: it is where the current cut was anchored.
         # Its value there must match the unclipped objective sample.
-        cur = state.cuts[1]
-        agg = state.cuts[2]
+        cur, agg = state.a[1:] + state.S[1:] @ state.center
         x = DualPoint(flat=np.asarray(
             state.center if record.serious else state.center), n_buses=2)
         if record.serious:
             _, f_lambda, _ = dense_penalty_value(problem, x)
-            assert cur.value(state.center) == pytest.approx(f_lambda, abs=1e-8)
-            assert agg.value(state.center) == pytest.approx(
-                record.model_value, abs=1e-9
-            )
+            assert cur == pytest.approx(f_lambda, abs=1e-8)
+            assert agg == pytest.approx(record.model_value, abs=1e-9)
 
 
 def test_final_cuts_minorize_the_objective(two_bus, two_bus_planted):
@@ -159,8 +154,8 @@ def test_final_cuts_minorize_the_objective(two_bus, two_bus_planted):
         tail = rng.normal(size=9)
         flat = np.concatenate([y, tail])
         f, _, _ = dense_penalty_value(problem, DualPoint(flat=flat, n_buses=2))
-        for cut in state.cuts:
-            assert cut.value(flat) <= f + 1e-9 * (1.0 + abs(f))
+        for value in state.a + state.S @ flat:
+            assert value <= f + 1e-9 * (1.0 + abs(f))
 
 
 def test_two_bus_planted_reaches_analytic_value(two_bus, two_bus_planted, tight_config):
@@ -280,6 +275,22 @@ def test_solve_reports_are_serializable_and_consistent(two_bus, two_bus_planted)
     assert decoded["certificate"]["slack_total"] == report.certificate.slack_total
     assert len(decoded["history"]) == report.iterations
     assert len(decoded["center"]) == problem.n_flat
+    # The key sets are pinned: they are the report format.
+    assert set(doc) == {
+        "n_buses", "config", "converged", "iterations", "serious_steps", "f_best",
+        "final_delta", "verdict", "certificate", "center", "warnings",
+        "wall_seconds", "history",
+    }
+    assert set(doc["certificate"]) == {
+        "recovered", "verdict", "slack_total", "top_block_err", "comp_res",
+        "comp_tol", "eigen_gap", "lambda_min", "primal_objective", "duality_gap",
+        "detail", "voltage",
+    }
+    assert set(doc["history"][0]) == {
+        "iteration", "f_center", "f_candidate", "model_value", "delta", "serious",
+        "case_used", "kkt_residual", "lambda_neg", "eig_matvecs", "prox_seconds",
+        "step_norm",
+    }
 
 
 def test_iteration_budget_exhaustion_is_reported(two_bus, two_bus_planted):
@@ -302,7 +313,7 @@ def test_eigen_failure_ends_in_a_named_report(two_bus, two_bus_planted, monkeypa
     where = "at the start point" if stage == "init_state" else "in primal recovery"
     assert report.warnings[-1] == f"eigen solver failed {where}: forced"
     assert not report.certificate.recovered
-    json.dumps(report.to_dict())
+    json.dumps(report.to_dict(), allow_nan=False)
     if stage == "recover_primal":
         assert report.iterations > 0
 

@@ -1,18 +1,20 @@
-"""Command line front end: exit codes, reports, generators, benchmarks."""
+"""Command line front end: exit codes, reports, config flags, generators."""
 
-import csv
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from pfbundle import load_network, plant_feasible, plant_infeasible, save_network
+import pfbundle
+from pfbundle import SolverConfig, load_network, plant_feasible, plant_infeasible, save_network
 from pfbundle.cli import (
     EXIT_ERROR,
     EXIT_FEASIBLE,
     EXIT_NOT_FEASIBLE,
-    _BENCH_COLUMNS,
+    build_parser,
     main,
+    resolve_config,
 )
 
 from conftest import build_two_bus
@@ -82,8 +84,13 @@ def test_assess_eigen_failure_writes_report_and_returns_one(tmp_path, capsys):
                  "--out", str(report_path)])
     err = capsys.readouterr().err
     assert code == EXIT_ERROR
-    doc = json.loads(report_path.read_text())
+
+    def reject(token):
+        raise ValueError(f"non-standard JSON token {token}")
+
+    doc = json.loads(report_path.read_text(), parse_constant=reject)
     assert doc["verdict"] == "not_converged"
+    assert doc["f_best"] is None
     assert doc["warnings"][0].startswith("eigen solver failed at the start point")
     assert "warning: eigen solver failed at the start point" in err
 
@@ -114,6 +121,7 @@ def test_assess_report_and_reproduction(feasible_case, tmp_path, capsys):
     assert doc["manifest"]["argv"][0] == "assess"
     assert doc["manifest"]["wall_seconds"] > 0.0
     assert doc["manifest"]["peak_rss_kb"] > 0
+    assert doc["manifest"]["version"] == pfbundle.__version__
     assert len(doc["history"]) == doc["iterations"]
 
     # Re-running from the stored configuration reproduces the value bitwise.
@@ -168,6 +176,15 @@ def test_assess_flags_override_config_file(feasible_case, tmp_path, capsys):
     capsys.readouterr()
     assert code == EXIT_FEASIBLE
     assert json.load(open(report_path))["config"]["eps"] == 1e-6
+
+
+@pytest.mark.parametrize("field", dataclasses.fields(SolverConfig), ids=lambda f: f.name)
+def test_every_config_field_is_an_override_flag(field):
+    value = 7 if isinstance(field.default, int) else 0.5
+    flag = "--" + field.name.replace("_", "-")
+    args = build_parser().parse_args(["assess", "n.json", flag, str(value)])
+    resolved = getattr(resolve_config(args), field.name)
+    assert resolved == value and type(resolved) is type(value)
 
 
 def test_assess_oracle_check_passes_on_small_case(feasible_case, tmp_path, capsys):
@@ -275,36 +292,6 @@ def test_generate_replicate_with_tie_block(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == EXIT_ERROR
     assert "Hermitian" in err
-
-
-def test_bench_writes_csv_with_column_dictionary(tmp_path, capsys):
-    out = str(tmp_path / "bench.csv")
-    code = main([
-        "bench", "--sizes", "1,2", "--repeats", "1", "--buses", "4",
-        "--out", out, "--seed", "3",
-    ])
-    msg = capsys.readouterr().out
-    assert code == EXIT_FEASIBLE
-    assert "wrote" in msg
-    assert "prox time factor k=1 -> k=2:" in msg
-    with open(out, newline="") as fh:
-        rows = list(csv.DictReader(fh))
-    assert len(rows) == 2
-    assert tuple(rows[0].keys()) == _BENCH_COLUMNS
-    ks = sorted(int(r["k"]) for r in rows)
-    assert ks == [1, 2]
-    for row in rows:
-        assert row["converged"] == "True"
-        assert float(row["wall_seconds"]) > 0.0
-    # The synthesized base document sits next to the CSV.
-    assert (tmp_path / "bench.csv.base.json").exists()
-
-
-def test_bench_rejects_bad_sizes(tmp_path, capsys):
-    code = main(["bench", "--sizes", "0", "--out", str(tmp_path / "x.csv")])
-    err = capsys.readouterr().err
-    assert code == EXIT_ERROR
-    assert "positive integers" in err
 
 
 def test_cli_requires_a_command(capsys):

@@ -3,15 +3,10 @@
 import numpy as np
 import pytest
 
-from pfbundle import (
-    apply_constraint_rank1,
-    assemble_admittance,
-    build_problem,
-    limit_offset_vector,
-    loss_min_profile,
-    plant_feasible,
-    plant_infeasible,
-)
+from pfbundle import build_problem, plant_feasible, plant_infeasible
+from pfbundle.instances import loss_min_profile
+from pfbundle.network import assemble_admittance
+from pfbundle.operators import apply_constraint_rank1, limit_offset_vector
 
 
 def test_loss_min_profile_solves_the_tail_system(ten_bus):

@@ -6,20 +6,22 @@ import numpy as np
 import pytest
 
 from pfbundle import (
-    DEFAULT_SLACK_VOLTAGE,
     NetworkFormatError,
     OperatingLimits,
     RadialParams,
     ThreePhaseNetwork,
-    assemble_admittance,
-    load_injection,
     load_network,
-    network_from_dict,
-    network_to_dict,
     plant_feasible,
     replicate_feeder,
     save_network,
     synth_radial,
+)
+from pfbundle.network import (
+    DEFAULT_SLACK_VOLTAGE,
+    assemble_admittance,
+    load_injection,
+    network_from_dict,
+    network_to_dict,
 )
 
 from conftest import build_two_bus

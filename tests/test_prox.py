@@ -6,7 +6,6 @@ import pytest
 from pfbundle import prox
 from pfbundle.oracle import qp_support_enumeration
 from pfbundle.prox import (
-    Cut,
     ProxSolution,
     edge_root,
     project_box,
@@ -17,8 +16,8 @@ from pfbundle.prox import (
 from conftest import criterion_2_triples
 
 
-def make_cuts(intercepts, slopes):
-    return [Cut(float(a), np.asarray(s, dtype=float)) for a, s in zip(intercepts, slopes)]
+def cut_arrays(intercepts, slopes):
+    return np.asarray(intercepts, dtype=float), np.asarray(slopes, dtype=float)
 
 
 def random_triple(rng, engineered=None):
@@ -42,7 +41,7 @@ def random_triple(rng, engineered=None):
         intercepts = np.array([common - s @ z for s in slopes])
     beta = 0.1
     rho = 4.0
-    return center, make_cuts(intercepts, slopes), rho, beta, n_box
+    return (center, *cut_arrays(intercepts, slopes), rho, beta, n_box)
 
 
 def test_project_box_clips_only_leading_coordinates():
@@ -54,11 +53,10 @@ def test_project_box_clips_only_leading_coordinates():
 
 def test_identical_cuts_resolve_at_the_vertex():
     slope = np.array([1.0, -2.0, 0.5, 3.0])
-    cuts = make_cuts([0.2, 0.2, 0.2], [slope, slope, slope])
+    a, S = cut_arrays([0.2, 0.2, 0.2], [slope, slope, slope])
     center = np.array([0.05, 0.02, -0.5, 1.0])
-    sol = solve_prox(center, cuts, 4.0, 0.1, 2)
+    sol = solve_prox(center, a, S, 4.0, 0.1, 2)
     assert sol.case_used == "vertex"
-    assert sol.diagnostics["cases_tried"] == ("vertex",)
     expect = project_box(center - slope / 4.0, 0.1, 2)
     np.testing.assert_allclose(sol.z, expect, atol=1e-15)
     assert sol.theta[0] == 1.0
@@ -68,9 +66,9 @@ def test_identical_cuts_resolve_at_the_vertex():
 def test_two_cut_toy_has_known_interior_weight():
     # One free coordinate, opposite unit slopes, anchor at 0.1 with weight 4:
     # the equal-height weight is 0.7 and the prox point lands exactly at 0.
-    cuts = make_cuts([0.0, 0.0, -10.0], [[1.0], [-1.0], [0.0]])
+    a, S = cut_arrays([0.0, 0.0, -10.0], [[1.0], [-1.0], [0.0]])
     center = np.array([0.1])
-    sol = solve_prox(center, cuts, 4.0, 0.1, 0)
+    sol = solve_prox(center, a, S, 4.0, 0.1, 0)
     assert sol.case_used == "edge"
     assert sol.diagnostics["support"] == (0, 1)
     assert sol.theta[0] == pytest.approx(0.7, abs=1e-12)
@@ -81,9 +79,7 @@ def test_two_cut_toy_has_known_interior_weight():
 
 
 def test_vertex_case_rejects_when_another_cut_dominates():
-    cuts = make_cuts([0.0, 0.0, -10.0], [[1.0], [-1.0], [0.0]])
-    a = np.array([c.intercept for c in cuts])
-    S = np.vstack([c.slope for c in cuts])
+    a, S = cut_arrays([0.0, 0.0, -10.0], [[1.0], [-1.0], [0.0]])
     assert vertex_case(np.array([0.1]), a, S, 4.0, 0.1, 0) is None
 
 
@@ -91,9 +87,7 @@ def test_edge_root_matches_brute_force_scan():
     rng = np.random.default_rng(3)
     checked = 0
     for _ in range(200):
-        center, cuts, rho, beta, n_box = random_triple(rng)
-        a = np.array([c.intercept for c in cuts])
-        S = np.vstack([c.slope for c in cuts])
+        center, a, S, rho, beta, n_box = random_triple(rng)
         s = edge_root(center, a, S, 0, 1, rho, beta, n_box)
         if s is None:
             continue
@@ -114,9 +108,7 @@ def test_edge_height_difference_is_nonincreasing():
     rng = np.random.default_rng(4)
     grid = np.linspace(0.0, 1.0, 200)
     for _ in range(50):
-        center, cuts, rho, beta, n_box = random_triple(rng)
-        a = np.array([c.intercept for c in cuts])
-        S = np.vstack([c.slope for c in cuts])
+        center, a, S, rho, beta, n_box = random_triple(rng)
         i, j = (0, 1) if rng.random() < 0.5 else (1, 2)
         vals = []
         for t in grid:
@@ -133,13 +125,12 @@ def test_interior_newton_symmetric_instance():
     # Three balanced slopes in a free plane meet at the anchor itself, so the
     # full support is optimal with equal weights.
     s3 = np.sqrt(3.0) / 2.0
-    cuts = make_cuts(
+    a, S = cut_arrays(
         [0.0, 0.0, 0.0], [[1.0, 0.0], [-0.5, s3], [-0.5, -s3]]
     )
     center = np.zeros(2)
-    sol = solve_prox(center, cuts, 4.0, 0.1, 0)
+    sol = solve_prox(center, a, S, 4.0, 0.1, 0)
     assert sol.case_used == "interior"
-    assert sol.diagnostics["cases_tried"] == ("vertex", "edge", "interior")
     np.testing.assert_allclose(sol.theta, [1 / 3, 1 / 3, 1 / 3], atol=1e-12)
     np.testing.assert_allclose(sol.z, [0.0, 0.0], atol=1e-12)
 
@@ -157,8 +148,8 @@ def test_interior_newton_recovers_planted_weights():
         z_star = center - (slopes.T @ theta_star) / rho
         common = float(rng.normal())
         intercepts = [common - s @ z_star for s in slopes]
-        cuts = make_cuts(intercepts, slopes)
-        sol = solve_prox(center, cuts, rho, 0.1, 0)
+        a, S = cut_arrays(intercepts, slopes)
+        sol = solve_prox(center, a, S, rho, 0.1, 0)
         if sol.case_used != "interior":
             # Planted weights very close to an edge can legitimately resolve
             # there; the optimum itself must still match.
@@ -174,12 +165,12 @@ def test_inexact_interior_solve_falls_back_to_oracle(monkeypatch):
     rng = np.random.default_rng(6)
     found = None
     for _ in range(2000):
-        center, cuts, rho, beta, n_box = random_triple(rng)
-        if solve_prox(center, cuts, rho, beta, n_box).case_used == "interior":
-            found = (center, cuts, rho, beta, n_box)
+        center, a, S, rho, beta, n_box = random_triple(rng)
+        if solve_prox(center, a, S, rho, beta, n_box).case_used == "interior":
+            found = (center, a, S, rho, beta, n_box)
             break
     assert found is not None
-    center, cuts, rho, beta, n_box = found
+    center, a, S, rho, beta, n_box = found
     exact = prox.interior_case
 
     def perturbed(*args):
@@ -187,12 +178,9 @@ def test_inexact_interior_solve_falls_back_to_oracle(monkeypatch):
         return z, theta + np.array([1e-3, -1e-3, 0.0]), evals
 
     monkeypatch.setattr(prox, "interior_case", perturbed)
-    sol = solve_prox(center, cuts, rho, beta, n_box)
+    sol = solve_prox(center, a, S, rho, beta, n_box)
     assert sol.case_used == "fallback"
-    assert sol.diagnostics["cases_tried"] == ("vertex", "edge", "interior", "fallback")
     assert sol.diagnostics["interior_kkt"] > 1e-10
-    a = np.array([c.intercept for c in cuts])
-    S = np.vstack([c.slope for c in cuts])
     ref = qp_support_enumeration(center, a, S, rho, beta, n_box)
     assert sol.objective == pytest.approx(ref.objective, abs=1e-8)
 
@@ -212,10 +200,10 @@ def test_interior_with_equal_box_slopes_and_clamped_box():
         slopes[1][:n_box] = slopes[0][:n_box]
         theta_star = rng.dirichlet([3.0, 3.0, 3.0])
         z_star = project_box(center - (slopes.T @ theta_star) / 4.0, 0.1, n_box)
-        intercepts = [0.3 - s @ z_star for s in slopes]
-        sol = solve_prox(center, make_cuts(intercepts, slopes), 4.0, 0.1, n_box)
+        a = np.array([0.3 - s @ z_star for s in slopes])
+        sol = solve_prox(center, a, slopes, 4.0, 0.1, n_box)
         interior += sol.case_used == "interior"
-        ref = qp_support_enumeration(center, np.array(intercepts), slopes, 4.0, 0.1, n_box)
+        ref = qp_support_enumeration(center, a, slopes, 4.0, 0.1, n_box)
         assert abs(sol.objective - ref.objective) <= 1e-12
         np.testing.assert_allclose(sol.z, z_star, atol=1e-9)
         assert sol.kkt_residual <= 1e-12
@@ -225,7 +213,7 @@ def test_interior_with_equal_box_slopes_and_clamped_box():
 def test_criterion_2_triples_never_reach_the_fallback():
     cases = set()
     for center, intercepts, slopes, n_box in criterion_2_triples():
-        sol = solve_prox(center, make_cuts(intercepts, slopes), 4.0, 0.1, n_box)
+        sol = solve_prox(center, intercepts, slopes, 4.0, 0.1, n_box)
         cases.add(sol.case_used)
     assert cases == {"vertex", "edge", "interior"}
 
@@ -233,10 +221,10 @@ def test_criterion_2_triples_never_reach_the_fallback():
 def test_cut_order_does_not_change_the_solution():
     rng = np.random.default_rng(7)
     for _ in range(50):
-        center, cuts, rho, beta, n_box = random_triple(rng)
-        sol = solve_prox(center, cuts, rho, beta, n_box)
-        perm = [cuts[1], cuts[2], cuts[0]]
-        sol_p = solve_prox(center, perm, rho, beta, n_box)
+        center, a, S, rho, beta, n_box = random_triple(rng)
+        sol = solve_prox(center, a, S, rho, beta, n_box)
+        perm = [1, 2, 0]
+        sol_p = solve_prox(center, a[perm], S[perm], rho, beta, n_box)
         assert sol_p.objective == pytest.approx(sol.objective, abs=1e-9)
         np.testing.assert_allclose(sol_p.z, sol.z, atol=1e-6)
 
@@ -248,10 +236,8 @@ def test_solve_prox_matches_oracle_on_random_sweep():
     cases_seen = set()
     for trial in range(200):
         kind = kinds[trial % len(kinds)]
-        center, cuts, rho, beta, n_box = random_triple(rng, engineered=kind)
-        sol = solve_prox(center, cuts, rho, beta, n_box)
-        a = np.array([c.intercept for c in cuts])
-        S = np.vstack([c.slope for c in cuts])
+        center, a, S, rho, beta, n_box = random_triple(rng, engineered=kind)
+        sol = solve_prox(center, a, S, rho, beta, n_box)
         ref = qp_support_enumeration(center, a, S, rho, beta, n_box)
         assert abs(sol.objective - ref.objective) <= 1e-8
         assert sol.kkt_residual <= 1e-8
@@ -262,10 +248,8 @@ def test_solve_prox_matches_oracle_on_random_sweep():
 
 def test_prox_solution_reports_consistent_objective():
     rng = np.random.default_rng(9)
-    center, cuts, rho, beta, n_box = random_triple(rng)
-    sol = solve_prox(center, cuts, rho, beta, n_box)
-    a = np.array([c.intercept for c in cuts])
-    S = np.vstack([c.slope for c in cuts])
+    center, a, S, rho, beta, n_box = random_triple(rng)
+    sol = solve_prox(center, a, S, rho, beta, n_box)
     diff = sol.z - center
     recompute = float((a + S @ sol.z).max() + 0.5 * rho * (diff @ diff))
     assert sol.objective == pytest.approx(recompute, abs=1e-12)
@@ -288,10 +272,8 @@ def test_interior_newton_handles_box_clamping():
         z_star = project_box(center - (slopes.T @ theta_star) / 4.0, 0.1, n_box)
         common = float(rng.normal())
         intercepts = [common - s @ z_star for s in slopes]
-        cuts = make_cuts(intercepts, slopes)
-        sol = solve_prox(center, cuts, 4.0, 0.1, n_box)
-        a = np.array([c.intercept for c in cuts])
-        S = np.vstack([c.slope for c in cuts])
+        a, S = cut_arrays(intercepts, slopes)
+        sol = solve_prox(center, a, S, 4.0, 0.1, n_box)
         ref = qp_support_enumeration(center, a, S, 4.0, 0.1, n_box)
         assert abs(sol.objective - ref.objective) <= 1e-8
         if sol.case_used == "interior":
