@@ -13,6 +13,7 @@ separation) decide the verdict.
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from dataclasses import dataclass, field, fields, replace
 
@@ -27,7 +28,6 @@ from .operators import (
     leading_eigenpair,
     penalty_subgradient,
     penalty_value,
-    svec3,
 )
 from .prox import ProxSolution, solve_prox
 
@@ -77,11 +77,19 @@ class SolverConfig:
     seed: int = _knob(0, "Lanczos start-vector seed")
 
     def validate(self) -> None:
+        # Values may come from JSON, so types are checked too: a field takes
+        # the type of its default (alpha a number or None), never a bool.
         # Reports write non-finite floats as null, which --from-report could
         # not read back, so a knob must be finite.
         for f in fields(self):
             value = getattr(self, f.name)
-            if isinstance(value, float) and not math.isfinite(value):
+            if value is None and f.default is None:
+                continue
+            kind = numbers.Integral if isinstance(f.default, int) else numbers.Real
+            if isinstance(value, bool) or not isinstance(value, kind):
+                noun = "an integer" if kind is numbers.Integral else "a number"
+                raise ValueError(f"{f.name} must be {noun}, got {value!r}")
+            if not math.isfinite(value):
                 raise ValueError(f"{f.name} must be finite")
         if self.rho <= 0:
             raise ValueError("rho must be positive")
@@ -91,8 +99,25 @@ class SolverConfig:
             raise ValueError("eps must be positive")
         if self.beta <= 0:
             raise ValueError("beta must be positive")
+        if self.alpha is not None and self.alpha <= 0:
+            raise ValueError("alpha must be positive")
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
+        if self.max_krylov < 1:
+            raise ValueError("max_krylov must be at least 1")
+        if self.max_restarts < 0:
+            raise ValueError("max_restarts must be nonnegative")
+
+    def configure(self, problem: PenaltyObjective) -> PenaltyObjective:
+        """The problem with this run's beta and alpha (None keeps the limit rule)."""
+        alpha = problem.alpha if self.alpha is None else float(self.alpha)
+        return replace(problem, alpha=alpha, beta=float(self.beta))
+
+    @property
+    def eig_options(self) -> dict:
+        """Keyword arguments of leading_eigenpair."""
+        return dict(tol=self.eig_tol, max_krylov=self.max_krylov,
+                    max_restarts=self.max_restarts, dense_threshold=self.dense_threshold)
 
 
 @dataclass(frozen=True)
@@ -141,18 +166,9 @@ def init_state(problem: PenaltyObjective, config: SolverConfig) -> BundleState:
     nonnegative), so the initial model is valid before any eigenpair has been
     computed.  The center value does require one eigenpair evaluation.
     """
-    config.validate()
     rng = np.random.default_rng(config.seed)
     x0 = problem.start_point()
-    eig = leading_eigenpair(
-        problem,
-        x0,
-        rng,
-        tol=config.eig_tol,
-        max_krylov=config.max_krylov,
-        max_restarts=config.max_restarts,
-        dense_threshold=config.dense_threshold,
-    )
+    eig = leading_eigenpair(problem, x0, rng, **config.eig_options)
     f0, _ = penalty_value(problem, x0, eig)
     return BundleState(
         problem=problem,
@@ -180,7 +196,7 @@ def step(state: BundleState) -> IterationRecord:
     a, S = state.a, state.S
     t0 = time.perf_counter()
     prox: ProxSolution = solve_prox(
-        state.center, a, S, config.rho, config.beta, problem.n_box
+        state.center, a, S, config.rho, problem.beta, problem.n_box
     )
     prox_seconds = time.perf_counter() - t0
     z = prox.z
@@ -188,15 +204,7 @@ def step(state: BundleState) -> IterationRecord:
     delta = state.f_center - model_value
 
     zpt = DualPoint(flat=z, n_buses=problem.n_buses)
-    eig = leading_eigenpair(
-        problem,
-        zpt,
-        state.rng,
-        tol=config.eig_tol,
-        max_krylov=config.max_krylov,
-        max_restarts=config.max_restarts,
-        dense_threshold=config.dense_threshold,
-    )
+    eig = leading_eigenpair(problem, zpt, state.rng, **config.eig_options)
     f_z, f_lambda_z = penalty_value(problem, zpt, eig)
     g = penalty_subgradient(problem, eig)
 
@@ -278,16 +286,7 @@ def recover_primal(
     reports the scaled duality gap between -f_value and the primal objective.
     """
     H = dual_matrix(problem, x)
-    eig = leading_eigenpair(
-        problem,
-        x,
-        rng,
-        tol=config.eig_tol,
-        max_krylov=config.max_krylov,
-        max_restarts=config.max_restarts,
-        dense_threshold=config.dense_threshold,
-        H=H,
-    )
+    eig = leading_eigenpair(problem, x, rng, H=H, **config.eig_options)
     v0 = eig.vector
     lam_min = -eig.value
     gap = float("nan") if eig.value2 is None else eig.value - eig.value2
@@ -385,8 +384,8 @@ def solve(problem: PenaltyObjective, config: SolverConfig | None = None) -> Solv
     """
     if config is None:
         config = SolverConfig()
-    if config.alpha is not None and config.alpha != problem.alpha:
-        problem = replace(problem, alpha=float(config.alpha))
+    config.validate()
+    problem = config.configure(problem)
     t0 = time.perf_counter()
     try:
         state = init_state(problem, config)

@@ -29,6 +29,7 @@ from .network import (
     RadialParams,
     load_injection,
     load_network,
+    load_tie_block,
     replicate_feeder,
     save_network,
     synth_radial,
@@ -38,6 +39,11 @@ from .operators import DualPoint, build_problem
 EXIT_FEASIBLE = 0
 EXIT_ERROR = 1
 EXIT_NOT_FEASIBLE = 2
+
+# The dense oracle's memory grows as dim**4: its tracemalloc peak was 1.0,
+# 14.5, 70.6 and 219 MB at dimensions 15, 30, 45 and 60, which extrapolates
+# to about 1 GB at 90 and over 100 GB at 300.
+ORACLE_CHECK_MAX_DIM = 60
 
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
@@ -52,25 +58,28 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
         )
 
 
+def _read_config(path, in_report: bool) -> dict:
+    """SolverConfig values from a config file, or from a report's "config"."""
+    with open(path) as fh:
+        doc = json.load(fh)
+    if in_report:
+        doc = doc.get("config") if isinstance(doc, dict) else None
+    if not isinstance(doc, dict):
+        what = "report config" if in_report else "config"
+        raise NetworkFormatError(f"{path}: {what} must be a JSON object")
+    unknown = set(doc) - {f.name for f in dataclasses.fields(SolverConfig)}
+    if unknown:
+        raise NetworkFormatError(f"{path}: unknown config keys {sorted(unknown)}")
+    return doc
+
+
 def resolve_config(args: argparse.Namespace) -> SolverConfig:
     """Defaults, then config file, then --from-report, then explicit flags."""
     values = dataclasses.asdict(SolverConfig())
-    cfg_path = args.config
-    if cfg_path:
-        with open(cfg_path) as fh:
-            doc = json.load(fh)
-        if not isinstance(doc, dict):
-            raise NetworkFormatError(f"{cfg_path}: config must be a JSON object")
-        unknown = set(doc) - set(values)
-        if unknown:
-            raise NetworkFormatError(
-                f"{cfg_path}: unknown config keys {sorted(unknown)}"
-            )
-        values.update(doc)
+    if args.config:
+        values.update(_read_config(args.config, in_report=False))
     if args.from_report:
-        with open(args.from_report) as fh:
-            doc = json.load(fh)
-        values.update(doc.get("config", {}))
+        values.update(_read_config(args.from_report, in_report=True))
     for f in dataclasses.fields(SolverConfig):
         flag = getattr(args, f.name, None)
         if flag is not None:
@@ -130,22 +139,20 @@ def cmd_assess(args: argparse.Namespace) -> int:
     network, limits = load_network(args.network)
     u = _parse_injection(args, network.n_buses)
     config = resolve_config(args)
-    problem = build_problem(
-        network, limits, u, alpha=config.alpha, beta=config.beta
-    )
+    problem = config.configure(build_problem(network, limits, u))
+    if args.oracle_check and problem.dim > ORACLE_CHECK_MAX_DIM:
+        print(
+            f"error: --oracle-check needs dimension <= {ORACLE_CHECK_MAX_DIM},"
+            f" got {problem.dim}",
+            file=sys.stderr,
+        )
+        return EXIT_ERROR
     report = solve(problem, config)
 
     doc = report.to_dict()
     doc["network_file"] = args.network
     doc["injection"] = [float(v) for v in u]
     if args.oracle_check:
-        if problem.dim > config.dense_threshold:
-            print(
-                f"error: --oracle-check needs dimension <= {config.dense_threshold},"
-                f" got {problem.dim}",
-                file=sys.stderr,
-            )
-            return EXIT_ERROR
         check = _oracle_check(problem, report)
         doc["oracle_check"] = check
         if not check["passed"]:
@@ -187,23 +194,6 @@ def cmd_assess(args: argparse.Namespace) -> int:
     return EXIT_NOT_FEASIBLE
 
 
-def _load_tie_block(path) -> np.ndarray:
-    with open(path) as fh:
-        doc = json.load(fh)
-    if not isinstance(doc, dict) or "y" not in doc:
-        raise NetworkFormatError(f"{path}: expected an object with key 'y'")
-    pairs = doc["y"]
-    if len(pairs) != 9:
-        raise NetworkFormatError(f"{path}: 'y' must hold 9 [re, im] pairs")
-    flat = np.asarray(
-        [complex(float(p[0]), float(p[1])) for p in pairs], dtype=complex
-    )
-    tie = flat.reshape(3, 3)
-    if np.abs(tie - tie.conj().T).max() > 1e-12 * max(1.0, np.abs(tie).max()):
-        raise NetworkFormatError(f"{path}: tie admittance must be Hermitian")
-    return tie
-
-
 def cmd_generate(args: argparse.Namespace) -> int:
     if args.kind == "radial":
         params = RadialParams(
@@ -238,7 +228,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
         return EXIT_FEASIBLE
     if args.kind == "replicate":
         network, limits = load_network(args.base)
-        tie = _load_tie_block(args.tie_json) if args.tie_json else None
+        tie = load_tie_block(args.tie_json) if args.tie_json else None
         out_net, out_lim = replicate_feeder(network, limits, args.copies, tie_block=tie)
         save_network(args.out, out_net, out_lim)
         print(f"wrote {args.out} ({out_net.n_buses} buses)")

@@ -10,7 +10,7 @@ squared voltage magnitude.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 import scipy.sparse as sp
@@ -19,8 +19,6 @@ import scipy.sparse as sp
 DEFAULT_SLACK_VOLTAGE = np.array(
     [1.0, np.exp(-2j * np.pi / 3.0), np.exp(2j * np.pi / 3.0)], dtype=complex
 )
-
-_LIMIT_KEYS = ("p_upper", "p_lower", "q_upper", "q_lower", "v_upper", "v_lower")
 
 
 class NetworkFormatError(ValueError):
@@ -63,6 +61,9 @@ class OperatingLimits:
 
     def as_dict(self) -> dict:
         return {key: getattr(self, key) for key in _LIMIT_KEYS}
+
+
+_LIMIT_KEYS = tuple(f.name for f in fields(OperatingLimits))
 
 
 @dataclass(frozen=True)
@@ -143,8 +144,8 @@ def _pairs_from_complex(arr: np.ndarray) -> list:
 
 
 def _complex_from_pairs(pairs, count: int, what: str) -> np.ndarray:
-    if len(pairs) != count:
-        raise NetworkFormatError(f"{what}: expected {count} [re, im] pairs, got {len(pairs)}")
+    if not isinstance(pairs, list) or len(pairs) != count:
+        raise NetworkFormatError(f"{what}: expected {count} [re, im] pairs")
     out = np.empty(count, dtype=complex)
     for k, pair in enumerate(pairs):
         if not isinstance(pair, (list, tuple)) or len(pair) != 2:
@@ -236,6 +237,15 @@ def load_injection(path, n_buses: int) -> np.ndarray:
             f"{path}: injection has length {u.size}, expected {3 * n_buses}"
         )
     return u
+
+
+def load_tie_block(path) -> np.ndarray:
+    """Read a 3x3 tie admittance {"y": [9 [re, im] pairs]}, row-major."""
+    with open(path) as fh:
+        doc = json.load(fh)
+    if not isinstance(doc, dict) or "y" not in doc:
+        raise NetworkFormatError(f"{path}: expected an object with key 'y'")
+    return _complex_from_pairs(doc["y"], 9, f"{path}: 'y'").reshape(3, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -337,6 +347,9 @@ def replicate_feeder(
         tie_block = np.asarray(tie_block, dtype=complex)
         if tie_block.shape != (3, 3):
             raise NetworkFormatError("tie_block must be 3x3")
+        scale = max(1.0, float(np.abs(tie_block).max()))
+        if np.abs(tie_block - tie_block.conj().T).max() > 1e-12 * scale:
+            raise NetworkFormatError("tie_block must be Hermitian")
 
     root_lines = [(i, j) for (i, j) in network.blocks if i == 0 and j != 0]
     # Shunt at the base root: diagonal minus the series admittances it sums.

@@ -27,9 +27,6 @@ from .network import OperatingLimits, ThreePhaseNetwork, assemble_admittance
 _SQRT2 = np.sqrt(2.0)
 _OFFDIAG = ((0, 1), (0, 2), (1, 2))
 
-# y-block order: P+ P- Q+ Q- V+ V-
-BLOCK_NAMES = ("p_up", "p_dn", "q_up", "q_dn", "v_up", "v_dn")
-
 
 class EigenFailure(RuntimeError):
     """Extreme eigenpair iteration did not reach the requested residual."""
@@ -113,7 +110,11 @@ def limit_offset_vector(u: np.ndarray, limits: OperatingLimits) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PenaltyObjective:
-    """Immutable problem data for the penalized dual objective."""
+    """Immutable problem data for the penalized dual objective.
+
+    alpha (the limit rule) and beta (the default box) hold until a run sets
+    its own through SolverConfig.configure.
+    """
 
     n_buses: int
     Y: sp.csr_matrix = field(repr=False)
@@ -123,9 +124,7 @@ class PenaltyObjective:
     slack_voltage: np.ndarray = field(repr=False)
     M1: np.ndarray = field(repr=False)
     alpha: float
-    beta: float
-    limits: OperatingLimits = field(repr=False)
-    u: np.ndarray = field(repr=False)
+    beta: float = 0.1
 
     @property
     def dim(self) -> int:
@@ -157,10 +156,8 @@ def build_problem(
     network: ThreePhaseNetwork,
     limits: OperatingLimits,
     u: np.ndarray,
-    alpha: float | None = None,
-    beta: float = 0.1,
 ) -> PenaltyObjective:
-    """Assemble problem data; alpha defaults to twice the summed upper voltage band."""
+    """Assemble problem data; alpha is twice the summed upper voltage band."""
     network.validate()
     limits.validate(network.n_buses)
     u = np.asarray(u, dtype=float)
@@ -168,14 +165,11 @@ def build_problem(
         raise ValueError(f"injection has shape {u.shape}, expected ({3 * network.n_buses},)")
     if not np.all(np.isfinite(u)):
         raise ValueError("injection contains non-finite entries")
-    if beta <= 0:
-        raise ValueError("beta must be positive")
     Y = assemble_admittance(network)
     Yh = Y.conj().T.tocsr()
     C = (0.5 * (Y + Yh)).tocsr()
     v1 = network.slack_voltage
-    if alpha is None:
-        alpha = 2.0 * float(limits.v_upper.sum())
+    alpha = 2.0 * float(limits.v_upper.sum())
     if alpha <= 0:
         raise ValueError("alpha must be positive")
     return PenaltyObjective(
@@ -186,10 +180,7 @@ def build_problem(
         m_vec=limit_offset_vector(u, limits),
         slack_voltage=v1,
         M1=np.outer(v1, v1.conj()),
-        alpha=float(alpha),
-        beta=float(beta),
-        limits=limits,
-        u=u,
+        alpha=alpha,
     )
 
 

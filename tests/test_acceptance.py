@@ -227,7 +227,7 @@ def test_criterion_6_infeasible_instance_exit_code(tmp_path, capsys, two_bus):
         "--out", str(report_path),
     ])
     capsys.readouterr()
-    doc = json.load(open(report_path))
+    doc = json.loads(report_path.read_text())
     slack = doc["certificate"]["slack_total"]
     ok = code == EXIT_NOT_FEASIBLE and slack > 1e-3
     record(
@@ -339,7 +339,7 @@ def test_criterion_9_prox_scaling_soft_gate():
     for k, means in prox_means.items():
         net = base if k == 1 else replicate_feeder(base, base_limits, k)[0]
         inst = plant_feasible(net)
-        problem = build_problem(net, inst.limits, inst.u, alpha=config.alpha, beta=config.beta)
+        problem = build_problem(net, inst.limits, inst.u)
         for r in range(2):
             report = solve(problem, replace(config, seed=config.seed + 1000 * k + r))
             ok_runs = ok_runs and report.converged

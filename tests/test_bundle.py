@@ -70,8 +70,29 @@ def test_solver_config_validation():
         SolverConfig(eps=0.0).validate()
     with pytest.raises(ValueError, match="beta"):
         SolverConfig(beta=-1.0).validate()
+    with pytest.raises(ValueError, match="beta"):
+        SolverConfig(beta=0.0).validate()
+    with pytest.raises(ValueError, match="alpha"):
+        SolverConfig(alpha=-1.0).validate()
     with pytest.raises(ValueError, match="max_iters"):
         SolverConfig(max_iters=0).validate()
+    with pytest.raises(ValueError, match="max_krylov"):
+        SolverConfig(max_krylov=0).validate()
+    with pytest.raises(ValueError, match="max_restarts"):
+        SolverConfig(max_restarts=-1).validate()
+    with pytest.raises(ValueError, match="eps must be a number"):
+        SolverConfig(eps="abc").validate()
+    with pytest.raises(ValueError, match="max_iters must be an integer"):
+        SolverConfig(max_iters="10").validate()
+    with pytest.raises(ValueError, match="max_iters must be an integer"):
+        SolverConfig(max_iters=10.0).validate()
+    with pytest.raises(ValueError, match="seed must be an integer"):
+        SolverConfig(seed=True).validate()
+    with pytest.raises(ValueError, match="rho must be a number"):
+        SolverConfig(rho=False).validate()
+    with pytest.raises(ValueError, match="alpha must be a number"):
+        SolverConfig(alpha="1").validate()
+    SolverConfig(alpha=3, rho=4, seed=np.int64(2)).validate()
     with pytest.raises(ValueError, match="gap_tol must be finite"):
         SolverConfig(gap_tol=float("inf")).validate()
     with pytest.raises(ValueError, match="rho must be finite"):
@@ -323,13 +344,32 @@ def test_config_alpha_overrides_problem_alpha(two_bus, two_bus_planted):
     override = 3.0 * problem.alpha
     report = solve(problem, SolverConfig(alpha=override))
     assert report.converged
-    strong = build_problem(
-        two_bus, two_bus_planted.limits, two_bus_planted.u, alpha=override
-    )
+    strong = dataclasses.replace(problem, alpha=override)
     f_dense, _, _ = dense_penalty_value(
         strong, DualPoint(flat=report.center, n_buses=2)
     )
     assert report.f_best == pytest.approx(f_dense, abs=1e-8)
+
+
+def test_config_beta_sets_the_whole_run(ten_bus, ten_bus_infeasible):
+    # Start point, prox box and the certificate's slack price all take the
+    # config's beta: the run equals one on a problem built with that box.
+    problem = build_problem(ten_bus, ten_bus_infeasible.limits, ten_bus_infeasible.u)
+    config = SolverConfig(beta=1.0)
+    report = solve(problem, config).to_dict()
+    reference = solve(dataclasses.replace(problem, beta=1.0), config).to_dict()
+    for doc in (report, reference):
+        del doc["wall_seconds"]
+        for row in doc["history"]:
+            del row["prox_seconds"]
+    assert report == reference
+    assert report["certificate"]["duality_gap"] <= 1e-3
+
+
+def test_invalid_config_alpha_is_rejected_by_solve(two_bus, two_bus_planted):
+    problem = build_problem(two_bus, two_bus_planted.limits, two_bus_planted.u)
+    with pytest.raises(ValueError, match="alpha must be positive"):
+        solve(problem, SolverConfig(alpha=-2.0))
 
 
 def test_small_alpha_triggers_dominance_warning(two_bus, two_bus_planted):

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -114,7 +115,7 @@ def test_assess_report_and_reproduction(feasible_case, tmp_path, capsys):
                  "--eps", "1e-8", "--seed", "5", "--out", report_path])
     capsys.readouterr()
     assert code == EXIT_FEASIBLE
-    doc = json.load(open(report_path))
+    doc = json.loads(Path(report_path).read_text())
     assert doc["config"]["eps"] == 1e-8
     assert doc["config"]["seed"] == 5
     assert doc["network_file"] == net_path
@@ -130,7 +131,7 @@ def test_assess_report_and_reproduction(feasible_case, tmp_path, capsys):
                  "--from-report", report_path, "--out", report2])
     capsys.readouterr()
     assert code == EXIT_FEASIBLE
-    doc2 = json.load(open(report2))
+    doc2 = json.loads(Path(report2).read_text())
     assert doc2["f_best"] == doc["f_best"]
     assert doc2["iterations"] == doc["iterations"]
     assert doc2["manifest"]["reproduced_from"] == report_path
@@ -155,7 +156,7 @@ def test_assess_config_file_and_unknown_keys(feasible_case, tmp_path, capsys):
                  "--config", str(cfg), "--out", report_path])
     capsys.readouterr()
     assert code == EXIT_FEASIBLE
-    doc = json.load(open(report_path))
+    doc = json.loads(Path(report_path).read_text())
     assert doc["config"]["eps"] == 1e-7
     assert doc["config"]["seed"] == 9
 
@@ -164,6 +165,24 @@ def test_assess_config_file_and_unknown_keys(feasible_case, tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == EXIT_ERROR
     assert "unknown config keys" in err
+
+
+@pytest.mark.parametrize("source, doc, message", [
+    ("--from-report", {"config": {"epsilon": 1e-7}}, "unknown config keys"),
+    ("--config", {"eps": "abc"}, "eps must be a number"),
+    ("--from-report", {"config": {"max_iters": "10"}}, "max_iters must be an integer"),
+    ("--from-report", [1, 2], "report config must be a JSON object"),
+], ids=["report-extra-key", "config-string-float", "report-string-int", "report-list"])
+def test_assess_rejects_malformed_config_sources(
+    feasible_case, tmp_path, capsys, source, doc, message
+):
+    net_path, u_path, _ = feasible_case
+    path = tmp_path / "source.json"
+    path.write_text(json.dumps(doc))
+    code = main(["assess", net_path, "--injection", u_path, source, str(path)])
+    err = capsys.readouterr().err
+    assert code == EXIT_ERROR
+    assert err.startswith("error:") and message in err
 
 
 def test_assess_flags_override_config_file(feasible_case, tmp_path, capsys):
@@ -175,7 +194,7 @@ def test_assess_flags_override_config_file(feasible_case, tmp_path, capsys):
                  "--config", str(cfg), "--eps", "1e-6", "--out", report_path])
     capsys.readouterr()
     assert code == EXIT_FEASIBLE
-    assert json.load(open(report_path))["config"]["eps"] == 1e-6
+    assert json.loads(Path(report_path).read_text())["config"]["eps"] == 1e-6
 
 
 @pytest.mark.parametrize("field", dataclasses.fields(SolverConfig), ids=lambda f: f.name)
@@ -194,19 +213,33 @@ def test_assess_oracle_check_passes_on_small_case(feasible_case, tmp_path, capsy
                  "--oracle-check", "--out", report_path])
     capsys.readouterr()
     assert code == EXIT_FEASIBLE
-    check = json.load(open(report_path))["oracle_check"]
+    check = json.loads(Path(report_path).read_text())["oracle_check"]
     assert check["passed"] is True
     assert check["f_error"] <= 1e-8
     assert check["lambda_error"] <= 1e-7
 
 
-def test_assess_oracle_check_rejects_large_dimension(feasible_case, capsys):
+def test_assess_oracle_check_checks_the_configured_objective(
+    feasible_case, tmp_path, capsys
+):
     net_path, u_path, _ = feasible_case
-    code = main(["assess", net_path, "--injection", u_path,
-                 "--oracle-check", "--dense-threshold", "3"])
+    report_path = str(tmp_path / "r.json")
+    code = main(["assess", net_path, "--injection", u_path, "--oracle-check",
+                 "--alpha", "100", "--beta", "0.5", "--out", report_path])
+    capsys.readouterr()
+    assert code == EXIT_FEASIBLE
+    doc = json.loads(Path(report_path).read_text())
+    assert (doc["config"]["alpha"], doc["config"]["beta"]) == (100.0, 0.5)
+    assert doc["oracle_check"]["passed"] is True
+
+
+def test_assess_oracle_check_rejects_large_dimension(tmp_path, capsys):
+    net_path = str(tmp_path / "c21.json")
+    main(["generate", "radial", net_path, "--buses", "21"])
+    code = main(["assess", net_path, "--oracle-check"])
     err = capsys.readouterr().err
     assert code == EXIT_ERROR
-    assert "needs dimension" in err
+    assert "needs dimension <= 60, got 63" in err
 
 
 def test_generate_radial_writes_loadable_documents(tmp_path, capsys):
@@ -292,6 +325,21 @@ def test_generate_replicate_with_tie_block(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == EXIT_ERROR
     assert "Hermitian" in err
+
+
+@pytest.mark.parametrize("pairs", [list(range(9)), [[0.4, 0.0]] * 8 + [[0.4]]],
+                         ids=["bare-numbers", "short-pair"])
+def test_generate_replicate_rejects_malformed_tie_block(tmp_path, capsys, pairs):
+    base = str(tmp_path / "base.json")
+    main(["generate", "radial", base, "--buses", "3", "--seed", "2"])
+    capsys.readouterr()
+    tie = tmp_path / "tie.json"
+    tie.write_text(json.dumps({"y": pairs}))
+    code = main(["generate", "replicate", base, str(tmp_path / "out.json"),
+                 "--copies", "2", "--tie-json", str(tie)])
+    err = capsys.readouterr().err
+    assert code == EXIT_ERROR
+    assert err.startswith("error:") and "[re, im] pair" in err
 
 
 def test_cli_requires_a_command(capsys):

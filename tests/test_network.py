@@ -326,6 +326,10 @@ def test_replicate_rejects_bad_arguments():
         replicate_feeder(net, lim, 0)
     with pytest.raises(NetworkFormatError, match="3x3"):
         replicate_feeder(net, lim, 2, tie_block=np.eye(2))
+    skew = np.eye(3, dtype=complex)
+    skew[0, 1] = 0.2 + 0.3j
+    with pytest.raises(NetworkFormatError, match="Hermitian"):
+        replicate_feeder(net, lim, 2, tie_block=skew)
 
 
 def test_radial_params_defaults_are_frozen():

@@ -1,5 +1,7 @@
 """Constraint maps, adjoint identities, the penalized objective, and Lanczos."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -87,10 +89,9 @@ def test_build_problem_validates_inputs(two_bus, two_bus_planted):
         build_problem(two_bus, limits, u[:-1])
     with pytest.raises(ValueError, match="non-finite"):
         build_problem(two_bus, limits, np.full_like(u, np.nan))
-    with pytest.raises(ValueError, match="beta"):
-        build_problem(two_bus, limits, u, beta=0.0)
-    with pytest.raises(ValueError, match="alpha"):
-        build_problem(two_bus, limits, u, alpha=-1.0)
+    flat = dataclasses.replace(limits, v_upper=np.zeros(6), v_lower=np.zeros(6))
+    with pytest.raises(ValueError, match="alpha must be positive"):
+        build_problem(two_bus, flat, u)
     prob = build_problem(two_bus, limits, u)
     assert prob.alpha == pytest.approx(2.0 * limits.v_upper.sum())
     assert prob.M1[0, 0] == 1.0 + 0.0j
