@@ -4,10 +4,10 @@ Each iteration solves the prox subproblem over a fixed, a current, and an
 aggregate cut, evaluates the penalized dual at the candidate with a single
 extreme-eigenpair call, applies the descent test to move the stability
 center, and rebuilds the current and aggregate cuts at the candidate.  After
-the loop a unit eigenvector at the bottom of the dual matrix's spectrum is
-rescaled against the slack-bus voltage to propose a rank-one operating point,
-and the certificate checks (limit slack, eigenvalue complementarity, spectral
-separation) decide the verdict.
+the loop the center's eigenvector, kept from the evaluation that made it the
+center, is rescaled against the slack-bus voltage to propose a rank-one
+operating point, and the certificate checks (limit slack, eigenvalue
+complementarity, spectral separation) decide the verdict.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ import numpy as np
 from .operators import (
     DualPoint,
     EigenFailure,
+    EigenResult,
     PenaltyObjective,
     apply_constraint_rank1,
     dual_matrix,
@@ -70,7 +71,6 @@ class SolverConfig:
     eig_tol: float = _knob(1e-9, "eigenpair residual tolerance")
     max_krylov: int = _knob(60, "Lanczos basis size")
     max_restarts: int = _knob(50, "Lanczos restarts before an eigen failure")
-    dense_threshold: int = _knob(300, "largest dimension with a dense eigen fallback")
     feas_tol: float = _knob(1e-6, "certificate limit-slack tolerance")
     comp_scale: float = _knob(1e-6, "complementarity tolerance relative to ||H||")
     gap_tol: float = _knob(1e-8, "least eigenvalue separation of a certificate")
@@ -117,7 +117,7 @@ class SolverConfig:
     def eig_options(self) -> dict:
         """Keyword arguments of leading_eigenpair."""
         return dict(tol=self.eig_tol, max_krylov=self.max_krylov,
-                    max_restarts=self.max_restarts, dense_threshold=self.dense_threshold)
+                    max_restarts=self.max_restarts)
 
 
 @dataclass(frozen=True)
@@ -140,7 +140,7 @@ class IterationRecord:
 
 @dataclass
 class BundleState:
-    """Mutable loop state: center, its value, the three cuts, and the trace.
+    """Mutable loop state: center, its value and eigenpair, cuts and trace.
 
     The cuts are a + S @ x with intercepts a (3,) and slope rows S (3, n):
     the fixed, the current and the aggregate cut.
@@ -153,6 +153,7 @@ class BundleState:
     f_center: float
     a: np.ndarray
     S: np.ndarray
+    center_eig: EigenResult | None = None
     iteration: int = 0
     converged: bool = False
     history: list = field(default_factory=list)
@@ -178,6 +179,7 @@ def init_state(problem: PenaltyObjective, config: SolverConfig) -> BundleState:
         f_center=f0,
         a=np.zeros(3),
         S=np.tile(problem.fixed_slope, (3, 1)),
+        center_eig=eig,
     )
 
 
@@ -213,6 +215,7 @@ def step(state: BundleState) -> IterationRecord:
     if serious:
         state.center = np.array(z, copy=True)
         state.f_center = f_z
+        state.center_eig = eig
 
     record = IterationRecord(
         iteration=state.iteration,
@@ -273,20 +276,21 @@ class PrimalCertificate:
 def recover_primal(
     problem: PenaltyObjective,
     x: DualPoint,
-    rng: np.random.Generator,
+    eig: EigenResult,
     config: SolverConfig,
     f_value: float | None = None,
 ) -> PrimalCertificate:
     """Rescale the bottom eigenvector of H(x) into a voltage candidate.
 
-    The eigenvector's slack block is aligned with the reference voltage by a
+    eig is the eigenpair of -H(x), so recovery runs no eigensolve; H(x) is
+    assembled once for the complementarity residual and its norm.  The
+    eigenvector's slack block is aligned with the reference voltage by a
     least-squares complex scalar; the scaled vector induces a rank-one matrix
     whose limit violations, complementarity residual against H, and spectral
     separation drive the verdict.  When f_value is given the certificate also
     reports the scaled duality gap between -f_value and the primal objective.
     """
     H = dual_matrix(problem, x)
-    eig = leading_eigenpair(problem, x, rng, H=H, **config.eig_options)
     v0 = eig.vector
     lam_min = -eig.value
     gap = float("nan") if eig.value2 is None else eig.value - eig.value2
@@ -393,7 +397,9 @@ def solve(problem: PenaltyObjective, config: SolverConfig | None = None) -> Solv
         state = BundleState(problem, config, np.random.default_rng(config.seed),
                             problem.start_point().flat, float("nan"), np.zeros(3),
                             np.tile(problem.fixed_slope, (3, 1)), warnings=[f"eigen solver failed at the start point: {exc}"])
-        return _report(state, _unrecovered("no eigenpair at the start point"), float("inf"), t0)
+        unrecovered = PrimalCertificate(False, "infeasible_or_undecided",
+                                        detail="no eigenpair at the start point")
+        return _report(state, unrecovered, float("inf"), t0)
     final_delta = float("inf")
     try:
         while state.iteration < config.max_iters and not state.converged:
@@ -409,14 +415,9 @@ def solve(problem: PenaltyObjective, config: SolverConfig | None = None) -> Solv
         )
 
     center_pt = DualPoint(flat=state.center, n_buses=problem.n_buses)
-    try:
-        certificate = recover_primal(
-            problem, center_pt, state.rng, config, f_value=state.f_center
-        )
-    except EigenFailure as exc:
-        state.converged = False
-        state.warnings.append(f"eigen solver failed in primal recovery: {exc}")
-        return _report(state, _unrecovered("no eigenpair at the final center"), final_delta, t0)
+    certificate = recover_primal(
+        problem, center_pt, state.center_eig, config, f_value=state.f_center
+    )
     if certificate.recovered and certificate.voltage is not None:
         trace_w = float(np.vdot(certificate.voltage, certificate.voltage).real)
         if problem.alpha <= trace_w:
@@ -425,12 +426,6 @@ def solve(problem: PenaltyObjective, config: SolverConfig | None = None) -> Solv
                 f" recovered trace {trace_w:.3g}; raise alpha and re-run"
             )
     return _report(state, certificate, final_delta, t0)
-
-
-def _unrecovered(detail: str) -> PrimalCertificate:
-    return PrimalCertificate(
-        recovered=False, verdict="infeasible_or_undecided", detail=detail
-    )
 
 
 def _report(state: BundleState, certificate, final_delta: float, t0: float) -> SolveReport:

@@ -291,7 +291,7 @@ def main(argv=None) -> int:
     args.argv = argv
     try:
         return args.func(args)
-    except (NetworkFormatError, FileNotFoundError, ValueError) as exc:
+    except (NetworkFormatError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -143,6 +143,28 @@ def _pairs_from_complex(arr: np.ndarray) -> list:
     return [[float(z.real), float(z.imag)] for z in flat]
 
 
+def _number(value, what: str, index=None, integer: bool = False):
+    """A JSON number as a float, or as an int if integer; never a bool or null.
+
+    An error names entry index of what when an index is given.
+    """
+    kind = int if integer else (int, float)
+    if isinstance(value, bool) or not isinstance(value, kind):
+        where = what if index is None else f"{what} entry {index}"
+        noun = "an integer" if integer else "a number"
+        raise NetworkFormatError(f"{where} must be {noun}, got {value!r}")
+    try:
+        return value if integer else float(value)
+    except OverflowError:
+        raise NetworkFormatError(f"{what} holds a number out of range") from None
+
+
+def _real_vector(values, what: str) -> np.ndarray:
+    if not isinstance(values, list):
+        raise NetworkFormatError(f"{what} must be a list of numbers")
+    return np.array([_number(v, what, k) for k, v in enumerate(values)])
+
+
 def _complex_from_pairs(pairs, count: int, what: str) -> np.ndarray:
     if not isinstance(pairs, list) or len(pairs) != count:
         raise NetworkFormatError(f"{what}: expected {count} [re, im] pairs")
@@ -150,7 +172,7 @@ def _complex_from_pairs(pairs, count: int, what: str) -> np.ndarray:
     for k, pair in enumerate(pairs):
         if not isinstance(pair, (list, tuple)) or len(pair) != 2:
             raise NetworkFormatError(f"{what}: entry {k} is not a [re, im] pair")
-        out[k] = complex(float(pair[0]), float(pair[1]))
+        out[k] = complex(_number(pair[0], what, k), _number(pair[1], what, k))
     return out
 
 
@@ -172,14 +194,17 @@ def network_to_dict(network: ThreePhaseNetwork, limits: OperatingLimits) -> dict
 def network_from_dict(doc: dict) -> tuple:
     if "n_buses" not in doc:
         raise NetworkFormatError("missing 'n_buses'")
-    n_buses = int(doc["n_buses"])
+    n_buses = _number(doc["n_buses"], "n_buses", integer=True)
     slack = _complex_from_pairs(doc.get("slack_voltage", []), 3, "slack_voltage")
+    entries = doc.get("blocks", [])
+    if not isinstance(entries, list):
+        raise NetworkFormatError("'blocks' must be a list")
     blocks = {}
-    for entry in doc.get("blocks", []):
-        try:
-            i, j = int(entry["i"]) - 1, int(entry["j"]) - 1
-        except (KeyError, TypeError) as exc:
-            raise NetworkFormatError(f"malformed block entry: {entry!r}") from exc
+    for entry in entries:
+        if not isinstance(entry, dict) or "i" not in entry or "j" not in entry:
+            raise NetworkFormatError(f"malformed block entry: {entry!r}")
+        i = _number(entry["i"], "block index i", integer=True) - 1
+        j = _number(entry["j"], "block index j", integer=True) - 1
         if (i, j) in blocks:
             raise NetworkFormatError(f"duplicate block ({i + 1}, {j + 1})")
         blocks[(i, j)] = _complex_from_pairs(
@@ -192,7 +217,7 @@ def network_from_dict(doc: dict) -> tuple:
     for key in _LIMIT_KEYS:
         if key not in limits_doc:
             raise NetworkFormatError(f"missing limit '{key}'")
-        vecs[key] = np.asarray([float(v) for v in limits_doc[key]], dtype=float)
+        vecs[key] = _real_vector(limits_doc[key], f"limit '{key}'")
     network = ThreePhaseNetwork(
         n_buses=n_buses,
         blocks=blocks,
@@ -231,7 +256,7 @@ def load_injection(path, n_buses: int) -> np.ndarray:
         doc = json.load(fh)
     if not isinstance(doc, dict) or "u" not in doc:
         raise NetworkFormatError(f"{path}: expected an object with key 'u'")
-    u = np.asarray([float(v) for v in doc["u"]], dtype=float)
+    u = _real_vector(doc["u"], f"{path}: 'u'")
     if u.shape != (3 * n_buses,):
         raise NetworkFormatError(
             f"{path}: injection has length {u.size}, expected {3 * n_buses}"

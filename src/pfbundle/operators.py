@@ -12,7 +12,7 @@ The dual matrix is H(x) = C + Astar(y) + embed(Gamma), with C the Hermitian
 part of the admittance matrix.  The penalized objective adds
 alpha * max(lambda_max(-H), 0) to the linear dual objective, which removes the
 semidefinite constraint on H at the price of one extreme eigenpair per
-evaluation.
+evaluation: a dense eigh for small H, restarted Lanczos for large H.
 """
 
 from __future__ import annotations
@@ -242,8 +242,10 @@ class EigenResult:
     """Extreme eigenpair of the negated dual matrix.
 
     value is lambda_max(-H); vector is a unit eigenvector; residual is the
-    explicitly recomputed ||(-H) v - value * v||; value2 is the next Ritz
-    value (a separation diagnostic); matvecs counts operator applications.
+    explicitly recomputed ||(-H) v - value * v||; value2 is the next
+    eigenvalue (a separation diagnostic): exact on the dense path, a Ritz
+    value on the Lanczos path; matvecs counts Lanczos operator applications
+    (0 on the dense path).
     """
 
     value: float
@@ -330,6 +332,14 @@ def lanczos_extreme(
     )
 
 
+# Largest dimension solved by a dense eigh of -H; restarted Lanczos above it.
+# Cold Lanczos / np.linalg.eigh(-H.toarray()) in ms, 1 (2) OpenBLAS threads on
+# a 2-core host, H after 5 bundle steps on synth_radial(n, seed=3) feeders:
+# dim 120 9.7/3.0 (10.8/4.6), 150 11.2/7.4 (10.4/6.1), 180 11.1/11.4
+# (13.0/10.7), 240 12.2/23.2 (15.0/22.0).
+DENSE_MAX_DIM = 150
+
+
 def leading_eigenpair(
     problem: PenaltyObjective,
     x: DualPoint,
@@ -337,38 +347,28 @@ def leading_eigenpair(
     tol: float = 1e-9,
     max_krylov: int = 60,
     max_restarts: int = 50,
-    dense_threshold: int = 300,
-    H: sp.csr_matrix | None = None,
 ) -> EigenResult:
-    """lambda_max(-H(x)) with eigenvector, matrix-free with a dense fallback.
+    """lambda_max(-H(x)) with eigenvector; the matrix size picks the path.
 
-    The sparse matrix H is assembled once and applied through matvecs only.
-    If Lanczos stalls and the dimension is at most dense_threshold the pair
-    is recomputed densely; beyond that the failure propagates.
+    The sparse matrix H is assembled once.  Up to DENSE_MAX_DIM it is solved
+    densely; above that Lanczos applies it through matvecs only, and an
+    EigenFailure propagates.
     """
-    if H is None:
-        H = dual_matrix(problem, x)
+    H = dual_matrix(problem, x)
     dim = problem.dim
-
-    def matvec(vec):
-        return -(H @ vec)
-
-    try:
-        value, vec, resid, ritz2, matvecs = lanczos_extreme(
-            matvec, dim, rng, tol=tol, max_krylov=max_krylov, max_restarts=max_restarts
-        )
-        return EigenResult(value=value, vector=vec, residual=resid, value2=ritz2,
-                           matvecs=matvecs)
-    except EigenFailure:
-        if dim > dense_threshold:
-            raise
+    if dim <= DENSE_MAX_DIM:
         evals, evecs = np.linalg.eigh(-H.toarray())
         vec = _normalize_phase(np.ascontiguousarray(evecs[:, -1]))
         value = float(evals[-1])
         resid = float(np.linalg.norm(-(H @ vec) - value * vec))
-        value2 = float(evals[-2]) if dim > 1 else None
-        return EigenResult(value=value, vector=vec, residual=resid, value2=value2,
-                           matvecs=dim)
+        return EigenResult(value=value, vector=vec, residual=resid,
+                           value2=float(evals[-2]))
+    value, vec, resid, ritz2, matvecs = lanczos_extreme(
+        lambda v: -(H @ v), dim, rng,
+        tol=tol, max_krylov=max_krylov, max_restarts=max_restarts,
+    )
+    return EigenResult(value=value, vector=vec, residual=resid, value2=ritz2,
+                       matvecs=matvecs)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,15 @@
 """Shared fixtures: small hand-built and synthetic networks with planted limits."""
 
+import os
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis.configuration import set_hypothesis_home_dir
+
+# Hypothesis caches constants on disk while collecting, even when no test uses
+# an example database; keep that cache out of the checkout.
+set_hypothesis_home_dir(os.path.join(tempfile.gettempdir(), "pfbundle-hypothesis"))
 
 # One line per acceptance criterion, printed after the run so the pass/fail
 # record survives output capture.

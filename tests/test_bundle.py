@@ -225,7 +225,7 @@ def test_recovery_reproduces_known_null_vector():
     net = network_with_flat_matrix(H)
     problem = build_problem(net, generous_limits(2), np.zeros(6))
     x = DualPoint(flat=np.zeros(problem.n_flat), n_buses=2)
-    cert = recover_primal(problem, x, rng, SolverConfig())
+    cert = recover_primal(problem, x, leading_eigenpair(problem, x, rng), SolverConfig())
     assert cert.recovered
     # The rescaling aligns the slack block exactly with the reference
     # voltage, reproducing the planted vector to near machine precision.
@@ -246,7 +246,7 @@ def test_recovery_flags_zero_slack_block():
     net = network_with_flat_matrix(H)
     problem = build_problem(net, generous_limits(2), np.zeros(6))
     x = DualPoint(flat=np.zeros(problem.n_flat), n_buses=2)
-    cert = recover_primal(problem, x, rng, SolverConfig())
+    cert = recover_primal(problem, x, leading_eigenpair(problem, x, rng), SolverConfig())
     assert not cert.recovered
     assert cert.verdict == "infeasible_or_undecided"
     assert "zero slack block" in cert.detail
@@ -322,7 +322,7 @@ def test_iteration_budget_exhaustion_is_reported(two_bus, two_bus_planted):
     assert any("model gap" in w for w in report.warnings)
 
 
-@pytest.mark.parametrize("stage", ["init_state", "recover_primal"])
+@pytest.mark.parametrize("stage", ["init_state"])
 def test_eigen_failure_ends_in_a_named_report(two_bus, two_bus_planted, monkeypatch, stage):
     def fail(*args, **kwargs):
         raise EigenFailure("forced")
@@ -331,12 +331,47 @@ def test_eigen_failure_ends_in_a_named_report(two_bus, two_bus_planted, monkeypa
     problem = build_problem(two_bus, two_bus_planted.limits, two_bus_planted.u)
     report = solve(problem)
     assert report.verdict == "not_converged"
-    where = "at the start point" if stage == "init_state" else "in primal recovery"
+    where = "at the start point"
     assert report.warnings[-1] == f"eigen solver failed {where}: forced"
     assert not report.certificate.recovered
     json.dumps(report.to_dict(), allow_nan=False)
-    if stage == "recover_primal":
-        assert report.iterations > 0
+
+
+def count_eigensolves(monkeypatch, fail_at=None):
+    """Count bundle.leading_eigenpair calls; raise EigenFailure on call fail_at."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == fail_at:
+            raise EigenFailure("forced")
+        return leading_eigenpair(*args, **kwargs)
+
+    monkeypatch.setattr(bundle, "leading_eigenpair", counted)
+    return calls
+
+
+def test_eigen_failure_mid_run_ends_in_a_named_report(two_bus, two_bus_planted, monkeypatch):
+    # Calls 1 and 2 are the start point and iteration 1; call 3 fails in
+    # iteration 2, and the certificate reuses the center's eigenpair.
+    calls = count_eigensolves(monkeypatch, fail_at=3)
+    problem = build_problem(two_bus, two_bus_planted.limits, two_bus_planted.u)
+    report = solve(problem)
+    assert len(calls) == 3
+    assert report.verdict == "not_converged"
+    assert report.iterations == 2
+    assert "eigen solver failed at iteration 2: forced" in report.warnings
+    assert report.certificate.recovered
+    json.loads(json.dumps(report.to_dict(), allow_nan=False))
+
+
+def test_solve_runs_one_eigensolve_per_point(ten_bus, ten_bus_planted, monkeypatch):
+    # One at the start point and one per candidate; none in recovery.
+    calls = count_eigensolves(monkeypatch)
+    problem = build_problem(ten_bus, ten_bus_planted.limits, ten_bus_planted.u)
+    report = solve(problem)
+    assert report.converged
+    assert len(calls) == report.iterations + 1
 
 
 def test_config_alpha_overrides_problem_alpha(two_bus, two_bus_planted):

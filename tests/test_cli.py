@@ -197,6 +197,43 @@ def test_assess_flags_override_config_file(feasible_case, tmp_path, capsys):
     assert json.loads(Path(report_path).read_text())["config"]["eps"] == 1e-6
 
 
+@pytest.mark.parametrize("target, path, value", [
+    ("network", ("n_buses",), None),
+    ("network", ("n_buses",), 2.7),
+    ("network", ("blocks",), 5),
+    ("network", ("blocks", 0, "y", 0), [None, 0]),
+    ("network", ("limits", "p_upper"), 5),
+    ("network", ("limits", "p_upper", 0), None),
+    ("injection", ("u", 0), None),
+    ("injection", ("u",), 5),
+    ("network", None, None),
+    ("injection", None, None),
+    ("out", None, None),
+], ids=["n_buses-null", "n_buses-float", "blocks-number", "block-pair-null",
+        "p_upper-number", "p_upper-null-entry", "u-null-entry", "u-number",
+        "network-dir", "injection-dir", "out-dir"])
+def test_assess_rejects_bad_inputs_with_an_error_line(
+    feasible_case, tmp_path, capsys, target, path, value
+):
+    # path None puts a directory where the file goes; otherwise the value
+    # replaces the node at path in that JSON file.
+    net_path, u_path, _ = feasible_case
+    files = {"network": net_path, "injection": u_path, "out": str(tmp_path / "r.json")}
+    if path is None:
+        files[target] = str(tmp_path)
+    else:
+        doc = json.loads(Path(files[target]).read_text())
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        Path(files[target]).write_text(json.dumps(doc))
+    code = main(["assess", files["network"], "--injection", files["injection"],
+                 "--out", files["out"]])
+    assert code == EXIT_ERROR
+    assert capsys.readouterr().err.startswith("error:")
+
+
 @pytest.mark.parametrize("field", dataclasses.fields(SolverConfig), ids=lambda f: f.name)
 def test_every_config_field_is_an_override_flag(field):
     value = 7 if isinstance(field.default, int) else 0.5

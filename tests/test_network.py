@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pfbundle import (
     NetworkFormatError,
@@ -206,6 +208,45 @@ def test_network_from_dict_rejects_malformed_blocks(two_bus):
     doc["limits"] = None
     with pytest.raises(NetworkFormatError, match="limits"):
         network_from_dict(doc)
+
+
+def _node_paths(node, prefix=()):
+    """Paths to every node below the root: dict keys and list indices."""
+    children = node.items() if isinstance(node, dict) else (
+        enumerate(node) if isinstance(node, list) else ()
+    )
+    for key, child in children:
+        yield prefix + (key,)
+        yield from _node_paths(child, prefix + (key,))
+
+
+_TEXT = st.text(alphabet="a1.", max_size=3)
+_SCALARS = st.none() | st.booleans() | st.integers(-3, 3) | _TEXT
+_REPLACEMENTS = (
+    st.none() | _TEXT | st.booleans()
+    | st.lists(_SCALARS, max_size=3)
+    | st.dictionaries(_TEXT, _SCALARS, max_size=2)
+)
+
+
+@settings(database=None, derandomize=True, max_examples=300, deadline=None)
+@given(data=st.data())
+def test_network_from_dict_rejects_mutated_documents_by_name(data):
+    # Replace one node with null, a string, a bool, a list or a dict, or drop
+    # it: the loader either accepts the document or names what is wrong.
+    doc = network_to_dict(build_two_bus(), uniform_limits(2))
+    path = data.draw(st.sampled_from(list(_node_paths(doc))))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if data.draw(st.booleans()):
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = data.draw(_REPLACEMENTS)
+    try:
+        network_from_dict(doc)
+    except NetworkFormatError:
+        pass
 
 
 def test_load_injection_round_trip(tmp_path):

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from pfbundle import OperatingLimits, build_problem, plant_feasible, synth_radial
+from pfbundle import operators
 from pfbundle.operators import (
+    DENSE_MAX_DIM,
     DualPoint,
     EigenFailure,
     apply_constraint_rank1,
@@ -209,6 +211,28 @@ def test_leading_eigenpair_agrees_with_dense_negated_matrix():
     assert eig.residual <= 1e-9
     assert np.linalg.norm(eig.vector) == pytest.approx(1.0, abs=1e-12)
     assert eig.value2 is not None and eig.value2 <= eig.value + 1e-12
+
+
+@pytest.mark.parametrize(
+    "n_buses", [DENSE_MAX_DIM // 3, DENSE_MAX_DIM // 3 + 1], ids=["dense", "lanczos"]
+)
+def test_leading_eigenpair_path_follows_the_dimension(n_buses, monkeypatch):
+    rng = np.random.default_rng(22)
+    problem = random_problem(rng, n_buses=n_buses)
+    x = random_point(rng, problem)
+    lanczos_calls = []
+
+    def counted(*args, **kwargs):
+        lanczos_calls.append(1)
+        return lanczos_extreme(*args, **kwargs)
+
+    monkeypatch.setattr(operators, "lanczos_extreme", counted)
+    eig = leading_eigenpair(problem, x, rng)
+    lam, _ = dense_lambda_max(-dual_matrix(problem, x).toarray())
+    assert len(lanczos_calls) == int(problem.dim > DENSE_MAX_DIM)
+    assert abs(eig.value - lam) <= 1e-9
+    assert eig.residual <= 1e-9
+    assert eig.value2 <= eig.value
 
 
 def test_penalty_value_positive_part():
