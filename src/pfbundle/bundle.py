@@ -74,7 +74,7 @@ class SolverConfig:
     feas_tol: float = _knob(1e-6, "certificate limit-slack tolerance")
     comp_scale: float = _knob(1e-6, "complementarity tolerance relative to ||H||")
     gap_tol: float = _knob(1e-8, "least eigenvalue separation of a certificate")
-    seed: int = _knob(0, "Lanczos start-vector seed")
+    seed: int = _knob(0, "seed of Lanczos's random start and warm-start blend")
 
     def validate(self) -> None:
         # Values may come from JSON, so types are checked too: a field takes
@@ -143,7 +143,8 @@ class BundleState:
     """Mutable loop state: center, its value and eigenpair, cuts and trace.
 
     The cuts are a + S @ x with intercepts a (3,) and slope rows S (3, n):
-    the fixed, the current and the aggregate cut.
+    the fixed, the current and the aggregate cut.  last_vector is the latest
+    evaluation's eigenvector, the next eigensolve's warm start.
     """
 
     problem: PenaltyObjective
@@ -154,6 +155,7 @@ class BundleState:
     a: np.ndarray
     S: np.ndarray
     center_eig: EigenResult | None = None
+    last_vector: np.ndarray | None = None
     iteration: int = 0
     converged: bool = False
     history: list = field(default_factory=list)
@@ -180,14 +182,16 @@ def init_state(problem: PenaltyObjective, config: SolverConfig) -> BundleState:
         a=np.zeros(3),
         S=np.tile(problem.fixed_slope, (3, 1)),
         center_eig=eig,
+        last_vector=eig.vector,
     )
 
 
 def step(state: BundleState) -> IterationRecord:
     """One bundle iteration: prox candidate, descent test, cut refresh.
 
-    The candidate is evaluated with a single eigenpair call that also yields
-    the subgradient slope.  The stopping predicate (model gap at most eps) is
+    The candidate is evaluated with a single eigenpair call, warm-started
+    from the previous evaluation's eigenvector, that also yields the
+    subgradient slope.  The stopping predicate (model gap at most eps) is
     checked by the caller on the returned record after the center update has
     been applied, matching the loop ordering in solve().
     """
@@ -206,7 +210,9 @@ def step(state: BundleState) -> IterationRecord:
     delta = state.f_center - model_value
 
     zpt = DualPoint(flat=z, n_buses=problem.n_buses)
-    eig = leading_eigenpair(problem, zpt, state.rng, **config.eig_options)
+    eig = leading_eigenpair(problem, zpt, state.rng, start=state.last_vector,
+                            **config.eig_options)
+    state.last_vector = eig.vector
     f_z, f_lambda_z = penalty_value(problem, zpt, eig)
     g = penalty_subgradient(problem, eig)
 

@@ -119,18 +119,14 @@ class ThreePhaseNetwork:
 def assemble_admittance(network: ThreePhaseNetwork) -> sp.csr_matrix:
     """Stack the 3x3 blocks into a sparse 3N x 3N admittance matrix."""
     n = 3 * network.n_buses
-    rows, cols, vals = [], [], []
-    for (i, j), blk in network.blocks.items():
-        r, c = np.meshgrid(np.arange(3) + 3 * i, np.arange(3) + 3 * j, indexing="ij")
-        rows.append(r.ravel())
-        cols.append(c.ravel())
-        vals.append(blk.ravel())
-    if not rows:
+    if not network.blocks:
         return sp.csr_matrix((n, n), dtype=complex)
-    mat = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n, n),
-    )
+    keys = 3 * np.array(list(network.blocks), dtype=np.int64)          # (B, 2)
+    vals = np.stack(list(network.blocks.values())).astype(complex)     # (B, 3, 3)
+    phase = np.arange(3)
+    rows = np.broadcast_to(keys[:, 0, None, None] + phase[:, None], vals.shape)
+    cols = np.broadcast_to(keys[:, 1, None, None] + phase, vals.shape)
+    mat = sp.coo_matrix((vals.ravel(), (rows.ravel(), cols.ravel())), shape=(n, n))
     return mat.tocsr()
 
 

@@ -9,10 +9,15 @@ y1.y2 + trace(Gamma1 @ Gamma2): the Hermitian part is stored as
 (diagonal, sqrt(2) * Re upper, sqrt(2) * Im upper).
 
 The dual matrix is H(x) = C + Astar(y) + embed(Gamma), with C the Hermitian
-part of the admittance matrix.  The penalized objective adds
+part of the admittance matrix.  Its sparsity pattern does not depend on x:
+build_problem fixes it once (DualPattern), and dual_matrix writes H's values
+onto it through precomputed index maps.  The penalized objective adds
 alpha * max(lambda_max(-H), 0) to the linear dual objective, which removes the
 semidefinite constraint on H at the price of one extreme eigenpair per
-evaluation: a dense eigh for small H, restarted Lanczos for large H.
+evaluation: a dense eigh for small H, restarted Lanczos for large H.  Lanczos
+can start from the previous evaluation's eigenvector, blended with a small
+seeded random vector, and ends a cycle as soon as the Ritz estimate of the
+top pair is below the tolerance.
 """
 
 from __future__ import annotations
@@ -21,6 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg import eigh_tridiagonal
 
 from .network import OperatingLimits, ThreePhaseNetwork, assemble_admittance
 
@@ -109,16 +115,69 @@ def limit_offset_vector(u: np.ndarray, limits: OperatingLimits) -> np.ndarray:
 
 
 @dataclass(frozen=True)
+class DualPattern:
+    """The fixed CSR sparsity pattern of H and the index maps into its data.
+
+    The pattern is the sorted union of Y's nonzeros, their transposes, the
+    diagonal and the 3x3 slack corner.  transpose[k] is the position of the
+    mirror entry of position k; diagonal and corner hold the positions of
+    the diagonal (in row order) and of the corner (row-major); yh_data holds
+    Y^H's values on the pattern.  The arrays are read-only, since every H
+    shares indptr and indices.
+    """
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    transpose: np.ndarray
+    diagonal: np.ndarray
+    corner: np.ndarray
+    yh_data: np.ndarray
+
+    def matrix(self, data: np.ndarray) -> sp.csr_matrix:
+        """The CSR matrix with these values on the pattern."""
+        dim = self.indptr.size - 1
+        return sp.csr_matrix((data, self.indices, self.indptr), shape=(dim, dim))
+
+
+def dual_pattern(Y: sp.csr_matrix) -> DualPattern:
+    """The pattern of H for a square admittance matrix Y."""
+    n = Y.shape[0]
+    coo = Y.tocoo()
+    keep = coo.data != 0
+    y_keys = coo.row[keep].astype(np.int64) * n + coo.col[keep]
+    y_t_keys = coo.col[keep].astype(np.int64) * n + coo.row[keep]
+    diag_keys = np.arange(n, dtype=np.int64) * (n + 1)
+    corner_keys = (np.arange(3)[:, None] * n + np.arange(3)).ravel()
+    keys = np.unique(np.concatenate([y_keys, y_t_keys, diag_keys, corner_keys]))
+    rows, cols = np.divmod(keys, n)
+    y_data = np.zeros(keys.size, dtype=complex)
+    y_data[np.searchsorted(keys, y_keys)] = coo.data[keep]
+    transpose = np.searchsorted(keys, cols * n + rows)
+    pattern = DualPattern(
+        indptr=np.searchsorted(rows, np.arange(n + 1)).astype(np.int32),
+        indices=cols.astype(np.int32),
+        transpose=transpose,
+        diagonal=np.searchsorted(keys, diag_keys),
+        corner=np.searchsorted(keys, corner_keys),
+        yh_data=np.conj(y_data[transpose]),
+    )
+    for arr in vars(pattern).values():
+        arr.setflags(write=False)
+    return pattern
+
+
+@dataclass(frozen=True)
 class PenaltyObjective:
     """Immutable problem data for the penalized dual objective.
 
-    alpha (the limit rule) and beta (the default box) hold until a run sets
-    its own through SolverConfig.configure.
+    C is the Hermitian part of Y, stored on H's pattern.  alpha (the limit
+    rule) and beta (the default box) hold until a run sets its own through
+    SolverConfig.configure.
     """
 
     n_buses: int
     Y: sp.csr_matrix = field(repr=False)
-    Yh: sp.csr_matrix = field(repr=False)
+    pattern: DualPattern = field(repr=False)
     C: sp.csr_matrix = field(repr=False)
     m_vec: np.ndarray = field(repr=False)
     slack_voltage: np.ndarray = field(repr=False)
@@ -166,8 +225,9 @@ def build_problem(
     if not np.all(np.isfinite(u)):
         raise ValueError("injection contains non-finite entries")
     Y = assemble_admittance(network)
-    Yh = Y.conj().T.tocsr()
-    C = (0.5 * (Y + Yh)).tocsr()
+    pattern = dual_pattern(Y)
+    yh_data = pattern.yh_data
+    C = pattern.matrix(0.5 * (np.conj(yh_data[pattern.transpose]) + yh_data))
     v1 = network.slack_voltage
     alpha = 2.0 * float(limits.v_upper.sum())
     if alpha <= 0:
@@ -175,7 +235,7 @@ def build_problem(
     return PenaltyObjective(
         n_buses=network.n_buses,
         Y=Y,
-        Yh=Yh,
+        pattern=pattern,
         C=C,
         m_vec=limit_offset_vector(u, limits),
         slack_voltage=v1,
@@ -196,12 +256,13 @@ def apply_constraint_rank1(problem: PenaltyObjective, v: np.ndarray) -> np.ndarr
     return np.concatenate([s.real, -s.real, s.imag, -s.imag, d, -d])
 
 
-def constraint_adjoint_matrix(problem: PenaltyObjective, y: np.ndarray) -> sp.csr_matrix:
-    """Hermitian matrix representing the adjoint of the capacity map at y.
+def _adjoint_data(problem: PenaltyObjective, y: np.ndarray) -> np.ndarray:
+    """The adjoint of the capacity map at y, as data on H's pattern.
 
     With w = (y_P+ - y_P-) + i (y_Q+ - y_Q-) and c = y_V+ - y_V-, the adjoint
-    is 0.5 * (Y^H diag(conj(w)) + diag(w) Y) + diag(c); both summands are exact
-    conjugate transposes of each other, so the result is Hermitian by
+    is 0.5 * (Y^H diag(conj(w)) + diag(w) Y) + diag(c).  Only the first
+    product is formed; the second is its mirror, conjugated, so every entry
+    and its mirror are exact conjugates and the result is Hermitian by
     construction.
     """
     y = np.asarray(y, dtype=float)
@@ -210,10 +271,16 @@ def constraint_adjoint_matrix(problem: PenaltyObjective, y: np.ndarray) -> sp.cs
         y_block(y, 2, n) - y_block(y, 3, n)
     )
     c = y_block(y, 4, n) - y_block(y, 5, n)
-    left = problem.Yh.multiply(np.conj(w)[np.newaxis, :])   # Y^H diag(conj(w))
-    right = problem.Y.multiply(w[:, np.newaxis])            # diag(w) Y
-    out = 0.5 * (left + right) + sp.diags(c.astype(complex))
-    return out.tocsr()
+    pattern = problem.pattern
+    left = pattern.yh_data * np.conj(w)[pattern.indices]   # Y^H diag(conj(w))
+    out = 0.5 * (left + np.conj(left[pattern.transpose]))
+    out[pattern.diagonal] += c
+    return out
+
+
+def constraint_adjoint_matrix(problem: PenaltyObjective, y: np.ndarray) -> sp.csr_matrix:
+    """Hermitian matrix representing the adjoint of the capacity map at y."""
+    return problem.pattern.matrix(_adjoint_data(problem, y))
 
 
 def slack_block_matrix(gamma: np.ndarray, n_buses: int) -> sp.csr_matrix:
@@ -227,10 +294,10 @@ def slack_block_matrix(gamma: np.ndarray, n_buses: int) -> sp.csr_matrix:
 
 
 def dual_matrix(problem: PenaltyObjective, x: DualPoint) -> sp.csr_matrix:
-    """H(x) = C + adjoint(y) + embedded Gamma, sparse Hermitian."""
-    out = problem.C + constraint_adjoint_matrix(problem, x.y)
-    out = out + slack_block_matrix(x.gamma, problem.n_buses)
-    return out.tocsr()
+    """H(x) = C + adjoint(y) + embedded Gamma, written on the fixed pattern."""
+    data = problem.C.data + _adjoint_data(problem, x.y)
+    data[problem.pattern.corner] += x.gamma.ravel()
+    return problem.pattern.matrix(data)
 
 
 # ---------------------------------------------------------------------------
@@ -263,6 +330,36 @@ def _normalize_phase(v: np.ndarray) -> np.ndarray:
     return v * (np.conj(pivot) / np.abs(pivot))
 
 
+# Weight of the seeded random unit vector blended into a warm start.  Started
+# exactly at the second eigenvector, the Krylov space is invariant and Lanczos
+# returns lambda_2.  On 50 random Hermitian matrices (dims 61-300, half with
+# lambda_1 - lambda_2 = 1e-3) started there, weights 0, 1e-6, 1e-4, 1e-3 and
+# 1e-2 gave 50, 25, 0, 0 and 0 wrong results.  Matvecs per eigensolve on the
+# replicated k=30 feeder at weights 0, 1e-6, 1e-3, 1e-2 and 1e-1: 33.8, 36.8,
+# 43.1, 46.3 and 49.8 (61.5 with cold starts), same iterations and f gap.
+WARM_BLEND = 1e-3
+
+# Lanczos steps between Ritz-estimate checks inside a cycle.  A check (one
+# top-pair eigh_tridiagonal) costs about as much as a step at dim 813.  The
+# Lanczos calls of whole solves replayed at 1, 2, 3, 4, 6 and 8 steps per
+# check (best of 5, 2 OpenBLAS threads, 2-core host) took 0.79, 0.63, 0.65,
+# 0.60, 0.65 and 0.63 s on the replicated k=30 feeder (41.9 to 44.4 matvecs
+# per call) and 1.84, 1.48, 1.31, 1.22, 1.25 and 1.22 s on k=20 infeasible.
+RITZ_CHECK_EVERY = 4
+
+
+def _top_ritz(alphas: np.ndarray, betas: np.ndarray, count: int):
+    """The top count eigenvalues (ascending) and the top eigenvector of T."""
+    used = alphas.size
+    if used == 1:
+        return alphas, np.ones(1)
+    count = min(count, used)
+    evals, evecs = eigh_tridiagonal(
+        alphas, betas[: used - 1], select="i", select_range=(used - count, used - 1)
+    )
+    return evals, evecs[:, -1]
+
+
 def lanczos_extreme(
     matvec,
     dim: int,
@@ -270,12 +367,19 @@ def lanczos_extreme(
     tol: float = 1e-9,
     max_krylov: int = 60,
     max_restarts: int = 50,
+    start: np.ndarray | None = None,
 ):
     """Largest eigenpair of a Hermitian operator by restarted Lanczos.
 
-    Full reorthogonalization keeps the basis clean; each restart continues
-    from the best Ritz vector.  Returns (value, vector, residual, value2,
-    matvecs); raises EigenFailure if the residual never reaches tol.
+    The first cycle starts from a seeded random unit vector or, given start,
+    from start blended with WARM_BLEND of one, which keeps an eigenvector of
+    a lower eigenvalue from trapping the iteration.  Every RITZ_CHECK_EVERY
+    steps the Ritz estimate |beta_j s_j| of the top Ritz pair is checked, and
+    the cycle ends once it is at most tol / 2.  Full reorthogonalization
+    keeps the basis clean; each restart continues from the best Ritz vector,
+    and only the explicitly recomputed residual decides convergence.
+    Returns (value, vector, residual, value2, matvecs); raises EigenFailure
+    if the residual never reaches tol.
     """
     m = int(min(dim, max_krylov))
     counter = [0]
@@ -286,38 +390,42 @@ def lanczos_extreme(
 
     v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
     v = v / np.linalg.norm(v)
+    if start is not None:
+        start = np.asarray(start, dtype=complex)
+        v = start / np.linalg.norm(start) + WARM_BLEND * v
+        v = v / np.linalg.norm(v)
     best = None
+    Q = np.empty((m, dim), dtype=complex)
+    alphas = np.empty(m)
+    betas = np.empty(m)
     for _ in range(max_restarts + 1):
-        Q = np.empty((dim, m), dtype=complex)
-        alphas = np.empty(m)
-        betas = np.empty(m)
         q = v
         used = 0
         for j in range(m):
-            Q[:, j] = q
+            Q[j] = q
             w = apply(q)
             alphas[j] = float(np.real(np.vdot(q, w)))
             w = w - alphas[j] * q
             if j > 0:
-                w = w - betas[j - 1] * Q[:, j - 1]
+                w -= betas[j - 1] * Q[j - 1]
             # Two reorthogonalization passes against the whole basis.
+            basis = Q[: j + 1]
             for _ in range(2):
-                w = w - Q[:, : j + 1] @ (Q[:, : j + 1].conj().T @ w)
+                w -= (basis @ w.conj()).conj() @ basis
             used = j + 1
             beta = float(np.linalg.norm(w))
             betas[j] = beta
             if beta < 1e-14 * max(1.0, abs(alphas[j])):
                 break
+            if used % RITZ_CHECK_EVERY == 0:
+                _, s = _top_ritz(alphas[:used], betas, 1)
+                if abs(beta * s[-1]) <= 0.5 * tol:
+                    break
             q = w / beta
-        T = np.diag(alphas[:used])
-        if used > 1:
-            off = betas[: used - 1]
-            T = T + np.diag(off, 1) + np.diag(off, -1)
-        evals, evecs = np.linalg.eigh(T)
+        evals, s = _top_ritz(alphas[:used], betas, 2)
         ritz = float(evals[-1])
         ritz2 = float(evals[-2]) if used > 1 else None
-        y = evecs[:, -1]
-        vec = Q[:, :used] @ y
+        vec = s @ Q[:used]
         vec = vec / np.linalg.norm(vec)
         resid = float(np.linalg.norm(apply(vec) - ritz * vec))
         if best is None or resid < best[2]:
@@ -333,11 +441,14 @@ def lanczos_extreme(
 
 
 # Largest dimension solved by a dense eigh of -H; restarted Lanczos above it.
-# Cold Lanczos / np.linalg.eigh(-H.toarray()) in ms, 1 (2) OpenBLAS threads on
-# a 2-core host, H after 5 bundle steps on synth_radial(n, seed=3) feeders:
-# dim 120 9.7/3.0 (10.8/4.6), 150 11.2/7.4 (10.4/6.1), 180 11.1/11.4
-# (13.0/10.7), 240 12.2/23.2 (15.0/22.0).
-DENSE_MAX_DIM = 150
+# Median ms per eigensolve inside a solve (the warm calls after the first),
+# warm Lanczos / np.linalg.eigh(-H.toarray()), 1 (2) OpenBLAS threads on a
+# 2-core host, planted synth_radial(n, seed=3) feeders: dim 90 3.4/2.0
+# (3.6/2.6), 105 3.6/3.0 (3.9/3.8), 111 2.4/2.3 (4.7/4.1), 117 2.6/2.6
+# (4.6/4.3), 120 3.6/3.9 (3.9/4.6), 135 3.8/5.2 (4.0/5.8), 150 4.3/6.8
+# (4.5/7.2), 180 4.7/10.6 (5.0/9.4).  Cold Lanczos had put the crossover at
+# about 150.
+DENSE_MAX_DIM = 117
 
 
 def leading_eigenpair(
@@ -347,11 +458,13 @@ def leading_eigenpair(
     tol: float = 1e-9,
     max_krylov: int = 60,
     max_restarts: int = 50,
+    start: np.ndarray | None = None,
 ) -> EigenResult:
     """lambda_max(-H(x)) with eigenvector; the matrix size picks the path.
 
     The sparse matrix H is assembled once.  Up to DENSE_MAX_DIM it is solved
-    densely; above that Lanczos applies it through matvecs only, and an
+    densely and start is not used; above that Lanczos, warm-started from
+    start when one is given, applies it through matvecs only, and an
     EigenFailure propagates.
     """
     H = dual_matrix(problem, x)
@@ -365,7 +478,7 @@ def leading_eigenpair(
                            value2=float(evals[-2]))
     value, vec, resid, ritz2, matvecs = lanczos_extreme(
         lambda v: -(H @ v), dim, rng,
-        tol=tol, max_krylov=max_krylov, max_restarts=max_restarts,
+        tol=tol, max_krylov=max_krylov, max_restarts=max_restarts, start=start,
     )
     return EigenResult(value=value, vector=vec, residual=resid, value2=ritz2,
                        matvecs=matvecs)

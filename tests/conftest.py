@@ -26,10 +26,13 @@ from pfbundle import (
     RadialParams,
     SolverConfig,
     ThreePhaseNetwork,
+    build_problem,
     plant_feasible,
     plant_infeasible,
+    replicate_feeder,
     synth_radial,
 )
+from pfbundle.operators import DENSE_MAX_DIM
 
 
 def criterion_2_triples(count=1000):
@@ -91,10 +94,12 @@ def build_two_bus():
     return net
 
 
+TEN_BUS_PARAMS = RadialParams(series_min=0.5, series_max=1.25, shunt=0.1)
+
+
 def build_ten_bus():
     """Random radial feeder sized so certificates come out crisp."""
-    params = RadialParams(series_min=0.5, series_max=1.25, shunt=0.1)
-    net, _ = synth_radial(10, seed=3, params=params)
+    net, _ = synth_radial(10, seed=3, params=TEN_BUS_PARAMS)
     return net
 
 
@@ -126,6 +131,15 @@ def two_bus_infeasible(two_bus):
 @pytest.fixture(scope="session")
 def ten_bus_infeasible(ten_bus):
     return plant_infeasible(ten_bus)
+
+
+@pytest.fixture(scope="session")
+def lanczos_problem():
+    """Planted-feasible replicated ten-bus case whose H takes the Lanczos path."""
+    net, limits = synth_radial(10, seed=3, params=TEN_BUS_PARAMS)
+    net, _ = replicate_feeder(net, limits, DENSE_MAX_DIM // 27 + 1)
+    planted = plant_feasible(net)
+    return build_problem(net, planted.limits, planted.u)
 
 
 @pytest.fixture(scope="session")

@@ -15,7 +15,13 @@ from pfbundle import (
 )
 from pfbundle import bundle
 from pfbundle.bundle import init_state, recover_primal, step
-from pfbundle.operators import DualPoint, EigenFailure, leading_eigenpair, penalty_value
+from pfbundle.operators import (
+    DENSE_MAX_DIM,
+    DualPoint,
+    EigenFailure,
+    leading_eigenpair,
+    penalty_value,
+)
 from pfbundle.oracle import dense_penalty_value
 
 
@@ -372,6 +378,24 @@ def test_solve_runs_one_eigensolve_per_point(ten_bus, ten_bus_planted, monkeypat
     report = solve(problem)
     assert report.converged
     assert len(calls) == report.iterations + 1
+
+
+def test_lanczos_solve_warm_starts_every_eigensolve_after_the_first(
+    lanczos_problem, monkeypatch
+):
+    starts = []
+
+    def recorded(*args, **kwargs):
+        starts.append(kwargs.get("start"))
+        return leading_eigenpair(*args, **kwargs)
+
+    monkeypatch.setattr(bundle, "leading_eigenpair", recorded)
+    report = solve(lanczos_problem)
+    assert lanczos_problem.dim > DENSE_MAX_DIM
+    assert report.converged and len(starts) == report.iterations + 1
+    assert starts[0] is None
+    assert all(start is not None for start in starts[1:])
+    assert all(record.eig_matvecs > 0 for record in report.history)
 
 
 def test_config_alpha_overrides_problem_alpha(two_bus, two_bus_planted):

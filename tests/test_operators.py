@@ -1,11 +1,19 @@
 """Constraint maps, adjoint identities, the penalized objective, and Lanczos."""
 
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
 
-from pfbundle import OperatingLimits, build_problem, plant_feasible, synth_radial
+from pfbundle import (
+    OperatingLimits,
+    ThreePhaseNetwork,
+    build_problem,
+    plant_feasible,
+    replicate_feeder,
+    synth_radial,
+)
 from pfbundle import operators
 from pfbundle.operators import (
     DENSE_MAX_DIM,
@@ -24,6 +32,8 @@ from pfbundle.operators import (
     svec3,
 )
 from pfbundle.oracle import dense_dual_matrix, dense_lambda_max, dense_penalty_value
+
+from conftest import TEN_BUS_PARAMS
 
 
 def random_hermitian(rng, dim):
@@ -142,16 +152,74 @@ def test_slack_block_adjoint_identity():
         assert abs(lhs - rhs) <= 5e-15 * (1.0 + abs(lhs))
 
 
+def meshed_network():
+    """Two tied copies of a 4-bus feeder, closed into a loop by one extra line."""
+    base, limits = synth_radial(4, seed=5)
+    tie = np.array([[1.2, 0.1 + 0.2j, 0.0], [0.1 - 0.2j, 1.1, 0.05j], [0.0, -0.05j, 1.3]])
+    net, limits = replicate_feeder(base, limits, 2, tie_block=tie)
+    blocks = dict(net.blocks)
+    a, b = 3, net.n_buses - 1          # last bus of each copy
+    series = np.diag([0.8, 0.9, 0.7]).astype(complex)
+    blocks[(a, b)] = -series
+    blocks[(b, a)] = -series
+    blocks[(a, a)] = blocks[(a, a)] + series
+    blocks[(b, b)] = blocks[(b, b)] + series
+    return ThreePhaseNetwork(net.n_buses, blocks, net.slack_voltage), limits
+
+
+def edited_feeder(edit):
+    net, limits = synth_radial(3, seed=6)
+    blocks = dict(net.blocks)
+    edit(blocks)
+    return ThreePhaseNetwork(net.n_buses, blocks, net.slack_voltage), limits
+
+
+def diagonal_slack_block(blocks):
+    blocks[(0, 0)] = np.diag(np.diag(blocks[(0, 0)]))
+
+
+def drop_bus_2_diagonal(blocks):
+    del blocks[(2, 2)]
+
+
+def triangular_bus_1_diagonal(blocks):
+    # Diagonal blocks need not be Hermitian: Y's pattern is then not symmetric.
+    blocks[(1, 1)] = np.triu(blocks[(1, 1)])
+
+
 def test_dual_matrix_matches_dense_oracle():
+    # Random radial feeders, then networks whose pattern is not a symmetric
+    # block tree: a meshed one, a slack block with zero off-diagonals (the
+    # corner positions then come only from the pattern), a bus without a
+    # diagonal block and a non-Hermitian diagonal block.
     rng = np.random.default_rng(11)
-    for _ in range(5):
-        problem = random_problem(rng, n_buses=3)
+    edited = (
+        meshed_network(),
+        edited_feeder(diagonal_slack_block),
+        edited_feeder(drop_bus_2_diagonal),
+        edited_feeder(triangular_bus_1_diagonal),
+    )
+    problems = itertools.chain(
+        (random_problem(rng, n_buses=3) for _ in range(5)),
+        (build_problem(net, limits, np.zeros(3 * net.n_buses)) for net, limits in edited),
+    )
+    for problem in problems:
         x = random_point(rng, problem)
         H = dual_matrix(problem, x).toarray()
         Hd = dense_dual_matrix(problem, x)
         scale = max(1.0, np.abs(Hd).max())
         assert np.abs(H - Hd).max() <= 1e-12 * scale
         assert np.abs(H - H.conj().T).max() == 0.0
+
+
+@pytest.mark.parametrize("copies, nnz", [(1, 252), (30, 7299)])
+def test_dual_matrix_pattern_is_the_block_pattern(copies, nnz):
+    # One 3x3 block per bus and two per line: 28 and 811 blocks.
+    net, limits = synth_radial(10, seed=3, params=TEN_BUS_PARAMS)
+    net, limits = replicate_feeder(net, limits, copies)
+    problem = build_problem(net, limits, np.zeros(3 * net.n_buses))
+    x = random_point(np.random.default_rng(23), problem)
+    assert dual_matrix(problem, x).nnz == nnz
 
 
 def test_apply_constraint_rank1_against_definition():
@@ -191,6 +259,24 @@ def test_lanczos_matches_dense_on_random_hermitian():
         assert abs(value - lam) <= 1e-9 * (1.0 + abs(lam))
         assert resid <= 1e-9
         assert float(np.linalg.norm(A @ vec - value * vec)) <= 1e-8
+
+
+def test_warm_start_from_a_lower_eigenvector_finds_lambda_max():
+    # Started exactly at the second eigenvector, the Krylov space is
+    # invariant; the blended random component is what lets Lanczos leave it.
+    rng = np.random.default_rng(24)
+    for trial in range(50):
+        dim = int(rng.integers(61, 301))
+        evals, V = np.linalg.eigh(random_hermitian(rng, dim))
+        if trial % 2 == 0:
+            evals[-1] = evals[-2] + 1e-3
+        A = (V * evals) @ V.conj().T
+        A = 0.5 * (A + A.conj().T)
+        value, _, resid, _, _ = lanczos_extreme(
+            lambda v: A @ v, dim, rng, start=V[:, -2]
+        )
+        assert abs(value - evals[-1]) <= 1e-9 * (1.0 + abs(evals[-1])), (trial, dim)
+        assert resid <= 1e-9
 
 
 def test_lanczos_raises_on_impossible_tolerance():
