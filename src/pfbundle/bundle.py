@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 import time
 from dataclasses import dataclass, field, fields, replace
 
@@ -80,7 +81,8 @@ class SolverConfig:
         # Values may come from JSON, so types are checked too: a field takes
         # the type of its default (alpha a number or None), never a bool.
         # Reports write non-finite floats as null, which --from-report could
-        # not read back, so a knob must be finite.
+        # not read back, so a knob must be finite, and within a double's range
+        # even if it is an integer.
         for f in fields(self):
             value = getattr(self, f.name)
             if value is None and f.default is None:
@@ -89,7 +91,7 @@ class SolverConfig:
             if isinstance(value, bool) or not isinstance(value, kind):
                 noun = "an integer" if kind is numbers.Integral else "a number"
                 raise ValueError(f"{f.name} must be {noun}, got {value!r}")
-            if not math.isfinite(value):
+            if not abs(value) <= sys.float_info.max:
                 raise ValueError(f"{f.name} must be finite")
         if self.rho <= 0:
             raise ValueError("rho must be positive")
@@ -107,11 +109,8 @@ class SolverConfig:
             raise ValueError("max_krylov must be at least 1")
         if self.max_restarts < 0:
             raise ValueError("max_restarts must be nonnegative")
-
-    def configure(self, problem: PenaltyObjective) -> PenaltyObjective:
-        """The problem with this run's beta and alpha (None keeps the limit rule)."""
-        alpha = problem.alpha if self.alpha is None else float(self.alpha)
-        return replace(problem, alpha=alpha, beta=float(self.beta))
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
 
     @property
     def eig_options(self) -> dict:
@@ -162,28 +161,41 @@ class BundleState:
     warnings: list = field(default_factory=list)
 
 
+def _start_state(problem: PenaltyObjective, config: SolverConfig) -> BundleState:
+    """The run at the box midpoint, before any eigenpair.
+
+    Checks config, sets the run's beta and alpha (None keeps the limit rule)
+    on the problem, and makes all three cuts the linear part.
+    """
+    config.validate()
+    alpha = problem.alpha if config.alpha is None else float(config.alpha)
+    problem = replace(problem, alpha=alpha, beta=float(config.beta))
+    return BundleState(
+        problem=problem,
+        config=config,
+        rng=np.random.default_rng(config.seed),
+        center=np.array(problem.start_point().flat, dtype=float),
+        f_center=float("nan"),
+        a=np.zeros(3),
+        S=np.tile(problem.fixed_slope, (3, 1)),
+    )
+
+
 def init_state(problem: PenaltyObjective, config: SolverConfig) -> BundleState:
-    """Start at the box midpoint with all three cuts set to the linear part.
+    """Turn a case into a run: configure it and start at the box midpoint.
 
     The linear part of the objective is a global minorant (the penalty term is
     nonnegative), so the initial model is valid before any eigenpair has been
     computed.  The center value does require one eigenpair evaluation.
     """
-    rng = np.random.default_rng(config.seed)
-    x0 = problem.start_point()
-    eig = leading_eigenpair(problem, x0, rng, **config.eig_options)
-    f0, _ = penalty_value(problem, x0, eig)
-    return BundleState(
-        problem=problem,
-        config=config,
-        rng=rng,
-        center=np.array(x0.flat, dtype=float),
-        f_center=f0,
-        a=np.zeros(3),
-        S=np.tile(problem.fixed_slope, (3, 1)),
-        center_eig=eig,
-        last_vector=eig.vector,
-    )
+    state = _start_state(problem, config)
+    problem = state.problem
+    x0 = DualPoint(flat=state.center, n_buses=problem.n_buses)
+    eig = leading_eigenpair(problem, x0, state.rng, **config.eig_options)
+    state.f_center, _ = penalty_value(problem, x0, eig)
+    state.center_eig = eig
+    state.last_vector = eig.vector
+    return state
 
 
 def step(state: BundleState) -> IterationRecord:
@@ -394,18 +406,16 @@ def solve(problem: PenaltyObjective, config: SolverConfig | None = None) -> Solv
     """
     if config is None:
         config = SolverConfig()
-    config.validate()
-    problem = config.configure(problem)
     t0 = time.perf_counter()
     try:
         state = init_state(problem, config)
     except EigenFailure as exc:
-        state = BundleState(problem, config, np.random.default_rng(config.seed),
-                            problem.start_point().flat, float("nan"), np.zeros(3),
-                            np.tile(problem.fixed_slope, (3, 1)), warnings=[f"eigen solver failed at the start point: {exc}"])
+        state = _start_state(problem, config)
+        state.warnings.append(f"eigen solver failed at the start point: {exc}")
         unrecovered = PrimalCertificate(False, "infeasible_or_undecided",
                                         detail="no eigenpair at the start point")
         return _report(state, unrecovered, float("inf"), t0)
+    problem = state.problem
     final_delta = float("inf")
     try:
         while state.iteration < config.max_iters and not state.converged:

@@ -2,9 +2,9 @@
 
 Exit codes for `assess`: 0 when the run converged and certified a feasible
 operating point, 2 when it converged without a feasibility certificate, 1 on
-errors or non-convergence.  Reports are JSON documents that embed a run
-manifest (argv, resolved configuration, library versions, peak memory) so a
-run can be reproduced from its own output via --from-report.
+errors or non-convergence.  Reports are JSON documents that carry the resolved
+configuration, which --from-report reads back to reproduce a run, and a run
+manifest (argv, library versions, platform, wall time, peak memory).
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .bundle import SolverConfig, as_json_dict, solve
+from .bundle import SolverConfig, solve
 from .instances import plant_feasible, plant_infeasible
 from .network import (
     NetworkFormatError,
@@ -34,16 +34,11 @@ from .network import (
     save_network,
     synth_radial,
 )
-from .operators import DualPoint, build_problem
+from .operators import build_problem
 
 EXIT_FEASIBLE = 0
 EXIT_ERROR = 1
 EXIT_NOT_FEASIBLE = 2
-
-# The dense oracle's memory grows as dim**4: its tracemalloc peak was 1.0,
-# 14.5, 70.6 and 219 MB at dimensions 15, 30, 45 and 60, which extrapolates
-# to about 1 GB at 90 and over 100 GB at 300.
-ORACLE_CHECK_MAX_DIM = 60
 
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
@@ -84,12 +79,10 @@ def resolve_config(args: argparse.Namespace) -> SolverConfig:
         flag = getattr(args, f.name, None)
         if flag is not None:
             values[f.name] = flag
-    config = SolverConfig(**values)
-    config.validate()
-    return config
+    return SolverConfig(**values)
 
 
-def run_manifest(argv, config: SolverConfig, wall_seconds: float) -> dict:
+def run_manifest(argv, wall_seconds: float) -> dict:
     usage = resource.getrusage(resource.RUSAGE_SELF)
     return {
         "argv": list(argv),
@@ -101,7 +94,6 @@ def run_manifest(argv, config: SolverConfig, wall_seconds: float) -> dict:
         "finished_at": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         "wall_seconds": wall_seconds,
         "peak_rss_kb": usage.ru_maxrss,
-        "config": as_json_dict(config),
     }
 
 
@@ -118,51 +110,16 @@ def _parse_injection(args: argparse.Namespace, n_buses: int) -> np.ndarray:
     return np.zeros(3 * n_buses)
 
 
-def _oracle_check(problem, report) -> dict:
-    """Dense recomputation of the final value and bottom eigenvalue."""
-    from .oracle import dense_penalty_value
-
-    x = DualPoint(flat=np.asarray(report.center, dtype=float), n_buses=problem.n_buses)
-    f_dense, _, lam = dense_penalty_value(problem, x)
-    f_err = abs(f_dense - report.f_best) / (1.0 + abs(f_dense))
-    lam_err = abs(-lam - report.certificate.lambda_min) / (1.0 + abs(lam))
-    return {
-        "f_dense": f_dense,
-        "f_error": f_err,
-        "lambda_error": lam_err,
-        "passed": bool(f_err <= 1e-8 and lam_err <= 1e-7),
-    }
-
-
 def cmd_assess(args: argparse.Namespace) -> int:
     t0 = time.perf_counter()
     network, limits = load_network(args.network)
     u = _parse_injection(args, network.n_buses)
-    config = resolve_config(args)
-    problem = config.configure(build_problem(network, limits, u))
-    if args.oracle_check and problem.dim > ORACLE_CHECK_MAX_DIM:
-        print(
-            f"error: --oracle-check needs dimension <= {ORACLE_CHECK_MAX_DIM},"
-            f" got {problem.dim}",
-            file=sys.stderr,
-        )
-        return EXIT_ERROR
-    report = solve(problem, config)
+    report = solve(build_problem(network, limits, u), resolve_config(args))
 
     doc = report.to_dict()
     doc["network_file"] = args.network
     doc["injection"] = [float(v) for v in u]
-    if args.oracle_check:
-        check = _oracle_check(problem, report)
-        doc["oracle_check"] = check
-        if not check["passed"]:
-            print(
-                f"error: dense cross-check failed: value error {check['f_error']:.3e},"
-                f" eigenvalue error {check['lambda_error']:.3e}",
-                file=sys.stderr,
-            )
-            return EXIT_ERROR
-    doc["manifest"] = run_manifest(args.argv, config, time.perf_counter() - t0)
+    doc["manifest"] = run_manifest(args.argv, time.perf_counter() - t0)
     if args.from_report:
         doc["manifest"]["reproduced_from"] = args.from_report
 
@@ -252,8 +209,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--from-report", dest="from_report",
                    help="reuse the configuration stored in a previous report")
     p.add_argument("--out", help="write the JSON report here ('-' for stdout)")
-    p.add_argument("--oracle-check", dest="oracle_check", action="store_true",
-                   help="recompute the final value densely and fail on mismatch")
     _add_config_flags(p)
     p.set_defaults(func=cmd_assess)
 
@@ -268,10 +223,10 @@ def build_parser() -> argparse.ArgumentParser:
                     help="center the limits on a known operating point")
     pr.add_argument("--injection-out", dest="injection_out",
                     help="write the matching injection JSON here")
-    pr.add_argument("--series-min", dest="series_min", type=float, default=2.0)
-    pr.add_argument("--series-max", dest="series_max", type=float, default=5.0)
-    pr.add_argument("--coupling", type=float, default=0.15)
-    pr.add_argument("--shunt", type=float, default=0.4)
+    radial = RadialParams()
+    for name in ("series_min", "series_max", "coupling", "shunt"):
+        pr.add_argument("--" + name.replace("_", "-"), dest=name, type=float,
+                        default=getattr(radial, name))
     pr.set_defaults(func=cmd_generate)
     pp = kinds.add_parser("replicate", help="tile copies of a feeder on one slack")
     pp.add_argument("base", help="base network JSON path")

@@ -368,6 +368,8 @@ def replicate_feeder(
         tie_block = np.asarray(tie_block, dtype=complex)
         if tie_block.shape != (3, 3):
             raise NetworkFormatError("tie_block must be 3x3")
+        if not np.all(np.isfinite(tie_block)):
+            raise NetworkFormatError("tie_block has non-finite entries")
         scale = max(1.0, float(np.abs(tie_block).max()))
         if np.abs(tie_block - tie_block.conj().T).max() > 1e-12 * scale:
             raise NetworkFormatError("tie_block must be Hermitian")

@@ -171,8 +171,8 @@ class PenaltyObjective:
     """Immutable problem data for the penalized dual objective.
 
     C is the Hermitian part of Y, stored on H's pattern.  alpha (the limit
-    rule) and beta (the default box) hold until a run sets its own through
-    SolverConfig.configure.
+    rule) and beta (the default box) hold until bundle.init_state sets the
+    run's own.
     """
 
     n_buses: int
@@ -376,7 +376,7 @@ def lanczos_extreme(
     a lower eigenvalue from trapping the iteration.  Every RITZ_CHECK_EVERY
     steps the Ritz estimate |beta_j s_j| of the top Ritz pair is checked, and
     the cycle ends once it is at most tol / 2.  Full reorthogonalization
-    keeps the basis clean; each restart continues from the best Ritz vector,
+    keeps the basis clean; each restart continues from the top Ritz vector,
     and only the explicitly recomputed residual decides convergence.
     Returns (value, vector, residual, value2, matvecs); raises EigenFailure
     if the residual never reaches tol.
@@ -394,7 +394,7 @@ def lanczos_extreme(
         start = np.asarray(start, dtype=complex)
         v = start / np.linalg.norm(start) + WARM_BLEND * v
         v = v / np.linalg.norm(v)
-    best = None
+    best_resid = float("inf")
     Q = np.empty((m, dim), dtype=complex)
     alphas = np.empty(m)
     betas = np.empty(m)
@@ -428,15 +428,13 @@ def lanczos_extreme(
         vec = s @ Q[:used]
         vec = vec / np.linalg.norm(vec)
         resid = float(np.linalg.norm(apply(vec) - ritz * vec))
-        if best is None or resid < best[2]:
-            best = (ritz, vec, resid, ritz2)
         if resid <= tol:
-            value, vec, resid, ritz2 = best
-            return value, _normalize_phase(vec), resid, ritz2, counter[0]
+            return ritz, _normalize_phase(vec), resid, ritz2, counter[0]
+        best_resid = min(best_resid, resid)
         v = vec
     raise EigenFailure(
         f"no convergence after {max_restarts} restarts:"
-        f" best residual {best[2]:.3e} (tol {tol:.1e}, dim {dim})"
+        f" best residual {best_resid:.3e} (tol {tol:.1e}, dim {dim})"
     )
 
 

@@ -65,6 +65,16 @@ def criterion_2_triples(count=1000):
         yield center, intercepts, slopes, n_box
 
 
+def node_paths(node, prefix=()):
+    """Paths to every node below the root: dict keys and list indices."""
+    children = node.items() if isinstance(node, dict) else (
+        enumerate(node) if isinstance(node, list) else ()
+    )
+    for key, child in children:
+        yield prefix + (key,)
+        yield from node_paths(child, prefix + (key,))
+
+
 def build_two_bus():
     """Hand-built two-bus feeder with phase coupling on every block."""
     cpl, shunt = 0.5, 0.45

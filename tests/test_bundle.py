@@ -425,6 +425,21 @@ def test_config_beta_sets_the_whole_run(ten_bus, ten_bus_infeasible):
     assert report["certificate"]["duality_gap"] <= 1e-3
 
 
+def test_init_state_configures_a_hand_driven_run(ten_bus, ten_bus_infeasible):
+    # init_state applies the config's beta, so stepping by hand runs the
+    # same objective as solve, on a problem built with the default box.
+    problem = build_problem(ten_bus, ten_bus_infeasible.limits, ten_bus_infeasible.u)
+    config = SolverConfig(beta=1.0)
+    state = init_state(problem, config)
+    assert state.problem.beta == 1.0
+    while state.iteration < config.max_iters and not state.converged:
+        step(state)
+    report = solve(problem, config)
+    assert state.iteration == report.iterations
+    assert state.f_center == report.f_best
+    np.testing.assert_array_equal(state.center, report.center)
+
+
 def test_invalid_config_alpha_is_rejected_by_solve(two_bus, two_bus_planted):
     problem = build_problem(two_bus, two_bus_planted.limits, two_bus_planted.u)
     with pytest.raises(ValueError, match="alpha must be positive"):

@@ -26,7 +26,7 @@ from pfbundle.network import (
     network_to_dict,
 )
 
-from conftest import build_two_bus
+from conftest import build_two_bus, node_paths
 
 
 def uniform_limits(n_buses, band=1.0):
@@ -210,16 +210,6 @@ def test_network_from_dict_rejects_malformed_blocks(two_bus):
         network_from_dict(doc)
 
 
-def _node_paths(node, prefix=()):
-    """Paths to every node below the root: dict keys and list indices."""
-    children = node.items() if isinstance(node, dict) else (
-        enumerate(node) if isinstance(node, list) else ()
-    )
-    for key, child in children:
-        yield prefix + (key,)
-        yield from _node_paths(child, prefix + (key,))
-
-
 _TEXT = st.text(alphabet="a1.", max_size=3)
 _SCALARS = st.none() | st.booleans() | st.integers(-3, 3) | _TEXT
 _REPLACEMENTS = (
@@ -235,7 +225,7 @@ def test_network_from_dict_rejects_mutated_documents_by_name(data):
     # Replace one node with null, a string, a bool, a list or a dict, or drop
     # it: the loader either accepts the document or names what is wrong.
     doc = network_to_dict(build_two_bus(), uniform_limits(2))
-    path = data.draw(st.sampled_from(list(_node_paths(doc))))
+    path = data.draw(st.sampled_from(list(node_paths(doc))))
     parent = doc
     for key in path[:-1]:
         parent = parent[key]
@@ -370,6 +360,9 @@ def test_replicate_rejects_bad_arguments():
     skew = np.eye(3, dtype=complex)
     skew[0, 1] = 0.2 + 0.3j
     with pytest.raises(NetworkFormatError, match="Hermitian"):
+        replicate_feeder(net, lim, 2, tie_block=skew)
+    skew[0, 1] = np.inf
+    with pytest.raises(NetworkFormatError, match="non-finite"):
         replicate_feeder(net, lim, 2, tie_block=skew)
 
 
