@@ -3,11 +3,12 @@
 Each iteration solves the prox subproblem over a fixed, a current, and an
 aggregate cut, evaluates the penalized dual at the candidate with a single
 extreme-eigenpair call, applies the descent test to move the stability
-center, and rebuilds the current and aggregate cuts at the candidate.  After
-the loop the center's eigenvector, kept from the evaluation that made it the
-center, is rescaled against the slack-bus voltage to propose a rank-one
-operating point, and the certificate checks (limit slack, eigenvalue
-complementarity, spectral separation) decide the verdict.
+center, adapts the prox weight to the step (proximity control), and rebuilds
+the current and aggregate cuts at the candidate.  After the loop the center's
+eigenvector, kept from the evaluation that made it the center, is rescaled
+against the slack-bus voltage to propose a rank-one operating point, and the
+certificate checks (limit slack, eigenvalue complementarity, spectral
+separation) decide the verdict.
 """
 
 from __future__ import annotations
@@ -63,7 +64,7 @@ class SolverConfig:
     Each field is also a CLI override flag, its help text in the metadata.
     """
 
-    rho: float = _knob(4.0, "prox weight")
+    rho: float = _knob(4.0, "start value of the prox weight")
     eta: float = _knob(0.1, "descent-test fraction in (0, 1)")
     eps: float = _knob(1e-5, "model-gap stopping tolerance")
     beta: float = _knob(0.1, "multiplier box upper bound")
@@ -135,6 +136,7 @@ class IterationRecord:
     eig_matvecs: int
     prox_seconds: float
     step_norm: float
+    rho: float
 
 
 @dataclass
@@ -143,7 +145,9 @@ class BundleState:
 
     The cuts are a + S @ x with intercepts a (3,) and slope rows S (3, n):
     the fixed, the current and the aggregate cut.  last_vector is the latest
-    evaluation's eigenvector, the next eigensolve's warm start.
+    evaluation's eigenvector, the next eigensolve's warm start.  rho is the
+    prox weight of the next step, adapted from config.rho by proximity
+    control; last_delta is the previous step's model gap.
     """
 
     problem: PenaltyObjective
@@ -153,7 +157,9 @@ class BundleState:
     f_center: float
     a: np.ndarray
     S: np.ndarray
+    rho: float
     center_eig: EigenResult | None = None
+    last_delta: float = float("inf")
     last_vector: np.ndarray | None = None
     iteration: int = 0
     converged: bool = False
@@ -178,7 +184,43 @@ def _start_state(problem: PenaltyObjective, config: SolverConfig) -> BundleState
         f_center=float("nan"),
         a=np.zeros(3),
         S=np.tile(problem.fixed_slope, (3, 1)),
+        rho=float(config.rho),
     )
+
+
+# Proximity control (Kiwiel, Math. Prog. 1990; the weight update of Helmberg
+# & Rendl, SIAM J. Optim. 2000).  ratio is the true over the predicted
+# decrease.  After a serious step with ratio >= RHO_GOOD_RATIO whose model gap
+# is at least RHO_SLOW_PROGRESS of the previous one, the weight falls to
+# 2 rho (1 - ratio), by at most RHO_MAX_FACTOR; after a null step whose cut is
+# off by more than delta at the center, it rises to 2 rho (1 - ratio), by at
+# most RHO_MAX_FACTOR.  It stays within RHO_RANGE of config.rho either way.
+# Measured at the default start (4) on planted synth_radial(10, seed=3)
+# feeders: replicated 10, 30 and 50 times they take 15, 25 and 19 iterations
+# (41, 124 and 218 with a fixed weight), and the benchmark's 80 ten-bus cases
+# (base seeds 0-39, planted feasible and infeasible) take 820 in all (852).
+# Without the slow-progress condition those ten-bus runs lower the weight
+# after their fast early steps and then take null steps: 1,286 in all.  At a
+# threshold of 0.8 they take 852 again but k=30 takes 35.
+RHO_GOOD_RATIO = 0.5
+RHO_SLOW_PROGRESS = 0.5
+RHO_MAX_FACTOR = 4.0
+RHO_RANGE = 1e3
+
+
+def next_rho(rho: float, rho0: float, ratio: float, delta: float,
+             last_delta: float, serious: bool, lin_err: float) -> float:
+    """The prox weight after a step that did not stop the run.
+
+    Lower after a serious step the model predicted well while progress is
+    slow, higher after a null step whose new cut is poor at the center.
+    """
+    if serious:
+        if ratio >= RHO_GOOD_RATIO and delta >= RHO_SLOW_PROGRESS * last_delta:
+            return max(2.0 * rho * (1.0 - ratio), rho / RHO_MAX_FACTOR, rho0 / RHO_RANGE)
+    elif lin_err > delta:
+        return min(2.0 * rho * (1.0 - ratio), RHO_MAX_FACTOR * rho, rho0 * RHO_RANGE)
+    return rho
 
 
 def init_state(problem: PenaltyObjective, config: SolverConfig) -> BundleState:
@@ -211,10 +253,10 @@ def step(state: BundleState) -> IterationRecord:
     config = state.config
     state.iteration += 1
 
-    a, S = state.a, state.S
+    a, S, rho = state.a, state.S, state.rho
     t0 = time.perf_counter()
     prox: ProxSolution = solve_prox(
-        state.center, a, S, config.rho, problem.beta, problem.n_box
+        state.center, a, S, rho, problem.beta, problem.n_box
     )
     prox_seconds = time.perf_counter() - t0
     z = prox.z
@@ -228,8 +270,9 @@ def step(state: BundleState) -> IterationRecord:
     f_z, f_lambda_z = penalty_value(problem, zpt, eig)
     g = penalty_subgradient(problem, eig)
 
-    serious = f_z <= state.f_center - config.eta * delta
-    step_norm = float(np.linalg.norm(z - state.center))
+    center, f_old = state.center, state.f_center
+    serious = f_z <= f_old - config.eta * delta
+    step_norm = float(np.linalg.norm(z - center))
     if serious:
         state.center = np.array(z, copy=True)
         state.f_center = f_z
@@ -248,12 +291,19 @@ def step(state: BundleState) -> IterationRecord:
         eig_matvecs=eig.matvecs,
         prox_seconds=prox_seconds,
         step_norm=step_norm,
+        rho=rho,
     )
     state.history.append(record)
 
     if delta <= config.eps:
         state.converged = True
         return record
+
+    # The new cut's linearization error at the step's center, for the weight.
+    lin_err = f_old - (f_lambda_z + float(g @ (center - z)))
+    state.rho = next_rho(rho, config.rho, (f_old - f_z) / delta, delta,
+                         state.last_delta, serious, lin_err)
+    state.last_delta = delta
 
     # Aggregate: the weight-combined cut, whose value at z equals the model
     # optimum up to roundoff; combining minorants keeps it a minorant.  It

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import eigh_tridiagonal
+from scipy.linalg.lapack import dstebz, dstein
 
 from .network import OperatingLimits, ThreePhaseNetwork, assemble_admittance
 
@@ -339,25 +339,44 @@ def _normalize_phase(v: np.ndarray) -> np.ndarray:
 # 43.1, 46.3 and 49.8 (61.5 with cold starts), same iterations and f gap.
 WARM_BLEND = 1e-3
 
-# Lanczos steps between Ritz-estimate checks inside a cycle.  A check (one
-# top-pair eigh_tridiagonal) costs about as much as a step at dim 813.  The
+# Lanczos steps between Ritz-estimate checks inside a cycle.  A check through
+# scipy's eigh_tridiagonal cost about as much as a step at dim 813.  The
 # Lanczos calls of whole solves replayed at 1, 2, 3, 4, 6 and 8 steps per
 # check (best of 5, 2 OpenBLAS threads, 2-core host) took 0.79, 0.63, 0.65,
 # 0.60, 0.65 and 0.63 s on the replicated k=30 feeder (41.9 to 44.4 matvecs
 # per call) and 1.84, 1.48, 1.31, 1.22, 1.25 and 1.22 s on k=20 infeasible.
+# Re-measured with _top_ritz calling LAPACK directly and the adaptive prox
+# weight, whole solves at 1, 2, 3, 4 and 6 steps per check (best of 5): k=30
+# 0.189, 0.179, 0.173, 0.171 and 0.176 s; k=20 infeasible 0.93, 0.71, 0.69,
+# 0.72 and 0.79 s, at 147, 141, 147, 144 and 154 iterations (the schedule
+# moves the roundoff there).
 RITZ_CHECK_EVERY = 4
 
 
 def _top_ritz(alphas: np.ndarray, betas: np.ndarray, count: int):
-    """The top count eigenvalues (ascending) and the top eigenvector of T."""
+    """The top count eigenvalues (ascending) and the top eigenvector of T.
+
+    LAPACK's bisection (stebz, by index) and inverse iteration (stein) are
+    called directly: scipy's eigh_tridiagonal runs the same two and returns
+    the same bits, but its Python checks cost more than the LAPACK work at
+    these sizes.  Per top-eigenvalue call, wrapper against direct: 27/7,
+    35/13, 47/26 and 60/37 us at T sizes 8, 24, 44 and 60 (2-core host).
+    """
     used = alphas.size
     if used == 1:
         return alphas, np.ones(1)
     count = min(count, used)
-    evals, evecs = eigh_tridiagonal(
-        alphas, betas[: used - 1], select="i", select_range=(used - count, used - 1)
+    offdiag = betas[: used - 1]
+    m, w, iblock, isplit, info = dstebz(
+        alphas, offdiag, 2, 0.0, 1.0, used - count + 1, used, 0.0, b"B"
     )
-    return evals, evecs[:, -1]
+    if info == 0:
+        evecs, info = dstein(alphas, offdiag, w[:m], iblock, isplit)
+    if info != 0:
+        raise EigenFailure(f"tridiagonal eigensolve failed (LAPACK info {info})")
+    # Block order: ascending within each split block of T, not overall.
+    order = np.argsort(w[:m])
+    return w[order], evecs[:, order[-1]]
 
 
 def lanczos_extreme(

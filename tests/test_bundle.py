@@ -11,7 +11,10 @@ from pfbundle import (
     SolverConfig,
     ThreePhaseNetwork,
     build_problem,
+    plant_feasible,
+    replicate_feeder,
     solve,
+    synth_radial,
 )
 from pfbundle import bundle
 from pfbundle.bundle import init_state, recover_primal, step
@@ -23,6 +26,8 @@ from pfbundle.operators import (
     penalty_value,
 )
 from pfbundle.oracle import dense_penalty_value
+
+from conftest import TEN_BUS_PARAMS
 
 
 def generous_limits(n_buses):
@@ -316,8 +321,9 @@ def test_solve_reports_are_serializable_and_consistent(two_bus, two_bus_planted)
     assert set(doc["history"][0]) == {
         "iteration", "f_center", "f_candidate", "model_value", "delta", "serious",
         "case_used", "kkt_residual", "lambda_neg", "eig_matvecs", "prox_seconds",
-        "step_norm",
+        "step_norm", "rho",
     }
+    assert doc["history"][0]["rho"] == report.config.rho
 
 
 def test_iteration_budget_exhaustion_is_reported(two_bus, two_bus_planted):
@@ -410,17 +416,21 @@ def test_config_alpha_overrides_problem_alpha(two_bus, two_bus_planted):
     assert report.f_best == pytest.approx(f_dense, abs=1e-8)
 
 
+def timeless(doc):
+    """A report dict without its timings, which differ between runs."""
+    del doc["wall_seconds"]
+    for row in doc["history"]:
+        del row["prox_seconds"]
+    return doc
+
+
 def test_config_beta_sets_the_whole_run(ten_bus, ten_bus_infeasible):
     # Start point, prox box and the certificate's slack price all take the
     # config's beta: the run equals one on a problem built with that box.
     problem = build_problem(ten_bus, ten_bus_infeasible.limits, ten_bus_infeasible.u)
     config = SolverConfig(beta=1.0)
-    report = solve(problem, config).to_dict()
-    reference = solve(dataclasses.replace(problem, beta=1.0), config).to_dict()
-    for doc in (report, reference):
-        del doc["wall_seconds"]
-        for row in doc["history"]:
-            del row["prox_seconds"]
+    report = timeless(solve(problem, config).to_dict())
+    reference = timeless(solve(dataclasses.replace(problem, beta=1.0), config).to_dict())
     assert report == reference
     assert report["certificate"]["duality_gap"] <= 1e-3
 
@@ -450,3 +460,101 @@ def test_small_alpha_triggers_dominance_warning(two_bus, two_bus_planted):
     problem = build_problem(two_bus, two_bus_planted.limits, two_bus_planted.u)
     report = solve(problem, SolverConfig(alpha=0.5))
     assert any("does not dominate" in w for w in report.warnings)
+
+
+def planted_case(n_buses=10, copies=1):
+    """Feeder synth_radial(n_buses, seed=3) tiled copies times, planted feasible."""
+    net, limits = synth_radial(n_buses, seed=3, params=TEN_BUS_PARAMS)
+    if copies > 1:
+        net, _ = replicate_feeder(net, limits, copies)
+    planted = plant_feasible(net)
+    return build_problem(net, planted.limits, planted.u), planted
+
+
+@pytest.mark.parametrize("rho", [0.25, 4.0, 64.0])
+@pytest.mark.parametrize("n_buses, copies", [(10, 1), (10, 10), (46, 1)])
+def test_converged_is_near_optimal_at_any_start_rho(n_buses, copies, rho):
+    # With a fixed weight the absolute stop delta <= eps ended some of these
+    # runs 1.75e-5 (k=1, rho 64) to 3.4e-5 (k=10, rho 64) away from f*.
+    problem, planted = planted_case(n_buses, copies)
+    report = solve(problem, SolverConfig(rho=rho))
+    assert report.converged
+    gap = abs(report.f_best - planted.f_star) / (1.0 + abs(planted.f_star))
+    assert gap <= 1e-5
+
+
+def test_iterations_stay_flat_in_k():
+    # A fixed weight of 4 took 41 and 124 iterations here.
+    for copies in (10, 30):
+        problem, _ = planted_case(copies=copies)
+        report = solve(problem)
+        assert report.converged
+        assert report.iterations <= 40
+
+
+def test_reports_are_deterministic_at_a_fixed_start_rho():
+    problem, _ = planted_case(copies=10)
+    first, second = (timeless(solve(problem, SolverConfig(rho=64.0)).to_dict())
+                     for _ in range(2))
+    assert first == second
+
+
+@pytest.mark.parametrize("rho", [4.0, 0.25])
+def test_weight_changes_keep_the_descent_test_and_the_cuts_valid(
+    ten_bus, ten_bus_infeasible, rho
+):
+    # On these runs the weight both falls and rises.  Each step must still
+    # pass the descent test it claims, and after each change the three cuts
+    # must stay below f, evaluated densely at sampled points.  (The dense
+    # oracle builds a basis of all Hermitian matrices, so it stays at dim 30.)
+    problem = build_problem(ten_bus, ten_bus_infeasible.limits, ten_bus_infeasible.u)
+    config = SolverConfig(rho=rho)
+    state = init_state(problem, config)
+    problem = state.problem
+    rng = np.random.default_rng(19)
+    samples = np.array([
+        np.concatenate([rng.uniform(0.0, problem.beta, size=problem.n_box),
+                        rng.normal(size=9)])
+        for _ in range(40)
+    ])
+    f_samples = np.array([
+        dense_penalty_value(problem, DualPoint(flat=x, n_buses=problem.n_buses))[0]
+        for x in samples
+    ])
+    weights = [state.rho]
+    checked = 0
+    while not state.converged and state.iteration < config.max_iters:
+        f_before = state.f_center
+        record = step(state)
+        assert record.rho == weights[-1]
+        if record.serious:
+            assert record.f_candidate <= f_before - config.eta * record.delta
+        if state.rho != record.rho:
+            cuts = samples @ state.S.T + state.a
+            slack = f_samples[:, None] - cuts
+            assert slack.min() >= -1e-9 * (1.0 + np.abs(f_samples).max())
+            checked += 1
+        weights.append(state.rho)
+    assert state.converged
+    moves = np.diff(weights)
+    assert (moves < 0).any() and (moves > 0).any()
+    assert checked == np.count_nonzero(moves)
+
+
+def test_next_rho_moves_within_its_bounds():
+    next_rho = bundle.next_rho
+    # rho, rho0, ratio, delta, last_delta, serious, lin_err.  A good serious
+    # step that progresses slowly lowers the weight, by at most 4x, to no
+    # less than 1e-3 of the start value.
+    assert next_rho(4.0, 4.0, 0.75, 1.0, 1.5, True, 0.0) == 2.0
+    assert next_rho(4.0, 4.0, 1.2, 1.0, 1.5, True, 0.0) == 1.0
+    assert next_rho(0.005, 4.0, 1.0, 1.0, 1.0, True, 0.0) == 0.004
+    # Fast progress or a poor ratio keeps it.
+    assert next_rho(4.0, 4.0, 0.75, 1.0, 3.0, True, 0.0) == 4.0
+    assert next_rho(4.0, 4.0, 0.3, 1.0, 1.5, True, 0.0) == 4.0
+    # A null step whose cut is off by more than delta at the center raises
+    # it, by at most 4x, to no more than 1e3 times the start value.
+    assert next_rho(4.0, 4.0, 0.0, 1.0, 1.0, False, 2.0) == 8.0
+    assert next_rho(4.0, 4.0, -5.0, 1.0, 1.0, False, 2.0) == 16.0
+    assert next_rho(3000.0, 4.0, -5.0, 1.0, 1.0, False, 2.0) == 4000.0
+    assert next_rho(4.0, 4.0, 0.0, 1.0, 1.0, False, 0.5) == 4.0

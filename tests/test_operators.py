@@ -5,6 +5,7 @@ import itertools
 
 import numpy as np
 import pytest
+from scipy.linalg import eigh_tridiagonal
 
 from pfbundle import (
     OperatingLimits,
@@ -284,6 +285,31 @@ def test_lanczos_raises_on_impossible_tolerance():
     A = random_hermitian(rng, 12)
     with pytest.raises(EigenFailure, match="no convergence"):
         lanczos_extreme(lambda v: A @ v, 12, rng, tol=0.0, max_restarts=1)
+
+
+def test_top_ritz_matches_scipy_eigh_tridiagonal_bitwise():
+    # _top_ritz calls the LAPACK routines behind eigh_tridiagonal directly.
+    rng = np.random.default_rng(19)
+    split = (np.array([5.0, 1.0, 3.0, 4.0]), np.array([0.5, 0.0, 0.2, 0.0]))
+    cases = [(rng.normal(size=n), np.abs(rng.normal(size=n))) for n in (2, 8, 24, 60)]
+    for alphas, betas in cases + [split]:
+        used = alphas.size
+        for count in (1, 2):
+            w, v = eigh_tridiagonal(alphas, betas[: used - 1], select="i",
+                                    select_range=(used - count, used - 1))
+            values, vector = operators._top_ritz(alphas, betas, count)
+            np.testing.assert_array_equal(values, w)
+            np.testing.assert_array_equal(vector, v[:, -1])
+
+
+def test_top_ritz_raises_eigen_failure_on_a_lapack_error(monkeypatch):
+    monkeypatch.setattr(
+        operators, "dstebz",
+        lambda d, e, *args: (0, np.zeros(d.size), np.zeros(d.size, np.int32),
+                             np.zeros(d.size, np.int32), 3),
+    )
+    with pytest.raises(EigenFailure, match="LAPACK info 3"):
+        operators._top_ritz(np.ones(4), np.ones(4), 1)
 
 
 def test_leading_eigenpair_agrees_with_dense_negated_matrix():
