@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .network import OperatingLimits, ThreePhaseNetwork, assemble_admittance
@@ -37,9 +38,15 @@ def loss_min_profile(network: ThreePhaseNetwork) -> np.ndarray:
     the trailing block to be positive definite, which holds for any network
     with shunt loading on every bus.
     """
-    network.validate()
-    Y = assemble_admittance(network)
-    C = (0.5 * (Y + Y.conj().T)).tocsr()
+    return _profile(network, _hermitian_part(assemble_admittance(network)))
+
+
+def _hermitian_part(Y) -> sp.csr_matrix:
+    return (0.5 * (Y + Y.conj().T)).tocsr()
+
+
+def _profile(network: ThreePhaseNetwork, C: sp.csr_matrix) -> np.ndarray:
+    """loss_min_profile given the Hermitian part C of the admittance."""
     v1 = network.slack_voltage
     if network.n_buses == 1:
         return np.array(v1, dtype=complex)
@@ -63,8 +70,9 @@ def plant_feasible(
     """
     if min(p_margin, q_margin, v_margin) <= 0:
         raise ValueError("margins must be positive")
-    v = loss_min_profile(network)
     Y = assemble_admittance(network)
+    C = _hermitian_part(Y)
+    v = _profile(network, C)
     s = v * np.conj(Y @ v)
     u = s.real.copy()
     q = s.imag.copy()
@@ -80,7 +88,6 @@ def plant_feasible(
         v_upper=d + v_margin,
         v_lower=np.clip(d - v_margin, 0.0, None),
     )
-    C = 0.5 * (Y + Y.conj().T)
     f_star = -float(np.real(np.vdot(v, C @ v)))
     return PlantedInstance(voltage=v, u=u, limits=limits, f_star=f_star, feasible=True)
 

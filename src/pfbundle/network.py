@@ -10,7 +10,9 @@ squared voltage magnitude.
 from __future__ import annotations
 
 import json
+from collections.abc import Mapping
 from dataclasses import dataclass, field, fields
+from types import MappingProxyType
 
 import numpy as np
 import scipy.sparse as sp
@@ -73,14 +75,54 @@ class ThreePhaseNetwork:
     blocks maps 0-based (i, j) bus pairs to 3x3 complex arrays.  The block
     sparsity pattern is symmetric and off-diagonal pairs satisfy
     blocks[j, i] == blocks[i, j].conj().T; diagonal blocks are unconstrained.
+
+    A network is read-only: construction copies the blocks into read-only
+    arrays behind a read-only mapping, and slack_voltage into a read-only
+    array, so validate() and assemble_admittance() do their work once per
+    network.  Copying never raises; validate() judges shapes and values.
+    To edit a network, build a new one from dict(network.blocks).
     """
 
     n_buses: int
-    blocks: dict = field(repr=False)
+    blocks: Mapping = field(repr=False)
     slack_voltage: np.ndarray = field(default_factory=lambda: DEFAULT_SLACK_VOLTAGE.copy())
     topology: str = ""
+    # (B, 2) int64 block keys in insertion order (None: some key is not a
+    # pair of integers) and (B, 3, 3) complex blocks (None: some block is not
+    # a 3x3 numeric array); both read-only.
+    _keys: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    _stack: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    _checked: bool = field(default=False, init=False, repr=False, compare=False)
+    _admittance: sp.csr_matrix | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
+
+    def __post_init__(self):
+        blocks = dict(self.blocks)
+        arrays = [_as_array(blk) for blk in blocks.values()]
+        stack = _stack_blocks(arrays)
+        if stack is None:
+            frozen = dict(zip(blocks, map(_read_only_copy, arrays)))
+        else:
+            frozen = dict(zip(blocks, stack))
+        object.__setattr__(self, "blocks", MappingProxyType(frozen))
+        object.__setattr__(self, "slack_voltage", _read_only_copy(self.slack_voltage))
+        object.__setattr__(self, "_keys", _key_array(list(blocks)))
+        object.__setattr__(self, "_stack", stack)
+
+    def __reduce__(self):
+        return (type(self), (self.n_buses, dict(self.blocks), self.slack_voltage,
+                             self.topology))
 
     def validate(self) -> None:
+        """Raise NetworkFormatError naming the first defect; a pass is remembered.
+
+        Blocks are judged in insertion order, each by its range, shape,
+        finiteness and mirror checks in that order; the error names the first
+        block that fails one and the first check it fails.
+        """
+        if self._checked:
+            return
         if self.n_buses < 1:
             raise NetworkFormatError(f"n_buses must be >= 1, got {self.n_buses}")
         if self.slack_voltage.shape != (3,):
@@ -88,46 +130,160 @@ class ThreePhaseNetwork:
         if not (np.all(np.isfinite(self.slack_voltage.real))
                 and np.all(np.isfinite(self.slack_voltage.imag))):
             raise NetworkFormatError("slack_voltage contains non-finite entries")
-        for (i, j), blk in self.blocks.items():
-            if not (0 <= i < self.n_buses and 0 <= j < self.n_buses):
-                raise NetworkFormatError(f"block ({i + 1}, {j + 1}) is out of range")
-            if blk.shape != (3, 3):
-                raise NetworkFormatError(
-                    f"block ({i + 1}, {j + 1}) has shape {blk.shape}, expected (3, 3)"
-                )
-            if not (np.all(np.isfinite(blk.real)) and np.all(np.isfinite(blk.imag))):
-                raise NetworkFormatError(f"block ({i + 1}, {j + 1}) has non-finite entries")
-            if i != j:
-                if (j, i) not in self.blocks:
-                    raise NetworkFormatError(
-                        f"block ({i + 1}, {j + 1}) present but ({j + 1}, {i + 1}) missing:"
-                        " sparsity pattern must be symmetric"
-                    )
-                other = self.blocks[(j, i)]
-                scale = max(1.0, float(np.abs(blk).max()))
-                if np.abs(other - blk.conj().T).max() > 1e-12 * scale:
-                    raise NetworkFormatError(
-                        f"block ({j + 1}, {i + 1}) is not the conjugate transpose of"
-                        f" block ({i + 1}, {j + 1})"
-                    )
+        problem = self._first_block_problem()
+        if problem is not None:
+            raise NetworkFormatError(problem)
+        object.__setattr__(self, "_checked", True)
+
+    def _first_block_problem(self) -> str | None:
+        """The message for the first offending block, all blocks checked at once."""
+        if self._keys is None:
+            return "block keys must be (i, j) pairs of integer bus indices"
+        count = len(self._keys)
+        if count == 0:
+            return None
+        n = self.n_buses
+        keys = np.clip(self._keys, -1, n)
+        i, j = keys[:, 0], keys[:, 1]
+        in_range = (i >= 0) & (i < n) & (j >= 0) & (j < n)
+        if self._stack is not None:
+            stack = self._stack
+            shape_ok = numeric = np.ones(count, dtype=bool)
+        else:
+            arrays = list(self.blocks.values())
+            shape_ok = np.array([a.shape == (3, 3) for a in arrays])
+            numeric = np.array([a.dtype.kind in _NUMERIC_KINDS for a in arrays])
+            stack = np.zeros((count, 3, 3), dtype=complex)
+            for b in np.flatnonzero(shape_ok & numeric):
+                stack[b] = arrays[b]
+        usable = shape_ok & numeric
+        finite = np.isfinite(stack).all(axis=(1, 2))
+
+        # Each in-range block's mirror, by a sorted search over the pair codes.
+        codes = np.where(in_range, i * n + j, -1)
+        order = np.argsort(codes, kind="stable")
+        sorted_codes = codes[order]
+        wanted = j * n + i
+        pos = np.minimum(np.searchsorted(sorted_codes, wanted), count - 1)
+        has_mirror = sorted_codes[pos] == wanted
+        mirror = order[pos]
+        offdiag = i != j
+
+        # The conjugate test touches finite blocks only: a mirror's own
+        # non-finite entries then meet finite values, which raises no warning.
+        compare = offdiag & has_mirror & usable & finite & usable[mirror]
+        not_conjugate = np.zeros(count, dtype=bool)
+        if compare.any():
+            blk = stack[compare]
+            other = stack[mirror[compare]]
+            scale = np.maximum(1.0, np.abs(blk).max(axis=(1, 2)))
+            gap = np.abs(other - blk.conj().transpose(0, 2, 1)).max(axis=(1, 2))
+            not_conjugate[compare] = gap > 1e-12 * scale
+
+        failures = np.select(
+            [~in_range, ~shape_ok, ~numeric, ~finite, offdiag & ~has_mirror,
+             not_conjugate],
+            [1, 2, 3, 4, 5, 6],
+            0,
+        )
+        bad = np.flatnonzero(failures)
+        if bad.size == 0:
+            return None
+        first = int(bad[0])
+        (bi, bj), blk = list(self.blocks.items())[first]
+        name = f"block ({bi + 1}, {bj + 1})"
+        return {
+            1: f"{name} is out of range",
+            2: f"{name} has shape {blk.shape}, expected (3, 3)",
+            3: f"{name} has non-numeric entries",
+            4: f"{name} has non-finite entries",
+            5: f"{name} present but ({bj + 1}, {bi + 1}) missing:"
+               " sparsity pattern must be symmetric",
+            6: f"block ({bj + 1}, {bi + 1}) is not the conjugate transpose of {name}",
+        }[int(failures[first])]
 
     def line_pairs(self) -> list:
         """Sorted 0-based (i, j) pairs with i < j carrying an off-diagonal block."""
         return sorted({(min(i, j), max(i, j)) for (i, j) in self.blocks if i != j})
 
 
+_NUMERIC_KINDS = "biufc"
+
+
+def _as_array(value) -> np.ndarray:
+    """value as an array; ragged nesting becomes an object array of its parts."""
+    try:
+        return np.asarray(value)
+    except ValueError:
+        parts = np.empty(len(value), dtype=object)
+        parts[:] = list(value)
+        return parts
+
+
+def _read_only_copy(value) -> np.ndarray:
+    arr = np.array(_as_array(value))
+    arr.setflags(write=False)
+    return arr
+
+
+def _stack_blocks(arrays: list) -> np.ndarray | None:
+    """The blocks as one read-only (B, 3, 3) complex copy, if all are 3x3 numeric."""
+    if not all(a.shape == (3, 3) and a.dtype.kind in _NUMERIC_KINDS for a in arrays):
+        return None
+    stack = np.array(arrays, dtype=complex).reshape(len(arrays), 3, 3)
+    stack.setflags(write=False)
+    return stack
+
+
+def _key_array(keys: list) -> np.ndarray | None:
+    """Block keys as a read-only (B, 2) int64 array; None unless integer pairs.
+
+    An index beyond int64 becomes -1, which is out of range for any network.
+    """
+    try:
+        arr = np.array(keys) if keys else np.empty((0, 2), dtype=np.int64)
+    except ValueError:                      # pairs and other lengths mixed
+        return None
+    if arr.dtype == object and arr.ndim == 2 and all(
+        isinstance(k, int) for k in arr.ravel()
+    ):
+        arr = np.array([[k if -(2**63) <= k < 2**63 else -1 for k in row] for row in arr],
+                       dtype=np.int64)
+    if arr.dtype.kind not in "iu" or arr.shape != (len(keys), 2):
+        return None
+    arr = arr.astype(np.int64, copy=False)
+    arr.setflags(write=False)
+    return arr
+
+
 def assemble_admittance(network: ThreePhaseNetwork) -> sp.csr_matrix:
-    """Stack the 3x3 blocks into a sparse 3N x 3N admittance matrix."""
+    """Stack the 3x3 blocks into a sparse 3N x 3N admittance matrix.
+
+    The network is checked first.  Assembled once per network: every call
+    returns the same read-only matrix.
+    """
+    if network._admittance is None:
+        network.validate()
+        Y = _assemble(network)
+        for arr in (Y.data, Y.indices, Y.indptr):
+            arr.setflags(write=False)
+        object.__setattr__(network, "_admittance", Y)
+    return network._admittance
+
+
+def _assemble(network: ThreePhaseNetwork) -> sp.csr_matrix:
     n = 3 * network.n_buses
     if not network.blocks:
         return sp.csr_matrix((n, n), dtype=complex)
-    keys = 3 * np.array(list(network.blocks), dtype=np.int64)          # (B, 2)
-    vals = np.stack(list(network.blocks.values())).astype(complex)     # (B, 3, 3)
+    keys = 3 * network._keys        # (B, 2)
+    vals = network._stack           # (B, 3, 3)
     phase = np.arange(3)
     rows = np.broadcast_to(keys[:, 0, None, None] + phase[:, None], vals.shape)
     cols = np.broadcast_to(keys[:, 1, None, None] + phase, vals.shape)
     mat = sp.coo_matrix((vals.ravel(), (rows.ravel(), cols.ravel())), shape=(n, n))
-    return mat.tocsr()
+    mat = mat.tocsr()
+    mat.sum_duplicates()            # canonical, so no later call sorts in place
+    return mat
 
 
 # ---------------------------------------------------------------------------
@@ -156,20 +312,41 @@ def _number(value, what: str, index=None, integer: bool = False):
 
 
 def _real_vector(values, what: str) -> np.ndarray:
+    """A list of JSON numbers as floats, checked in one pass, then one np.array."""
     if not isinstance(values, list):
         raise NetworkFormatError(f"{what} must be a list of numbers")
-    return np.array([_number(v, what, k) for k, v in enumerate(values)])
+    for k, v in enumerate(values):
+        if type(v) is not float:
+            _number(v, what, k)
+    return np.array(values, dtype=float)
 
 
-def _complex_from_pairs(pairs, count: int, what: str) -> np.ndarray:
+def _check_pairs(pairs, count: int, what: str) -> None:
+    """Raise unless pairs is a list of count [re, im] pairs of JSON numbers."""
     if not isinstance(pairs, list) or len(pairs) != count:
         raise NetworkFormatError(f"{what}: expected {count} [re, im] pairs")
-    out = np.empty(count, dtype=complex)
     for k, pair in enumerate(pairs):
         if not isinstance(pair, (list, tuple)) or len(pair) != 2:
             raise NetworkFormatError(f"{what}: entry {k} is not a [re, im] pair")
-        out[k] = complex(_number(pair[0], what, k), _number(pair[1], what, k))
-    return out
+        re, im = pair
+        if type(re) is not float:
+            _number(re, what, k)
+        if type(im) is not float:
+            _number(im, what, k)
+
+
+def _complex_array(pairs: list) -> np.ndarray:
+    """Checked (nested) lists of [re, im] pairs as complex numbers.
+
+    The float pairs are reinterpreted in place, with no arithmetic, so an
+    infinite part stays exactly as written and raises no warning.
+    """
+    return np.array(pairs, dtype=float).view(complex)[..., 0]
+
+
+def _complex_from_pairs(pairs, count: int, what: str) -> np.ndarray:
+    _check_pairs(pairs, count, what)
+    return _complex_array(pairs)
 
 
 def network_to_dict(network: ThreePhaseNetwork, limits: OperatingLimits) -> dict:
@@ -195,17 +372,19 @@ def network_from_dict(doc: dict) -> tuple:
     entries = doc.get("blocks", [])
     if not isinstance(entries, list):
         raise NetworkFormatError("'blocks' must be a list")
-    blocks = {}
+    pairs = {}
     for entry in entries:
         if not isinstance(entry, dict) or "i" not in entry or "j" not in entry:
             raise NetworkFormatError(f"malformed block entry: {entry!r}")
         i = _number(entry["i"], "block index i", integer=True) - 1
         j = _number(entry["j"], "block index j", integer=True) - 1
-        if (i, j) in blocks:
+        if (i, j) in pairs:
             raise NetworkFormatError(f"duplicate block ({i + 1}, {j + 1})")
-        blocks[(i, j)] = _complex_from_pairs(
-            entry.get("y", []), 9, f"block ({i + 1}, {j + 1})"
-        ).reshape(3, 3)
+        pairs[(i, j)] = entry.get("y", [])
+        _check_pairs(pairs[(i, j)], 9, f"block ({i + 1}, {j + 1})")
+    blocks = {}
+    if pairs:
+        blocks = dict(zip(pairs, _complex_array(list(pairs.values())).reshape(-1, 3, 3)))
     limits_doc = doc.get("limits")
     if not isinstance(limits_doc, dict):
         raise NetworkFormatError("missing 'limits' table")
@@ -307,7 +486,9 @@ def synth_radial(
     incident series blocks plus a shunt, so diagonals are block dominant.
     """
     if n_buses < 2:
-        raise NetworkFormatError("synth_radial needs at least 2 buses")
+        raise NetworkFormatError(f"synth_radial needs at least 2 buses, got {n_buses}")
+    if seed < 0:
+        raise NetworkFormatError(f"seed must be nonnegative, got {seed}")
     rng = np.random.default_rng(seed)
     blocks: dict = {}
     diag = [np.zeros((3, 3), dtype=complex) for _ in range(n_buses)]
@@ -360,7 +541,7 @@ def replicate_feeder(
     slack rows keep the base root's limits.
     """
     if k < 1:
-        raise NetworkFormatError("replication count must be >= 1")
+        raise NetworkFormatError(f"replication count must be >= 1, got {k}")
     nb = network.n_buses
     if nb < 2:
         raise NetworkFormatError("base feeder needs at least 2 buses")
@@ -374,38 +555,50 @@ def replicate_feeder(
         if np.abs(tie_block - tie_block.conj().T).max() > 1e-12 * scale:
             raise NetworkFormatError("tie_block must be Hermitian")
 
-    root_lines = [(i, j) for (i, j) in network.blocks if i == 0 and j != 0]
+    network.validate()
+    keys, vals = network._keys, network._stack
+    i, j = keys[:, 0], keys[:, 1]
+    diagonal = np.flatnonzero(i == j)
+    missing = np.setdiff1d(np.arange(nb), i[diagonal])
+    if missing.size:
+        raise NetworkFormatError(f"base feeder has no diagonal block at bus {missing[0] + 1}")
+
+    root_out = (i == 0) & (j != 0)
+    root_lines = j[root_out].tolist()
     # Shunt at the base root: diagonal minus the series admittances it sums.
     root_series_sum = sum(
-        (-network.blocks[(0, j)] for (_, j) in root_lines), np.zeros((3, 3), complex)
+        (-network.blocks[(0, b)] for b in root_lines), np.zeros((3, 3), complex)
     )
     root_shunt = network.blocks[(0, 0)] - root_series_sum
 
-    def new_index(copy: int, bus: int) -> int:
-        # bus is a base index >= 1; copies pack their non-root buses in order.
-        return 1 + copy * (nb - 1) + (bus - 1)
+    # One copy's blocks, in base order: a root line (0, j) becomes the pair
+    # (0, j), (j, 0) carrying the coupling and its conjugate transpose, every
+    # block away from the root is kept, and blocks (i, 0) follow from (0, i).
+    inner = (i != 0) & (j != 0)
+    counts = 2 * root_out + inner
+    src = np.repeat(np.arange(keys.shape[0]), counts)
+    second = np.zeros(src.size, dtype=bool)
+    second[(np.cumsum(counts) - counts)[root_out] + 1] = True
+    copy_i = np.where(second, j[src], i[src])
+    copy_j = np.where(second, 0, j[src])
+    copy_vals = vals[src]
+    if tie_block is not None:
+        copy_vals[root_out[src]] = -tie_block
+        # Swap in the tie series admittance without touching the shunt.
+        root_in = np.flatnonzero((j == 0) & (i != 0))
+        at_bus = np.full(nb, -1)
+        at_bus[i[root_in]] = root_in
+        tied = inner[src] & (copy_i == copy_j) & (at_bus[copy_i] >= 0)
+        copy_vals[tied] = vals[src[tied]] + (
+            tie_block.conj().T - (-vals[at_bus[copy_i[tied]]])
+        )
+    copy_vals[second] = copy_vals[np.flatnonzero(second) - 1].conj().transpose(0, 2, 1)
 
-    blocks: dict = {}
-    for copy in range(k):
-        for (i, j), blk in network.blocks.items():
-            if i == 0 and j == 0:
-                continue
-            if i == 0:
-                coupling = blk if tie_block is None else -tie_block
-                a, b = 0, new_index(copy, j)
-                blocks[(a, b)] = coupling
-                blocks[(b, a)] = coupling.conj().T
-                continue
-            if j == 0:
-                continue  # handled by the (0, j) branch as the conjugate pair
-            a, b = new_index(copy, i), new_index(copy, j)
-            blocks[(a, b)] = blk.copy()
-        for bus in range(1, nb):
-            blk = network.blocks[(bus, bus)].copy()
-            if tie_block is not None and (bus, 0) in network.blocks:
-                # Swap in the tie series admittance without touching the shunt.
-                blk = blk + (tie_block.conj().T - (-network.blocks[(bus, 0)]))
-            blocks[(new_index(copy, bus), new_index(copy, bus))] = blk
+    # Copies pack their non-root buses in order; bus 0 is the shared slack.
+    shift = (np.arange(k) * (nb - 1))[:, None]
+    out_i = np.where(copy_i == 0, 0, copy_i + shift).ravel()
+    out_j = np.where(copy_j == 0, 0, copy_j + shift).ravel()
+    blocks = dict(zip(zip(out_i.tolist(), out_j.tolist()), np.tile(copy_vals, (k, 1, 1))))
     if tie_block is None:
         # Exact for k = 1: the base diagonal passes through untouched.
         blocks[(0, 0)] = network.blocks[(0, 0)] + (k - 1) * root_series_sum
@@ -421,7 +614,7 @@ def replicate_feeder(
     out = ThreePhaseNetwork(
         n_buses=k * (nb - 1) + 1,
         blocks=blocks,
-        slack_voltage=network.slack_voltage.copy(),
+        slack_voltage=network.slack_voltage,
         topology=f"replicated-x{k}" if k > 1 else network.topology,
     )
     out.validate()

@@ -14,10 +14,10 @@ build_problem fixes it once (DualPattern), and dual_matrix writes H's values
 onto it through precomputed index maps.  The penalized objective adds
 alpha * max(lambda_max(-H), 0) to the linear dual objective, which removes the
 semidefinite constraint on H at the price of one extreme eigenpair per
-evaluation: a dense eigh for small H, restarted Lanczos for large H.  Lanczos
-can start from the previous evaluation's eigenvector, blended with a small
-seeded random vector, and ends a cycle as soon as the Ritz estimate of the
-top pair is below the tolerance.
+evaluation: the top two eigenpairs by a dense LAPACK solve for small H,
+restarted Lanczos for large H.  Lanczos can start from the previous
+evaluation's eigenvector, blended with a small seeded random vector, and ends
+a cycle as soon as the Ritz estimate of the top pair is below the tolerance.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg.lapack import dstebz, dstein
+from scipy.linalg.lapack import dstebz, dstein, zheevr
 
 from .network import OperatingLimits, ThreePhaseNetwork, assemble_admittance
 
@@ -216,7 +216,10 @@ def build_problem(
     limits: OperatingLimits,
     u: np.ndarray,
 ) -> PenaltyObjective:
-    """Assemble problem data; alpha is twice the summed upper voltage band."""
+    """Assemble problem data; alpha is twice the summed upper voltage band.
+
+    The problem shares the network's read-only admittance matrix.
+    """
     network.validate()
     limits.validate(network.n_buses)
     u = np.asarray(u, dtype=float)
@@ -379,6 +382,12 @@ def _top_ritz(alphas: np.ndarray, betas: np.ndarray, count: int):
     return w[order], evecs[:, order[-1]]
 
 
+# Daniel, Gragg, Kaufman & Stewart (Math. Comp. 1976): one Gram-Schmidt pass
+# against the basis is enough unless it shrinks w below this fraction of its
+# norm before the pass; then a second pass restores orthogonality.
+_DGKS_RATIO = 1.0 / np.sqrt(2.0)
+
+
 def lanczos_extreme(
     matvec,
     dim: int,
@@ -394,9 +403,10 @@ def lanczos_extreme(
     from start blended with WARM_BLEND of one, which keeps an eigenvector of
     a lower eigenvalue from trapping the iteration.  Every RITZ_CHECK_EVERY
     steps the Ritz estimate |beta_j s_j| of the top Ritz pair is checked, and
-    the cycle ends once it is at most tol / 2.  Full reorthogonalization
-    keeps the basis clean; each restart continues from the top Ritz vector,
-    and only the explicitly recomputed residual decides convergence.
+    the cycle ends once it is at most tol / 2.  Full reorthogonalization,
+    repeated by the DGKS rule, keeps the basis clean; each restart continues
+    from the top Ritz vector, and only the explicitly recomputed residual
+    decides convergence.
     Returns (value, vector, residual, value2, matvecs); raises EigenFailure
     if the residual never reaches tol.
     """
@@ -427,12 +437,16 @@ def lanczos_extreme(
             w = w - alphas[j] * q
             if j > 0:
                 w -= betas[j - 1] * Q[j - 1]
-            # Two reorthogonalization passes against the whole basis.
+            # Reorthogonalize against the whole basis; a second pass only
+            # when the first cancelled most of w (DGKS).
             basis = Q[: j + 1]
-            for _ in range(2):
-                w -= (basis @ w.conj()).conj() @ basis
-            used = j + 1
+            before = float(np.linalg.norm(w))
+            w -= (basis @ w.conj()).conj() @ basis
             beta = float(np.linalg.norm(w))
+            if beta < _DGKS_RATIO * before:
+                w -= (basis @ w.conj()).conj() @ basis
+                beta = float(np.linalg.norm(w))
+            used = j + 1
             betas[j] = beta
             if beta < 1e-14 * max(1.0, abs(alphas[j])):
                 break
@@ -457,14 +471,20 @@ def lanczos_extreme(
     )
 
 
-# Largest dimension solved by a dense eigh of -H; restarted Lanczos above it.
-# Median ms per eigensolve inside a solve (the warm calls after the first),
-# warm Lanczos / np.linalg.eigh(-H.toarray()), 1 (2) OpenBLAS threads on a
-# 2-core host, planted synth_radial(n, seed=3) feeders: dim 90 3.4/2.0
-# (3.6/2.6), 105 3.6/3.0 (3.9/3.8), 111 2.4/2.3 (4.7/4.1), 117 2.6/2.6
-# (4.6/4.3), 120 3.6/3.9 (3.9/4.6), 135 3.8/5.2 (4.0/5.8), 150 4.3/6.8
-# (4.5/7.2), 180 4.7/10.6 (5.0/9.4).  Cold Lanczos had put the crossover at
-# about 150.
+# Largest dimension solved densely (the top two eigenpairs of -H by LAPACK's
+# zheevr); restarted Lanczos above it.  Median ms per eigensolve inside a
+# solve (the warm calls after the first, best of 3 solves), warm Lanczos with
+# DGKS reorthogonalization / zheevr, 1 (2) OpenBLAS threads on a 2-core host,
+# planted synth_radial(n, seed=3, RadialParams(series_min=0.5,
+# series_max=1.25, shunt=0.1)) feeders: dim 90 1.8/0.7 (3.3/1.6), 105
+# 1.8/0.9 (3.3/2.1), 111 2.2/1.1 (2.2/1.7), 117 3.0/1.8 (3.3/2.5), 120
+# 2.2/1.2 (2.4/2.7), 135 2.5/1.7 (3.5/3.7), 150 2.6/1.9 (2.4/4.0), 180
+# 2.7/3.0 (2.5/6.0), 210 3.3/5.0 (4.3/10.1).  A repeat at 2 threads read
+# 117 2.7/2.6, 120 3.6/5.9 and 135 2.5/3.0.  With 2 threads, as the
+# benchmark runs, dense stops winning at about 120; with 1 thread it wins up
+# to about 165.  On random Hermitian matrices (1 thread, best of 5) the whole
+# spectrum by np.linalg.eigh took 0.17 ms at dim 30 and 3.8 ms at dim 117,
+# the top two by zheevr 0.09 and 1.6 ms.
 DENSE_MAX_DIM = 117
 
 
@@ -487,12 +507,15 @@ def leading_eigenpair(
     H = dual_matrix(problem, x)
     dim = problem.dim
     if dim <= DENSE_MAX_DIM:
-        evals, evecs = np.linalg.eigh(-H.toarray())
-        vec = _normalize_phase(np.ascontiguousarray(evecs[:, -1]))
-        value = float(evals[-1])
+        # The top two eigenpairs only, by index; LAPACK returns them
+        # ascending in w[:2] and z[:, :2].
+        w, z, _, _, info = zheevr(-H.toarray(), range="I", il=dim - 1, iu=dim)
+        if info != 0:
+            raise EigenFailure(f"dense eigensolve failed (LAPACK info {info})")
+        vec = _normalize_phase(np.ascontiguousarray(z[:, 1]))
+        value = float(w[1])
         resid = float(np.linalg.norm(-(H @ vec) - value * vec))
-        return EigenResult(value=value, vector=vec, residual=resid,
-                           value2=float(evals[-2]))
+        return EigenResult(value=value, vector=vec, residual=resid, value2=float(w[0]))
     value, vec, resid, ritz2, matvecs = lanczos_extreme(
         lambda v: -(H @ v), dim, rng,
         tol=tol, max_krylov=max_krylov, max_restarts=max_restarts, start=start,

@@ -120,15 +120,10 @@ def _sweep_root(phi0, dh, w0, rate, rho, beta, n_box) -> float:
     )
     slope0 = float(gain[free0].sum()) + slope_free
 
-    if ev_s.size:
-        grid = np.unique(ev_s)
-        deltas = np.zeros(grid.size)
-        np.add.at(deltas, np.searchsorted(grid, ev_s), ev_delta)
-        bounds = np.concatenate([[0.0], grid, [1.0]])
-        seg_slope = slope0 + np.concatenate([[0.0], np.cumsum(deltas)])
-    else:
-        bounds = np.array([0.0, 1.0])
-        seg_slope = np.array([slope0])
+    # Tied breakpoints make zero-length segments, which move nothing.
+    order = np.argsort(ev_s)
+    bounds = np.concatenate([[0.0], ev_s[order], [1.0]])
+    seg_slope = slope0 + np.concatenate([[0.0], np.cumsum(ev_delta[order])])
     ends = phi0 - np.cumsum(seg_slope * np.diff(bounds))
     if ends[-1] > 0.0:
         return 1.0

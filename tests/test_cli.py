@@ -332,6 +332,39 @@ def test_cli_survives_mutated_documents(cli_documents, data):
     assert main(argv + [str(mutated)]) in (EXIT_FEASIBLE, EXIT_ERROR, EXIT_NOT_FEASIBLE)
 
 
+# Where the library names a generate argument in its error line.
+_GENERATE_ARG_NAMES = {"--buses": "buses", "--seed": "seed", "--copies": "replication count"}
+
+
+@pytest.mark.parametrize("value", ["0", "-1", "1.5", "x"])
+@pytest.mark.parametrize("flag", sorted(_GENERATE_ARG_NAMES))
+def test_generate_rejects_bad_arguments_by_name(tmp_path, capsys, flag, value):
+    # Small invalid counts and seeds only: the command runs, or exits 1 with
+    # an error line naming the argument, or argparse rejects a non-integer
+    # (exit 2) naming the flag.
+    base = str(tmp_path / "base.json")
+    assert main(["generate", "radial", base, "--buses", "3"]) == EXIT_FEASIBLE
+    capsys.readouterr()
+    out = str(tmp_path / "out.json")
+    if flag == "--copies":
+        argv = ["generate", "replicate", base, out, flag, value]
+    else:
+        argv = ["generate", "radial", out, flag, value]
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        assert exc.code == 2
+        assert f"argument {flag}: invalid int value" in capsys.readouterr().err
+        return
+    err = capsys.readouterr().err
+    if code == EXIT_FEASIBLE:
+        assert flag == "--seed" and value == "0"
+        return
+    assert code == EXIT_ERROR
+    assert err.startswith("error:") and _GENERATE_ARG_NAMES[flag] in err
+    assert "non-negative integer" not in err
+
+
 @pytest.mark.parametrize("field", dataclasses.fields(SolverConfig), ids=lambda f: f.name)
 def test_every_config_field_is_an_override_flag(field):
     value = 7 if isinstance(field.default, int) else 0.5

@@ -1,6 +1,9 @@
 """Network data model, file round-trips, and synthetic generators."""
 
+import collections
+import dataclasses
 import json
+import pickle
 
 import numpy as np
 import pytest
@@ -12,12 +15,16 @@ from pfbundle import (
     OperatingLimits,
     RadialParams,
     ThreePhaseNetwork,
+    build_problem,
     load_network,
     plant_feasible,
+    plant_infeasible,
     replicate_feeder,
     save_network,
     synth_radial,
 )
+from pfbundle import network as network_module
+from pfbundle.instances import loss_min_profile
 from pfbundle.network import (
     DEFAULT_SLACK_VOLTAGE,
     assemble_admittance,
@@ -100,6 +107,177 @@ def test_validate_rejects_bad_slack_shape():
     )
     with pytest.raises(NetworkFormatError, match="3 phases"):
         net.validate()
+
+
+def test_network_is_read_only(two_bus):
+    with pytest.raises(TypeError):
+        two_bus.blocks[(0, 0)] = np.eye(3, dtype=complex)
+    with pytest.raises(TypeError):
+        del two_bus.blocks[(1, 0)]
+    with pytest.raises(ValueError, match="read-only"):
+        two_bus.blocks[(0, 0)][0, 0] = 5.0
+    with pytest.raises(ValueError, match="read-only"):
+        two_bus.slack_voltage[0] = 2.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        two_bus.blocks = {}
+    # An edit is a new network built from a copy of the mapping.
+    blocks = dict(two_bus.blocks)
+    blocks[(0, 0)] = blocks[(0, 0)] + 1.0
+    edited = ThreePhaseNetwork(two_bus.n_buses, blocks, two_bus.slack_voltage)
+    edited.validate()
+    assert edited.blocks[(0, 0)][0, 0] == two_bus.blocks[(0, 0)][0, 0] + 1.0
+    copy = pickle.loads(pickle.dumps(two_bus))
+    assert list(copy.blocks) == list(two_bus.blocks)
+    for key, blk in two_bus.blocks.items():
+        np.testing.assert_array_equal(copy.blocks[key], blk)
+
+
+def test_construction_copies_the_arrays_given():
+    blk = np.eye(3, dtype=complex)
+    slack = DEFAULT_SLACK_VOLTAGE.copy()
+    net = ThreePhaseNetwork(n_buses=1, blocks={(0, 0): blk}, slack_voltage=slack)
+    net.validate()
+    blk[0, 0] = np.nan
+    slack[0] = 2.0
+    assert net.blocks[(0, 0)][0, 0] == 1.0
+    assert net.slack_voltage[0] == 1.0
+    # Nested lists are arrays too.
+    lists = {key: blk.tolist() for key, blk in build_two_bus().blocks.items()}
+    net = ThreePhaseNetwork(n_buses=2, blocks=lists)
+    np.testing.assert_array_equal(
+        assemble_admittance(net).toarray(), assemble_admittance(build_two_bus()).toarray()
+    )
+    assert replicate_feeder(net, uniform_limits(2), 2)[0].n_buses == 3
+
+
+@pytest.mark.parametrize("blocks, message", [
+    ({(0, 0): [[1, 2, 3], [4, 5]]}, "shape"),
+    ({(0, 0): None}, "shape"),
+    ({(0, 0): np.full((3, 3), None)}, "non-numeric"),
+    ({(0.5, 0): np.eye(3)}, "pairs of integer"),
+    ({(0, 0, 0): np.eye(3)}, "pairs of integer"),
+    ({(0, 2**70): np.eye(3)}, "out of range"),
+], ids=["ragged", "none", "object-entries", "float-key", "triple-key", "huge-index"])
+def test_construction_never_raises_and_validate_names_the_defect(blocks, message):
+    net = ThreePhaseNetwork(n_buses=1, blocks=blocks)
+    with pytest.raises(NetworkFormatError, match=message):
+        net.validate()
+
+
+def test_set_up_chain_checks_and_assembles_each_network_once(tmp_path, monkeypatch):
+    checks, assemblies = collections.Counter(), collections.Counter()
+    check = ThreePhaseNetwork._first_block_problem
+    assemble = network_module._assemble
+
+    def counted_check(net):
+        checks[id(net)] += 1
+        return check(net)
+
+    def counted_assemble(net):
+        assemblies[id(net)] += 1
+        return assemble(net)
+
+    path = tmp_path / "feeder.json"
+    save_network(path, *synth_radial(6, seed=1))
+    monkeypatch.setattr(ThreePhaseNetwork, "_first_block_problem", counted_check)
+    monkeypatch.setattr(network_module, "_assemble", counted_assemble)
+    networks = []       # kept alive so no object id is reused
+    for copies, plant in ((1, plant_feasible), (3, plant_infeasible)):
+        net, limits = load_network(path)
+        big, big_limits = replicate_feeder(net, limits, copies)
+        planted = plant(big)
+        problem = build_problem(big, planted.limits, planted.u)
+        loss_min_profile(big)
+        networks += [net, big]
+        assert problem.Y is assemble_admittance(big)
+        with pytest.raises(ValueError, match="read-only"):
+            problem.Y.data[0] = 0.0
+    assert [checks[id(n)] for n in networks] == [1, 1, 1, 1]
+    assert [assemblies[id(n)] for n in networks] == [0, 1, 0, 1]
+
+
+def _reference_block_problem(n_buses, blocks):
+    """The block checks one block at a time, in insertion order."""
+    for (i, j), blk in blocks.items():
+        if not (0 <= i < n_buses and 0 <= j < n_buses):
+            return f"block ({i + 1}, {j + 1}) is out of range"
+        if blk.shape != (3, 3):
+            return f"block ({i + 1}, {j + 1}) has shape {blk.shape}, expected (3, 3)"
+        if not np.all(np.isfinite(blk)):
+            return f"block ({i + 1}, {j + 1}) has non-finite entries"
+        if i != j:
+            if (j, i) not in blocks:
+                return (f"block ({i + 1}, {j + 1}) present but ({j + 1}, {i + 1}) missing:"
+                        " sparsity pattern must be symmetric")
+            other = blocks[(j, i)]
+            scale = max(1.0, float(np.abs(blk).max()))
+            if np.abs(other - blk.conj().T).max() > 1e-12 * scale:
+                return (f"block ({j + 1}, {i + 1}) is not the conjugate transpose of"
+                        f" block ({i + 1}, {j + 1})")
+    return None
+
+
+_DEFECTS = st.sampled_from(["inf", "-inf", "nan", "inf-imag", "perturb", "drop", "range"])
+
+
+@settings(database=None, derandomize=True, max_examples=200, deadline=None)
+@given(data=st.data())
+def test_document_defects_are_reported_in_insertion_order(data):
+    # Two or three defects in a shuffled document: the loader names the same
+    # block and check as a one-block-at-a-time pass would.
+    net = build_two_bus()
+    doc = network_to_dict(net, uniform_limits(2))
+    entries = data.draw(st.permutations(doc["blocks"]))
+    entries = [dict(e, y=[list(p) for p in e["y"]]) for e in entries]
+    for _ in range(data.draw(st.integers(2, 3))):
+        defect = data.draw(_DEFECTS)
+        k = data.draw(st.integers(0, len(entries) - 1))
+        entry, pair = entries[k], data.draw(st.integers(0, 8))
+        if defect == "drop":
+            del entries[k]
+        elif defect == "range":
+            entry["i"] = net.n_buses + 1 + k
+        elif defect == "perturb":
+            entry["y"][pair][0] += 1e-6
+        elif defect == "inf-imag":
+            entry["y"][pair][1] = float("inf")
+        else:
+            entry["y"][pair][0] = float(defect)
+    doc["blocks"] = entries
+    blocks = {}
+    for e in entries:
+        y = np.array([complex(re, im) for re, im in e["y"]]).reshape(3, 3)
+        blocks.setdefault((e["i"] - 1, e["j"] - 1), y)
+    if len(blocks) < len(entries):
+        return      # two blocks moved out of range onto one key
+    expected = _reference_block_problem(net.n_buses, blocks)
+    if expected is None:
+        network_from_dict(doc)
+    else:
+        with pytest.raises(NetworkFormatError) as info:
+            network_from_dict(doc)
+        assert str(info.value) == expected
+
+
+def test_loader_names_the_first_entry_that_is_not_a_number(two_bus):
+    doc = network_to_dict(two_bus, uniform_limits(2))
+    doc["limits"]["p_upper"][2:4] = ["1.5", None]
+    with pytest.raises(NetworkFormatError, match=r"limit 'p_upper' entry 2 must be a number"):
+        network_from_dict(doc)
+    doc = network_to_dict(two_bus, uniform_limits(2))
+    doc["blocks"][1]["y"][4] = [0.5, True]
+    with pytest.raises(NetworkFormatError, match=r"block \(1, 2\) entry 4 must be a number"):
+        network_from_dict(doc)
+    doc = network_to_dict(two_bus, uniform_limits(2))
+    doc["blocks"][1]["y"][4] = [0.5, 10**400]
+    with pytest.raises(NetworkFormatError, match=r"block \(1, 2\) holds a number out of range"):
+        network_from_dict(doc)
+    # Integers are numbers, and an infinite part is named, not computed with.
+    doc = network_to_dict(two_bus, uniform_limits(2))
+    doc["limits"]["p_upper"][0] = 2
+    doc["blocks"][0]["y"][0] = [float("inf"), float("inf")]
+    with pytest.raises(NetworkFormatError, match=r"block \(1, 1\) has non-finite"):
+        network_from_dict(doc)
 
 
 def test_limits_validate_rejects_crossed_bands():

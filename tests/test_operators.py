@@ -2,9 +2,11 @@
 
 import dataclasses
 import itertools
+import types
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from scipy.linalg import eigh_tridiagonal
 
 from pfbundle import (
@@ -323,6 +325,41 @@ def test_leading_eigenpair_agrees_with_dense_negated_matrix():
     assert eig.residual <= 1e-9
     assert np.linalg.norm(eig.vector) == pytest.approx(1.0, abs=1e-12)
     assert eig.value2 is not None and eig.value2 <= eig.value + 1e-12
+
+
+def dense_path_cases(rng, dim):
+    """A random Hermitian H, and one whose -H has a doubled top eigenvalue."""
+    raw = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    q, _ = np.linalg.qr(raw)
+    spectrum = rng.normal(size=dim)
+    spectrum[-2:] = spectrum.max() + 1.0
+    doubled = -(q * spectrum) @ q.conj().T
+    return [raw + raw.conj().T, 0.5 * (doubled + doubled.conj().T)]
+
+
+@pytest.mark.parametrize("dim", [3, 30, 60, DENSE_MAX_DIM])
+def test_dense_path_returns_the_top_two_eigenpairs(dim, monkeypatch):
+    eig_tol = 1e-9
+    for H in dense_path_cases(np.random.default_rng(dim), dim):
+        monkeypatch.setattr(operators, "dual_matrix", lambda problem, x: sp.csr_matrix(H))
+        eig = leading_eigenpair(types.SimpleNamespace(dim=dim), None, None, tol=eig_tol)
+        top = np.linalg.eigvalsh(-H)[-2:]
+        assert abs(eig.value - top[1]) <= 1e-12 * (1.0 + abs(top[1]))
+        assert abs(eig.value2 - top[0]) <= 1e-12 * (1.0 + abs(top[0]))
+        assert eig.residual <= eig_tol
+        assert np.linalg.norm(-H @ eig.vector - eig.value * eig.vector) <= eig_tol
+        assert eig.matvecs == 0
+
+
+def test_dense_path_raises_eigen_failure_on_a_lapack_error(monkeypatch):
+    H = dense_path_cases(np.random.default_rng(5), 6)[0]
+    monkeypatch.setattr(operators, "dual_matrix", lambda problem, x: sp.csr_matrix(H))
+    monkeypatch.setattr(
+        operators, "zheevr",
+        lambda a, **kw: (np.zeros(6), np.zeros((6, 2), complex), 0, np.zeros(4, np.int32), 7),
+    )
+    with pytest.raises(EigenFailure, match="LAPACK info 7"):
+        leading_eigenpair(types.SimpleNamespace(dim=6), None, None)
 
 
 @pytest.mark.parametrize(

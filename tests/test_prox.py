@@ -121,6 +121,27 @@ def test_edge_height_difference_is_nonincreasing():
         assert diffs.max() <= 1e-12
 
 
+def test_sweep_root_with_tied_breakpoints_is_a_root():
+    # Eighteen box coordinates, all free at s = 0, reach a bound at the same
+    # s = 0.4: twelve clamp at zero, six at beta, with different slopes.  The tie makes
+    # zero-length segments, and the returned s is still a root of phi.
+    rho, beta, n_box, rate = 2.0, 0.1, 18, 0.5
+    dh = np.concatenate([np.full(6, 1.0), np.full(6, 0.5), np.full(6, -0.5), [0.3, -0.2]])
+    w0 = np.concatenate([np.full(6, 0.1), np.full(6, 0.05), np.full(6, 0.05), [0.4, 0.7]])
+
+    def phi(t, phi0):
+        moved = project_box(w0 - t * rate * dh / rho, beta, n_box)
+        return phi0 + float(dh @ (moved - project_box(w0, beta, n_box)))
+
+    at_tie = -phi(0.4, 0.0)
+    after = -phi(1.0, 0.0)
+    assert after - at_tie < 0.1 * at_tie         # the tie removes most of the slope
+    for phi0 in (0.5 * at_tie, at_tie, 0.5 * (at_tie + after), 0.999 * after):
+        s = prox._sweep_root(phi0, dh, w0, rate, rho, beta, n_box)
+        assert 0.0 < s < 1.0
+        assert abs(phi(s, phi0)) <= 1e-14 * (1.0 + abs(phi0))
+
+
 def test_interior_newton_symmetric_instance():
     # Three balanced slopes in a free plane meet at the anchor itself, so the
     # full support is optimal with equal weights.
