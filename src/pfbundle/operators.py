@@ -10,11 +10,12 @@ y1.y2 + trace(Gamma1 @ Gamma2): the Hermitian part is stored as
 
 The dual matrix is H(x) = C + Astar(y) + embed(Gamma), with C the Hermitian
 part of the admittance matrix.  Its sparsity pattern does not depend on x:
-build_problem fixes it once (DualPattern), and dual_matrix writes H's values
-onto it through precomputed index maps.  The penalized objective adds
+build_problem fixes it once (DualPattern), and dual_data computes H's values
+on it through precomputed index maps.  The penalized objective adds
 alpha * max(lambda_max(-H), 0) to the linear dual objective, which removes the
 semidefinite constraint on H at the price of one extreme eigenpair per
-evaluation: the top two eigenpairs by a dense LAPACK solve for small H,
+evaluation: the top two eigenpairs by a dense LAPACK solve for small H, whose
+values go straight into a dense array with no sparse matrix built, and
 restarted Lanczos for large H.  Lanczos can start from the previous
 evaluation's eigenvector, blended with a small seeded random vector, and ends
 a cycle as soon as the Ritz estimate of the top pair is below the tolerance.
@@ -23,6 +24,7 @@ a cycle as soon as the Ritz estimate of the top pair is below the tolerance.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -31,7 +33,8 @@ from scipy.linalg.lapack import dstebz, dstein, zheevr
 from .network import OperatingLimits, ThreePhaseNetwork, assemble_admittance
 
 _SQRT2 = np.sqrt(2.0)
-_OFFDIAG = ((0, 1), (0, 2), (1, 2))
+# Row and column indices of the 3x3 upper triangle, in svec3 order.
+_UPPER = (np.array([0, 0, 1]), np.array([1, 2, 2]))
 
 
 class EigenFailure(RuntimeError):
@@ -53,22 +56,17 @@ def y_block(y: np.ndarray, index: int, n_buses: int) -> np.ndarray:
 
 def svec3(mat: np.ndarray) -> np.ndarray:
     """Isometric real embedding of a Hermitian 3x3 matrix (9 numbers)."""
-    out = np.empty(9)
-    out[0:3] = mat.diagonal().real
-    for k, (i, j) in enumerate(_OFFDIAG):
-        out[3 + k] = _SQRT2 * mat[i, j].real
-        out[6 + k] = _SQRT2 * mat[i, j].imag
-    return out
+    upper = mat[_UPPER]
+    return np.concatenate([mat.diagonal().real, _SQRT2 * upper.real, _SQRT2 * upper.imag])
 
 
 def smat3(vec: np.ndarray) -> np.ndarray:
     """Inverse of svec3."""
     mat = np.zeros((3, 3), dtype=complex)
-    mat[0, 0], mat[1, 1], mat[2, 2] = vec[0], vec[1], vec[2]
-    for k, (i, j) in enumerate(_OFFDIAG):
-        z = (vec[3 + k] + 1j * vec[6 + k]) / _SQRT2
-        mat[i, j] = z
-        mat[j, i] = z.conjugate()
+    mat.flat[::4] = vec[0:3]
+    upper = (vec[3:6] + 1j * vec[6:9]) / _SQRT2
+    mat[_UPPER] = upper
+    mat[_UPPER[::-1]] = upper.conj()
     return mat
 
 
@@ -121,7 +119,8 @@ class DualPattern:
     The pattern is the sorted union of Y's nonzeros, their transposes, the
     diagonal and the 3x3 slack corner.  transpose[k] is the position of the
     mirror entry of position k; diagonal and corner hold the positions of
-    the diagonal (in row order) and of the corner (row-major); yh_data holds
+    the diagonal (in row order) and of the corner (row-major); dense holds
+    each position's index into a row-major dim x dim array; yh_data holds
     Y^H's values on the pattern.  The arrays are read-only, since every H
     shares indptr and indices.
     """
@@ -131,34 +130,62 @@ class DualPattern:
     transpose: np.ndarray
     diagonal: np.ndarray
     corner: np.ndarray
+    dense: np.ndarray
     yh_data: np.ndarray
+
+    @property
+    def dim(self) -> int:
+        return self.indptr.size - 1
 
     def matrix(self, data: np.ndarray) -> sp.csr_matrix:
         """The CSR matrix with these values on the pattern."""
-        dim = self.indptr.size - 1
-        return sp.csr_matrix((data, self.indices, self.indptr), shape=(dim, dim))
+        return sp.csr_matrix((data, self.indices, self.indptr), shape=(self.dim, self.dim))
+
+    def negated_dense(self, data: np.ndarray) -> np.ndarray:
+        """-matrix(data).toarray(), built without a sparse matrix.
+
+        The values are added onto zeros and the array is then negated in
+        place, as toarray() and unary minus do; writing -data instead would
+        leave +0.0 where they leave -0.0, and LAPACK's results can differ in
+        the last bits.
+        """
+        out = np.zeros((self.dim, self.dim), dtype=complex)
+        out.reshape(-1)[self.dense] += data
+        return np.negative(out, out=out)
 
 
 def dual_pattern(Y: sp.csr_matrix) -> DualPattern:
-    """The pattern of H for a square admittance matrix Y."""
+    """The pattern of H for a square CSR admittance matrix Y.
+
+    Keys are row * n + col.  Y's nonzeros arrive in CSR order and their
+    mirrors are sorted once, so the stable sort of all keys merges sorted
+    runs.  The pattern is symmetric: listed column by column (a stable sort
+    of the column indices) it is its own transpose listed row by row, so
+    that order names each position's mirror.
+    """
     n = Y.shape[0]
-    coo = Y.tocoo()
-    keep = coo.data != 0
-    y_keys = coo.row[keep].astype(np.int64) * n + coo.col[keep]
-    y_t_keys = coo.col[keep].astype(np.int64) * n + coo.row[keep]
+    keep = Y.data != 0
+    rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(Y.indptr))[keep]
+    cols = Y.indices[keep].astype(np.int64)
+    y_keys = rows * n + cols
     diag_keys = np.arange(n, dtype=np.int64) * (n + 1)
     corner_keys = (np.arange(3)[:, None] * n + np.arange(3)).ravel()
-    keys = np.unique(np.concatenate([y_keys, y_t_keys, diag_keys, corner_keys]))
-    rows, cols = np.divmod(keys, n)
+    keys = np.sort(
+        np.concatenate([y_keys, np.sort(cols * n + rows), diag_keys, corner_keys]),
+        kind="stable",
+    )
+    keys = keys[np.concatenate([[True], keys[1:] != keys[:-1]])]
+    key_rows, key_cols = np.divmod(keys, n)
+    transpose = np.argsort(key_cols, kind="stable")
     y_data = np.zeros(keys.size, dtype=complex)
-    y_data[np.searchsorted(keys, y_keys)] = coo.data[keep]
-    transpose = np.searchsorted(keys, cols * n + rows)
+    y_data[np.searchsorted(keys, y_keys)] = Y.data[keep]
     pattern = DualPattern(
-        indptr=np.searchsorted(rows, np.arange(n + 1)).astype(np.int32),
-        indices=cols.astype(np.int32),
+        indptr=np.searchsorted(key_rows, np.arange(n + 1)).astype(np.int32),
+        indices=key_cols.astype(np.int32),
         transpose=transpose,
         diagonal=np.searchsorted(keys, diag_keys),
         corner=np.searchsorted(keys, corner_keys),
+        dense=keys,
         yh_data=np.conj(y_data[transpose]),
     )
     for arr in vars(pattern).values():
@@ -197,10 +224,12 @@ class PenaltyObjective:
     def n_flat(self) -> int:
         return flat_dim(self.n_buses)
 
-    @property
+    @cached_property
     def fixed_slope(self) -> np.ndarray:
-        """Slope of the linear dual objective in flat coordinates."""
-        return np.concatenate([-self.m_vec, svec3(self.M1)])
+        """Slope of the linear dual objective in flat coordinates (read-only)."""
+        slope = np.concatenate([-self.m_vec, svec3(self.M1)])
+        slope.setflags(write=False)
+        return slope
 
     def point(self, y: np.ndarray, gamma: np.ndarray) -> DualPoint:
         return DualPoint.from_parts(y, gamma, self.n_buses)
@@ -296,11 +325,16 @@ def slack_block_matrix(gamma: np.ndarray, n_buses: int) -> sp.csr_matrix:
     ).tocsr()
 
 
-def dual_matrix(problem: PenaltyObjective, x: DualPoint) -> sp.csr_matrix:
-    """H(x) = C + adjoint(y) + embedded Gamma, written on the fixed pattern."""
+def dual_data(problem: PenaltyObjective, x: DualPoint) -> np.ndarray:
+    """H(x) = C + adjoint(y) + embedded Gamma, as data on the fixed pattern."""
     data = problem.C.data + _adjoint_data(problem, x.y)
     data[problem.pattern.corner] += x.gamma.ravel()
-    return problem.pattern.matrix(data)
+    return data
+
+
+def dual_matrix(problem: PenaltyObjective, x: DualPoint) -> sp.csr_matrix:
+    """H(x) as a CSR matrix on the fixed pattern."""
+    return problem.pattern.matrix(dual_data(problem, x))
 
 
 # ---------------------------------------------------------------------------
@@ -488,6 +522,21 @@ def lanczos_extreme(
 DENSE_MAX_DIM = 117
 
 
+def dense_extreme(mat: np.ndarray) -> EigenResult:
+    """The top two eigenpairs of a dense Hermitian matrix by LAPACK's zheevr.
+
+    Only the top two are computed, by index; LAPACK returns them ascending.
+    """
+    dim = mat.shape[0]
+    w, z, _, _, info = zheevr(mat, range="I", il=dim - 1, iu=dim)
+    if info != 0:
+        raise EigenFailure(f"dense eigensolve failed (LAPACK info {info})")
+    vec = _normalize_phase(np.ascontiguousarray(z[:, 1]))
+    value = float(w[1])
+    resid = float(np.linalg.norm(mat @ vec - value * vec))
+    return EigenResult(value=value, vector=vec, residual=resid, value2=float(w[0]))
+
+
 def leading_eigenpair(
     problem: PenaltyObjective,
     x: DualPoint,
@@ -499,25 +548,18 @@ def leading_eigenpair(
 ) -> EigenResult:
     """lambda_max(-H(x)) with eigenvector; the matrix size picks the path.
 
-    The sparse matrix H is assembled once.  Up to DENSE_MAX_DIM it is solved
-    densely and start is not used; above that Lanczos, warm-started from
-    start when one is given, applies it through matvecs only, and an
-    EigenFailure propagates.
+    H's values are computed once and negated once.  Up to DENSE_MAX_DIM they
+    are scattered into a dense -H for dense_extreme, with no sparse matrix
+    built, and start is not used.  Above that the sparse H is assembled and
+    negated in place, and Lanczos, warm-started from start when one is
+    given, applies it through matvecs only; an EigenFailure propagates.
     """
-    H = dual_matrix(problem, x)
-    dim = problem.dim
-    if dim <= DENSE_MAX_DIM:
-        # The top two eigenpairs only, by index; LAPACK returns them
-        # ascending in w[:2] and z[:, :2].
-        w, z, _, _, info = zheevr(-H.toarray(), range="I", il=dim - 1, iu=dim)
-        if info != 0:
-            raise EigenFailure(f"dense eigensolve failed (LAPACK info {info})")
-        vec = _normalize_phase(np.ascontiguousarray(z[:, 1]))
-        value = float(w[1])
-        resid = float(np.linalg.norm(-(H @ vec) - value * vec))
-        return EigenResult(value=value, vector=vec, residual=resid, value2=float(w[0]))
+    if problem.dim <= DENSE_MAX_DIM:
+        return dense_extreme(problem.pattern.negated_dense(dual_data(problem, x)))
+    neg = dual_matrix(problem, x)
+    np.negative(neg.data, out=neg.data)
     value, vec, resid, ritz2, matvecs = lanczos_extreme(
-        lambda v: -(H @ v), dim, rng,
+        neg.dot, problem.dim, rng,
         tol=tol, max_krylov=max_krylov, max_restarts=max_restarts, start=start,
     )
     return EigenResult(value=value, vector=vec, residual=resid, value2=ritz2,

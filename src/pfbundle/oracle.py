@@ -37,27 +37,29 @@ def dense_apply_constraint(W: np.ndarray, Y_dense: np.ndarray) -> np.ndarray:
     return np.concatenate([s.real, -s.real, s.imag, -s.imag, d, -d])
 
 
-def hermitian_basis(dim: int) -> list:
-    """Orthonormal basis of Hermitian dim x dim matrices under trace(A B)."""
-    basis = []
+def hermitian_basis(dim: int):
+    """Orthonormal basis of Hermitian dim x dim matrices under trace(A B).
+
+    A generator: one dim x dim matrix at a time, so a caller that consumes
+    them in turn holds O(dim^2) memory, not the O(dim^4) of the whole basis.
+    """
     for i in range(dim):
         mat = np.zeros((dim, dim), dtype=complex)
         mat[i, i] = 1.0
-        basis.append(mat)
+        yield mat
     inv_sqrt2 = 1.0 / np.sqrt(2.0)
     for i in range(dim):
         for j in range(i + 1, dim):
             mat = np.zeros((dim, dim), dtype=complex)
             mat[i, j] = inv_sqrt2
             mat[j, i] = inv_sqrt2
-            basis.append(mat)
+            yield mat
     for i in range(dim):
         for j in range(i + 1, dim):
             mat = np.zeros((dim, dim), dtype=complex)
             mat[i, j] = 1j * inv_sqrt2
             mat[j, i] = -1j * inv_sqrt2
-            basis.append(mat)
-    return basis
+            yield mat
 
 
 def dense_constraint_matrix(Y_dense: np.ndarray) -> np.ndarray:
@@ -72,15 +74,15 @@ def dense_dual_matrix(problem: PenaltyObjective, x: DualPoint) -> np.ndarray:
 
     The adjoint at y is reconstructed as sum_m (y . A(B_m)) B_m over the
     orthonormal Hermitian basis, which only ever evaluates the forward map.
+    The basis is streamed, one element added at a time, so memory stays
+    O(dim^2).
     """
     Yd = problem.Y.toarray()
-    dim = Yd.shape[0]
-    C = 0.5 * (Yd + Yd.conj().T)
-    coeffs = dense_constraint_matrix(Yd).T @ x.y
-    H = C.astype(complex)
-    for c, b in zip(coeffs, hermitian_basis(dim)):
+    H = 0.5 * (Yd + Yd.conj().T)
+    for b in hermitian_basis(Yd.shape[0]):
+        c = float(x.y @ dense_apply_constraint(b, Yd))
         if c != 0.0:
-            H = H + c * b
+            H += c * b
     H[:3, :3] += x.gamma
     return H
 

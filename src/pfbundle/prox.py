@@ -55,31 +55,29 @@ def project_box(flat: np.ndarray, beta: float, n_box: int) -> np.ndarray:
     return out
 
 
-def _primal_objective(center, a, S, rho, z) -> float:
-    diff = z - center
-    return float((a + S @ z).max() + 0.5 * rho * (diff @ diff))
+def vertex_points(center, a, S, rho, beta, n_box):
+    """Each cut's own prox point, before and after the clip, and its cut values.
+
+    Returns (W, Z, V): row i of W is center - S[i] / rho, row i of Z is its
+    box projection, and V[i] = a + S @ Z[i].  The vertex case tests these
+    points and the edge case starts its sweeps from them.
+    """
+    W = center - S / rho
+    Z = W.copy()
+    np.clip(Z[:, :n_box], 0.0, beta, out=Z[:, :n_box])
+    return W, Z, [a + S @ z for z in Z]
 
 
-def _kkt_residual(center, a, S, rho, beta, n_box, z, theta) -> float:
-    zhat = project_box(center - (S.T @ theta) / rho, beta, n_box)
-    proj_err = float(np.abs(z - zhat).max())
-    simp_err = abs(float(theta.sum()) - 1.0) + float(max(0.0, -theta.min()))
-    vals = a + S @ z
-    top = float(vals.max())
-    comp_err = float((theta * (top - vals)).max()) / (1.0 + abs(top))
-    return max(proj_err, simp_err, comp_err)
-
-
-def vertex_case(center, a, S, rho, beta, n_box):
+def vertex_case(points):
     """First single-cut support whose cut stays on top at its own prox point."""
+    _, Z, V = points
     for i in range(3):
-        z = project_box(center - S[i] / rho, beta, n_box)
-        vals = a + S @ z
+        vals = V[i]
         top = float(vals.max())
         if vals[i] >= top - _CASE_TOL * (1.0 + abs(top)):
             theta = np.zeros(3)
             theta[i] = 1.0
-            return z, theta, i
+            return Z[i], theta, i
     return None
 
 
@@ -103,28 +101,29 @@ def _sweep_root(phi0, dh, w0, rate, rho, beta, n_box) -> float:
     dnz = dh[:n_box][nz]
     enz = stb[nz]
     wnz = w0b[nz]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        s_zero = rho * wnz / enz
-        s_beta = rho * (wnz - beta) / enz
+    s_zero = rho * wnz / enz
+    s_beta = rho * (wnz - beta) / enz
     # Toggle sign: does the coordinate become free (+) or clamped (-) there?
+    # Reaching beta toggles the opposite way to reaching zero.
     gain = dnz * enz / rho
+    rising = enz > 0.0
+    at_zero = np.where(rising, -gain, gain)
     ev_s = np.concatenate([s_zero, s_beta])
-    ev_delta = np.concatenate([np.where(enz > 0, -gain, gain),
-                               np.where(enz > 0, gain, -gain)])
+    ev_delta = np.concatenate([at_zero, -at_zero])
     inside = (ev_s > 0.0) & (ev_s < 1.0)
     ev_s = ev_s[inside]
     ev_delta = ev_delta[inside]
 
-    free0 = ((wnz > 0.0) | ((wnz == 0.0) & (enz < 0.0))) & (
-        (wnz < beta) | ((wnz == beta) & (enz > 0.0))
-    )
+    # Free just after s = 0: inside the box, or on the bound it moves away
+    # from (a rising step moves the point down).
+    free0 = np.where(rising, (wnz > 0.0) & (wnz <= beta), (wnz >= 0.0) & (wnz < beta))
     slope0 = float(gain[free0].sum()) + slope_free
 
     # Tied breakpoints make zero-length segments, which move nothing.
     order = np.argsort(ev_s)
     bounds = np.concatenate([[0.0], ev_s[order], [1.0]])
     seg_slope = slope0 + np.concatenate([[0.0], np.cumsum(ev_delta[order])])
-    ends = phi0 - np.cumsum(seg_slope * np.diff(bounds))
+    ends = phi0 - np.cumsum(seg_slope * (bounds[1:] - bounds[:-1]))
     if ends[-1] > 0.0:
         return 1.0
     p = int(np.argmax(ends <= 0.0))
@@ -135,23 +134,23 @@ def _sweep_root(phi0, dh, w0, rate, rho, beta, n_box) -> float:
     return float(0.5 * (bounds[p] + bounds[p + 1]))
 
 
-def edge_root(center, a, S, i, j, rho, beta, n_box):
+def edge_root(points, S, i, j, rho, beta, n_box):
     """Root of the equal-height function of cuts i and j along their edge.
 
     The difference of cut values along the edge is piecewise linear and
-    nonincreasing in the weight s of cut i; `_sweep_root` finds its zero.
+    nonincreasing in the weight s of cut i; `_sweep_root` finds its zero,
+    starting from cut j's prox point in points (see vertex_points).
     Returns s in (0, 1) or None.
     """
-    w0 = center - S[j] / rho
-    vals0 = a + S @ project_box(w0, beta, n_box)
-    s = _sweep_root(float(vals0[i] - vals0[j]), S[i] - S[j], w0, 1.0, rho, beta, n_box)
+    W, _, V = points
+    s = _sweep_root(float(V[j][i] - V[j][j]), S[i] - S[j], W[j], 1.0, rho, beta, n_box)
     return s if 0.0 < s < 1.0 else None
 
 
-def edge_case(center, a, S, rho, beta, n_box):
+def edge_case(center, a, S, rho, beta, n_box, points):
     """First two-cut support with an interior equal-height root that dominates."""
     for i, j in _EDGES:
-        s = edge_root(center, a, S, i, j, rho, beta, n_box)
+        s = edge_root(points, S, i, j, rho, beta, n_box)
         if s is None:
             continue
         theta = np.zeros(3)
@@ -250,32 +249,47 @@ def solve_prox(
     whose diagnostics record the support of the weights; the interior case
     also records its slice evaluations.
     """
-    hit = vertex_case(center, a, S, rho, beta, n_box)
+    points = vertex_points(center, a, S, rho, beta, n_box)
+    hit = vertex_case(points)
     if hit is not None:
         z, theta, idx = hit
-        return _finish(center, a, S, rho, beta, n_box, z, theta, "vertex", support=(idx,))
+        return _finish(center, a, S, rho, z, theta, "vertex", support=(idx,))
 
-    hit = edge_case(center, a, S, rho, beta, n_box)
+    hit = edge_case(center, a, S, rho, beta, n_box, points)
     if hit is not None:
         z, theta, pair = hit
-        return _finish(center, a, S, rho, beta, n_box, z, theta, "edge", support=pair)
+        return _finish(center, a, S, rho, z, theta, "edge", support=pair)
 
     z, theta, evals = interior_case(center, a, S, rho, beta, n_box)
-    sol = _finish(center, a, S, rho, beta, n_box, z, theta, "interior",
+    sol = _finish(center, a, S, rho, z, theta, "interior",
                   support=(0, 1, 2), slice_evals=evals)
     if sol.kkt_residual <= _KKT_TOL:
         return sol
     ref = qp_support_enumeration(center, a, S, rho, beta, n_box)
-    return _finish(center, a, S, rho, beta, n_box, ref.z, ref.theta, "fallback",
+    zhat = project_box(center - (S.T @ ref.theta) / rho, beta, n_box)
+    return _finish(center, a, S, rho, ref.z, ref.theta, "fallback",
+                   proj_err=float(np.abs(ref.z - zhat).max()),
                    support=ref.support, interior_kkt=sol.kkt_residual)
 
 
-def _finish(center, a, S, rho, beta, n_box, z, theta, case, **extra):
+def _finish(center, a, S, rho, z, theta, case, proj_err=0.0, **extra):
+    """The solution with its KKT residual and objective.
+
+    The KKT residual is the largest of the projection error
+    |z - P(center - S^T theta / rho)|, the simplex error and the scaled
+    complementarity error.  The exact cases build z as that projection, so
+    their projection error is 0; only the fallback passes its own.
+    """
+    vals = a + S @ z
+    top = float(vals.max())
+    simp_err = abs(float(theta.sum()) - 1.0) + float(max(0.0, -theta.min()))
+    comp_err = float((theta * (top - vals)).max()) / (1.0 + abs(top))
+    diff = z - center
     return ProxSolution(
         z=z,
         theta=theta,
         case_used=case,
-        kkt_residual=_kkt_residual(center, a, S, rho, beta, n_box, z, theta),
-        objective=_primal_objective(center, a, S, rho, z),
+        kkt_residual=max(proj_err, simp_err, comp_err),
+        objective=float(top + 0.5 * rho * (diff @ diff)),
         diagnostics=extra,
     )

@@ -44,12 +44,14 @@ def test_prox_cases_are_the_traced_ones(tracing, monkeypatch):
         seen.setdefault(case, (center, intercepts, slopes, n_box))
     assert set(seen) == {"vertex", "edge", "interior"}
 
-    # The safety net's label, forced by an interior solve that is off.
+    # The safety net's label, forced by an interior solve that is off: its
+    # weights are permuted and z is their prox point.
     exact = prox.interior_case
 
-    def off(*args):
-        z, theta, evals = exact(*args)
-        return z, np.roll(theta, 1), evals
+    def off(center, a, S, rho, beta, n_box):
+        _, theta, evals = exact(center, a, S, rho, beta, n_box)
+        theta = np.roll(theta, 1)
+        return prox.project_box(center - (S.T @ theta) / rho, beta, n_box), theta, evals
 
     monkeypatch.setattr(prox, "interior_case", off)
     center, intercepts, slopes, n_box = seen["interior"]

@@ -2,12 +2,11 @@
 
 import dataclasses
 import itertools
-import types
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 from scipy.linalg import eigh_tridiagonal
+from scipy.linalg.lapack import zheevr
 
 from pfbundle import (
     OperatingLimits,
@@ -18,12 +17,14 @@ from pfbundle import (
     synth_radial,
 )
 from pfbundle import operators
+from pfbundle.network import assemble_admittance
 from pfbundle.operators import (
     DENSE_MAX_DIM,
     DualPoint,
     EigenFailure,
     apply_constraint_rank1,
     constraint_adjoint_matrix,
+    dense_extreme,
     dual_matrix,
     lanczos_extreme,
     leading_eigenpair,
@@ -66,6 +67,39 @@ def test_svec3_smat3_round_trip_and_isometry():
         assert svec3(A) @ svec3(B) == pytest.approx(
             float(np.trace(A @ B).real), abs=1e-12
         )
+
+
+def svec3_by_loop(mat):
+    out = np.empty(9)
+    out[0:3] = mat.diagonal().real
+    for k, (i, j) in enumerate(((0, 1), (0, 2), (1, 2))):
+        out[3 + k] = np.sqrt(2.0) * mat[i, j].real
+        out[6 + k] = np.sqrt(2.0) * mat[i, j].imag
+    return out
+
+
+def smat3_by_loop(vec):
+    mat = np.zeros((3, 3), dtype=complex)
+    mat[0, 0], mat[1, 1], mat[2, 2] = vec[0], vec[1], vec[2]
+    for k, (i, j) in enumerate(((0, 1), (0, 2), (1, 2))):
+        z = (vec[3 + k] + 1j * vec[6 + k]) / np.sqrt(2.0)
+        mat[i, j] = z
+        mat[j, i] = z.conjugate()
+    return mat
+
+
+def assert_bitwise(actual, expect):
+    assert actual.dtype == expect.dtype and actual.shape == expect.shape
+    assert actual.tobytes() == expect.tobytes()
+
+
+def test_svec3_smat3_equal_the_loop_definitions_bitwise():
+    rng = np.random.default_rng(27)
+    for _ in range(200):
+        A = random_hermitian(rng, 3) * 10.0 ** rng.uniform(-8, 8)
+        assert_bitwise(svec3(A), svec3_by_loop(A))
+        vec = rng.normal(size=9) * 10.0 ** rng.uniform(-8, 8, size=9)
+        assert_bitwise(smat3(vec), smat3_by_loop(vec))
 
 
 def test_dual_point_shape_check_and_parts():
@@ -225,6 +259,50 @@ def test_dual_matrix_pattern_is_the_block_pattern(copies, nnz):
     assert dual_matrix(problem, x).nnz == nnz
 
 
+def dual_pattern_by_unique_keys(Y):
+    """DualPattern's arrays by the definition: np.unique over all keys."""
+    n = Y.shape[0]
+    coo = Y.tocoo()
+    keep = coo.data != 0
+    rows, cols = coo.row[keep].astype(np.int64), coo.col[keep].astype(np.int64)
+    y_keys = rows * n + cols
+    diag_keys = np.arange(n, dtype=np.int64) * (n + 1)
+    corner_keys = (np.arange(3)[:, None] * n + np.arange(3)).ravel()
+    keys = np.unique(np.concatenate([y_keys, cols * n + rows, diag_keys, corner_keys]))
+    key_rows, key_cols = np.divmod(keys, n)
+    y_data = np.zeros(keys.size, dtype=complex)
+    y_data[np.searchsorted(keys, y_keys)] = coo.data[keep]
+    transpose = np.searchsorted(keys, key_cols * n + key_rows)
+    return dict(
+        indptr=np.searchsorted(key_rows, np.arange(n + 1)).astype(np.int32),
+        indices=key_cols.astype(np.int32),
+        transpose=transpose,
+        diagonal=np.searchsorted(keys, diag_keys),
+        corner=np.searchsorted(keys, corner_keys),
+        dense=keys,
+        yh_data=np.conj(y_data[transpose]),
+    )
+
+
+def test_dual_pattern_equals_the_unique_key_construction_bitwise():
+    feeder, feeder_limits = synth_radial(10, seed=3, params=TEN_BUS_PARAMS)
+    networks = (
+        meshed_network()[0],
+        edited_feeder(diagonal_slack_block)[0],
+        edited_feeder(drop_bus_2_diagonal)[0],
+        edited_feeder(triangular_bus_1_diagonal)[0],
+        replicate_feeder(feeder, feeder_limits, 30)[0],
+    )
+    for net in networks:
+        Y = assemble_admittance(net)
+        pattern = vars(operators.dual_pattern(Y))
+        expect = dual_pattern_by_unique_keys(Y)
+        assert pattern.keys() == expect.keys()
+        for name, arr in expect.items():
+            assert_bitwise(pattern[name], arr)
+            assert not pattern[name].flags.writeable
+
+
 def test_apply_constraint_rank1_against_definition():
     rng = np.random.default_rng(12)
     problem = random_problem(rng, n_buses=3)
@@ -338,11 +416,10 @@ def dense_path_cases(rng, dim):
 
 
 @pytest.mark.parametrize("dim", [3, 30, 60, DENSE_MAX_DIM])
-def test_dense_path_returns_the_top_two_eigenpairs(dim, monkeypatch):
+def test_dense_path_returns_the_top_two_eigenpairs(dim):
     eig_tol = 1e-9
     for H in dense_path_cases(np.random.default_rng(dim), dim):
-        monkeypatch.setattr(operators, "dual_matrix", lambda problem, x: sp.csr_matrix(H))
-        eig = leading_eigenpair(types.SimpleNamespace(dim=dim), None, None, tol=eig_tol)
+        eig = dense_extreme(-H)
         top = np.linalg.eigvalsh(-H)[-2:]
         assert abs(eig.value - top[1]) <= 1e-12 * (1.0 + abs(top[1]))
         assert abs(eig.value2 - top[0]) <= 1e-12 * (1.0 + abs(top[0]))
@@ -353,13 +430,12 @@ def test_dense_path_returns_the_top_two_eigenpairs(dim, monkeypatch):
 
 def test_dense_path_raises_eigen_failure_on_a_lapack_error(monkeypatch):
     H = dense_path_cases(np.random.default_rng(5), 6)[0]
-    monkeypatch.setattr(operators, "dual_matrix", lambda problem, x: sp.csr_matrix(H))
     monkeypatch.setattr(
         operators, "zheevr",
         lambda a, **kw: (np.zeros(6), np.zeros((6, 2), complex), 0, np.zeros(4, np.int32), 7),
     )
     with pytest.raises(EigenFailure, match="LAPACK info 7"):
-        leading_eigenpair(types.SimpleNamespace(dim=6), None, None)
+        dense_extreme(-H)
 
 
 @pytest.mark.parametrize(
@@ -382,6 +458,61 @@ def test_leading_eigenpair_path_follows_the_dimension(n_buses, monkeypatch):
     assert abs(eig.value - lam) <= 1e-9
     assert eig.residual <= 1e-9
     assert eig.value2 <= eig.value
+
+
+def test_dense_path_scatters_the_negated_sparse_matrix_bitwise():
+    # Signed zeros included: values added onto zeros and then negated give
+    # the -0.0 of -toarray(), and zheevr's bits depend on it.
+    rng = np.random.default_rng(28)
+    for seed in range(5):
+        net, _ = synth_radial(10, seed=seed, params=TEN_BUS_PARAMS)
+        inst = plant_feasible(net)
+        problem = build_problem(net, inst.limits, inst.u)
+        dim = problem.dim
+        for x in (problem.start_point(), random_point(rng, problem)):
+            neg = problem.pattern.negated_dense(operators.dual_data(problem, x))
+            expect = -dual_matrix(problem, x).toarray()
+            assert_bitwise(neg, expect)
+            eig = leading_eigenpair(problem, x, rng)
+            w, z, _, _, info = zheevr(expect, range="I", il=dim - 1, iu=dim)
+            assert info == 0
+            assert (eig.value, eig.value2) == (w[1], w[0])
+            assert_bitwise(eig.vector, operators._normalize_phase(np.ascontiguousarray(z[:, 1])))
+
+
+@pytest.fixture(scope="module")
+def replica_above_dense():
+    """A 46-bus replica of the 10-bus feeder: dim 138, on the Lanczos path."""
+    net, limits = synth_radial(10, seed=3, params=TEN_BUS_PARAMS)
+    net, limits = replicate_feeder(net, limits, 5)
+    inst = plant_feasible(net)
+    problem = build_problem(net, inst.limits, inst.u)
+    assert problem.dim > DENSE_MAX_DIM
+    return problem, random_point(np.random.default_rng(29), problem)
+
+
+def test_lanczos_path_equals_negating_every_product_bitwise(replica_above_dense):
+    problem, x = replica_above_dense
+    H = dual_matrix(problem, x)
+    start = np.random.default_rng(30).normal(size=problem.dim) + 0j
+    value, vec, resid, value2, matvecs = lanczos_extreme(
+        lambda v: -(H @ v), problem.dim, np.random.default_rng(31), start=start
+    )
+    eig = leading_eigenpair(problem, x, np.random.default_rng(31), start=start)
+    assert (eig.value, eig.residual, eig.value2, eig.matvecs) == (value, resid, value2, matvecs)
+    assert_bitwise(eig.vector, vec)
+
+
+def test_streamed_dense_oracle_checks_the_lanczos_path(replica_above_dense):
+    problem, x = replica_above_dense
+    Hd = dense_dual_matrix(problem, x)
+    H = dual_matrix(problem, x).toarray()
+    assert np.abs(H - Hd).max() <= 1e-12 * max(1.0, np.abs(Hd).max())
+    eig = leading_eigenpair(problem, x, np.random.default_rng(32))
+    assert eig.matvecs > 0
+    lam, _ = dense_lambda_max(-Hd)
+    assert abs(eig.value - lam) <= 1e-9 * (1.0 + abs(lam))
+    assert eig.residual <= 1e-9
 
 
 def test_penalty_value_positive_part():
@@ -458,6 +589,7 @@ def test_fixed_slope_and_start_point():
     rng = np.random.default_rng(21)
     problem = random_problem(rng, n_buses=2)
     slope = problem.fixed_slope
+    assert problem.fixed_slope is slope and not slope.flags.writeable
     np.testing.assert_array_equal(slope[: problem.n_box], -problem.m_vec)
     np.testing.assert_allclose(slope[problem.n_box :], svec3(problem.M1), atol=1e-15)
     x0 = problem.start_point()

@@ -42,7 +42,7 @@ def test_dense_lambda_max_phase_is_deterministic():
 
 def test_hermitian_basis_is_orthonormal():
     dim = 4
-    basis = hermitian_basis(dim)
+    basis = list(hermitian_basis(dim))
     assert len(basis) == dim * dim
     for a in range(len(basis)):
         for b in range(a, len(basis)):

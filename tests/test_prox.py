@@ -1,5 +1,7 @@
 """Proximal subproblem: case chain, breakpoint sweep, exact interior, safety net."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from pfbundle.prox import (
     project_box,
     solve_prox,
     vertex_case,
+    vertex_points,
 )
 
 from conftest import criterion_2_triples
@@ -80,7 +83,7 @@ def test_two_cut_toy_has_known_interior_weight():
 
 def test_vertex_case_rejects_when_another_cut_dominates():
     a, S = cut_arrays([0.0, 0.0, -10.0], [[1.0], [-1.0], [0.0]])
-    assert vertex_case(np.array([0.1]), a, S, 4.0, 0.1, 0) is None
+    assert vertex_case(vertex_points(np.array([0.1]), a, S, 4.0, 0.1, 0)) is None
 
 
 def test_edge_root_matches_brute_force_scan():
@@ -88,7 +91,8 @@ def test_edge_root_matches_brute_force_scan():
     checked = 0
     for _ in range(200):
         center, a, S, rho, beta, n_box = random_triple(rng)
-        s = edge_root(center, a, S, 0, 1, rho, beta, n_box)
+        points = vertex_points(center, a, S, rho, beta, n_box)
+        s = edge_root(points, S, 0, 1, rho, beta, n_box)
         if s is None:
             continue
         checked += 1
@@ -181,8 +185,9 @@ def test_interior_newton_recovers_planted_weights():
 
 
 def test_inexact_interior_solve_falls_back_to_oracle(monkeypatch):
-    # Perturb the exact interior weights: the KKT check must hand the
-    # instance to the enumeration oracle and land on its objective.
+    # Perturb the exact interior weights, and return the prox point of the
+    # perturbed weights as an inexact solve would: the KKT check must hand
+    # the instance to the enumeration oracle and land on its objective.
     rng = np.random.default_rng(6)
     found = None
     for _ in range(2000):
@@ -194,9 +199,10 @@ def test_inexact_interior_solve_falls_back_to_oracle(monkeypatch):
     center, a, S, rho, beta, n_box = found
     exact = prox.interior_case
 
-    def perturbed(*args):
-        z, theta, evals = exact(*args)
-        return z, theta + np.array([1e-3, -1e-3, 0.0]), evals
+    def perturbed(center, a, S, rho, beta, n_box):
+        _, theta, evals = exact(center, a, S, rho, beta, n_box)
+        theta = theta + np.array([1e-3, -1e-3, 0.0])
+        return project_box(center - (S.T @ theta) / rho, beta, n_box), theta, evals
 
     monkeypatch.setattr(prox, "interior_case", perturbed)
     sol = solve_prox(center, a, S, rho, beta, n_box)
@@ -204,6 +210,52 @@ def test_inexact_interior_solve_falls_back_to_oracle(monkeypatch):
     assert sol.diagnostics["interior_kkt"] > 1e-10
     ref = qp_support_enumeration(center, a, S, rho, beta, n_box)
     assert sol.objective == pytest.approx(ref.objective, abs=1e-8)
+
+
+def test_exact_cases_return_the_projection_of_their_weights():
+    # The KKT residual leaves out the projection term for these cases, since
+    # each builds z as exactly this projection.
+    rng = np.random.default_rng(13)
+    seen = set()
+    for _ in range(300):
+        center, a, S, rho, beta, n_box = random_triple(rng)
+        sol = solve_prox(center, a, S, rho, beta, n_box)
+        if sol.case_used == "fallback":
+            continue
+        seen.add(sol.case_used)
+        zhat = project_box(center - (S.T @ sol.theta) / rho, beta, n_box)
+        assert sol.z.dtype == zhat.dtype and sol.z.tobytes() == zhat.tobytes()
+    assert seen == {"vertex", "edge", "interior"}
+
+
+def test_forced_fallback_reports_its_projection_error(monkeypatch):
+    rng = np.random.default_rng(14)
+    while True:
+        center, a, S, rho, beta, n_box = random_triple(rng)
+        if solve_prox(center, a, S, rho, beta, n_box).case_used == "interior":
+            break
+    exact = prox.interior_case
+    oracle = prox.qp_support_enumeration
+
+    def perturbed(center, a, S, rho, beta, n_box):
+        _, theta, evals = exact(center, a, S, rho, beta, n_box)
+        theta = theta + np.array([1e-3, -1e-3, 0.0])
+        return project_box(center - (S.T @ theta) / rho, beta, n_box), theta, evals
+
+    def shifted(*args):
+        ref = oracle(*args)
+        z = ref.z.copy()
+        z[-1] += 1e-3
+        return dataclasses.replace(ref, z=z)
+
+    monkeypatch.setattr(prox, "interior_case", perturbed)
+    monkeypatch.setattr(prox, "qp_support_enumeration", shifted)
+    sol = solve_prox(center, a, S, rho, beta, n_box)
+    assert sol.case_used == "fallback"
+    zhat = project_box(center - (S.T @ sol.theta) / rho, beta, n_box)
+    proj_err = float(np.abs(sol.z - zhat).max())
+    assert proj_err == pytest.approx(1e-3, rel=1e-6)
+    assert sol.kkt_residual >= proj_err
 
 
 def test_interior_with_equal_box_slopes_and_clamped_box():
