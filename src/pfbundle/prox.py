@@ -81,33 +81,44 @@ def vertex_case(points):
     return None
 
 
-def _sweep_root(phi0, dh, w0, rate, rho, beta, n_box) -> float:
+def _sweep_direction(dh, beta, n_box):
+    """The parts of a sweep along dh that its start and rate do not change.
+
+    Returns (nz, dnz, zero_sign, shut): the box coordinates dh moves, their
+    entries of dh, the sign of the slope change where such a coordinate
+    reaches zero (a rising step moves the point down, so it clamps there),
+    and the bound on which it counts as clamped at the sweep's start.
+    """
+    dhb = dh[:n_box]
+    nz = dhb != 0.0
+    dnz = dhb[nz]
+    rising = dnz > 0.0
+    return nz, dnz, np.where(rising, -1.0, 1.0), np.where(rising, 0.0, beta)
+
+
+def _sweep_root(phi0, dh, w0, rate, rho, beta, n_box, direction) -> float:
     """Root in [0, 1] of phi(s) = phi0 + dh . (P(w0 - s rate dh / rho) - P(w0)).
 
-    phi is piecewise linear and nonincreasing for rate >= 0; its breakpoints
+    phi is piecewise linear and nonincreasing for rate > 0; its breakpoints
     are the s where a box coordinate of the projected point hits a bound.  A
     single left-to-right sweep tracks the slope through those clamp toggles
     and solves the active segment in closed form.  Returns 0 when phi0 < 0
-    and 1 when phi stays positive on the whole interval.
+    and 1 when phi stays positive on the whole interval.  direction is
+    _sweep_direction(dh, beta, n_box), which a caller sweeping along dh more
+    than once computes once.
     """
     if phi0 < 0.0:
         return 0.0
-    step = rate * dh
-    stb = step[:n_box]
-    w0b = w0[:n_box]
-    slope_free = (dh[n_box:] @ step[n_box:]) / rho   # the free tail never clamps
-
-    nz = stb != 0.0
-    dnz = dh[:n_box][nz]
-    enz = stb[nz]
-    wnz = w0b[nz]
+    nz, dnz, zero_sign, shut = direction
+    enz = rate * dnz
+    wnz = w0[:n_box][nz]
+    slope_free = (dh[n_box:] @ (rate * dh[n_box:])) / rho   # the tail never clamps
     s_zero = rho * wnz / enz
     s_beta = rho * (wnz - beta) / enz
     # Toggle sign: does the coordinate become free (+) or clamped (-) there?
     # Reaching beta toggles the opposite way to reaching zero.
     gain = dnz * enz / rho
-    rising = enz > 0.0
-    at_zero = np.where(rising, -gain, gain)
+    at_zero = zero_sign * gain
     ev_s = np.concatenate([s_zero, s_beta])
     ev_delta = np.concatenate([at_zero, -at_zero])
     inside = (ev_s > 0.0) & (ev_s < 1.0)
@@ -115,8 +126,8 @@ def _sweep_root(phi0, dh, w0, rate, rho, beta, n_box) -> float:
     ev_delta = ev_delta[inside]
 
     # Free just after s = 0: inside the box, or on the bound it moves away
-    # from (a rising step moves the point down).
-    free0 = np.where(rising, (wnz > 0.0) & (wnz <= beta), (wnz >= 0.0) & (wnz < beta))
+    # from (shut is the bound it moves toward).
+    free0 = (wnz >= 0.0) & (wnz <= beta) & (wnz != shut)
     slope0 = float(gain[free0].sum()) + slope_free
 
     # Tied breakpoints make zero-length segments, which move nothing.
@@ -143,7 +154,9 @@ def edge_root(points, S, i, j, rho, beta, n_box):
     Returns s in (0, 1) or None.
     """
     W, _, V = points
-    s = _sweep_root(float(V[j][i] - V[j][j]), S[i] - S[j], W[j], 1.0, rho, beta, n_box)
+    dh = S[i] - S[j]
+    s = _sweep_root(float(V[j][i] - V[j][j]), dh, W[j], 1.0, rho, beta, n_box,
+                    _sweep_direction(dh, beta, n_box))
     return s if 0.0 < s < 1.0 else None
 
 
@@ -183,11 +196,12 @@ def interior_case(center, a, S, rho, beta, n_box):
     d2 = S[1] - S[2]
     free = np.ones(S.shape[1], dtype=bool)     # the tail never clamps
     abs_a, abs_s = np.abs(a), np.abs(S)
+    direction = _sweep_direction(d01, beta, n_box)   # every slice sweeps along d01
 
     def evaluate(mu):
         base = center - ((1.0 - mu) * S[2] + mu * S[1]) / rho
         phi0 = c01 + float(d01 @ project_box(base, beta, n_box))
-        lam = _sweep_root(phi0, d01, base, mu, rho, beta, n_box)
+        lam = _sweep_root(phi0, d01, base, mu, rho, beta, n_box, direction)
         theta = np.array([mu * lam, mu * (1.0 - lam), 1.0 - mu])
         w = center - (S.T @ theta) / rho
         z = project_box(w, beta, n_box)

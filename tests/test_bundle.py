@@ -12,6 +12,7 @@ from pfbundle import (
     ThreePhaseNetwork,
     build_problem,
     plant_feasible,
+    plant_infeasible,
     replicate_feeder,
     solve,
     synth_radial,
@@ -25,7 +26,8 @@ from pfbundle.operators import (
     leading_eigenpair,
     penalty_value,
 )
-from pfbundle.oracle import dense_penalty_value
+from pfbundle.oracle import dense_penalty_value, qp_support_enumeration
+from pfbundle.prox import solve_prox
 
 from conftest import TEN_BUS_PARAMS
 
@@ -91,6 +93,14 @@ def test_solver_config_validation():
         SolverConfig(max_krylov=0).validate()
     with pytest.raises(ValueError, match="max_restarts"):
         SolverConfig(max_restarts=-1).validate()
+    with pytest.raises(ValueError, match="eig_tol must be positive"):
+        SolverConfig(eig_tol=0.0).validate()
+    with pytest.raises(ValueError, match="eig_tol must be positive"):
+        SolverConfig(eig_tol=-1e-9).validate()
+    for name in ("feas_tol", "comp_scale", "gap_tol"):
+        with pytest.raises(ValueError, match=f"{name} must be nonnegative"):
+            SolverConfig(**{name: -1e-6}).validate()
+        SolverConfig(**{name: 0.0}).validate()
     with pytest.raises(ValueError, match="eps must be a number"):
         SolverConfig(eps="abc").validate()
     with pytest.raises(ValueError, match="max_iters must be an integer"):
@@ -321,9 +331,10 @@ def test_solve_reports_are_serializable_and_consistent(two_bus, two_bus_planted)
     assert set(doc["history"][0]) == {
         "iteration", "f_center", "f_candidate", "model_value", "delta", "serious",
         "case_used", "kkt_residual", "lambda_neg", "eig_matvecs", "prox_seconds",
-        "step_norm", "rho",
+        "step_norm", "rho", "gamma_scale",
     }
     assert doc["history"][0]["rho"] == report.config.rho
+    assert doc["history"][0]["gamma_scale"] == 1.0
 
 
 def test_iteration_budget_exhaustion_is_reported(two_bus, two_bus_planted):
@@ -462,12 +473,12 @@ def test_small_alpha_triggers_dominance_warning(two_bus, two_bus_planted):
     assert any("does not dominate" in w for w in report.warnings)
 
 
-def planted_case(n_buses=10, copies=1):
-    """Feeder synth_radial(n_buses, seed=3) tiled copies times, planted feasible."""
+def planted_case(n_buses=10, copies=1, feasible=True):
+    """Feeder synth_radial(n_buses, seed=3) tiled copies times, planted."""
     net, limits = synth_radial(n_buses, seed=3, params=TEN_BUS_PARAMS)
     if copies > 1:
         net, _ = replicate_feeder(net, limits, copies)
-    planted = plant_feasible(net)
+    planted = (plant_feasible if feasible else plant_infeasible)(net)
     return build_problem(net, planted.limits, planted.u), planted
 
 
@@ -490,6 +501,25 @@ def test_iterations_stay_flat_in_k():
         report = solve(problem)
         assert report.converged
         assert report.iterations <= 40
+    # With one prox weight on the multiplier box and the slack block, the
+    # planted-infeasible feeders took 25, 147 and 242 iterations.
+    for copies in (10, 20, 30):
+        problem, _ = planted_case(copies=copies, feasible=False)
+        report = solve(problem)
+        assert report.converged
+        assert report.verdict == "infeasible_or_undecided"
+        assert report.iterations <= 80
+
+
+def test_gamma_scale_stays_one_on_every_ten_bus_planted_case():
+    # The screening traffic: the rule must leave these runs as they were.
+    for seed in range(40):
+        net, _ = synth_radial(10, seed=seed, params=TEN_BUS_PARAMS)
+        for plant in (plant_feasible, plant_infeasible):
+            planted = plant(net)
+            report = solve(build_problem(net, planted.limits, planted.u))
+            assert report.converged
+            assert {r.gamma_scale for r in report.history} == {1.0}
 
 
 def test_reports_are_deterministic_at_a_fixed_start_rho():
@@ -558,3 +588,110 @@ def test_next_rho_moves_within_its_bounds():
     assert next_rho(4.0, 4.0, -5.0, 1.0, 1.0, False, 2.0) == 16.0
     assert next_rho(3000.0, 4.0, -5.0, 1.0, 1.0, False, 2.0) == 4000.0
     assert next_rho(4.0, 4.0, 0.0, 1.0, 1.0, False, 0.5) == 4.0
+
+
+def test_next_gamma_scale_moves_within_its_bounds():
+    next_scale = bundle.next_gamma_scale
+    # scale, |y_c - y0|, |Gamma_c - Gamma0|.  A ratio within [scale / 4,
+    # 2 scale] keeps the scale; outside, the scale moves to the ratio, by at
+    # most 4x, to at most 1 and to no less than 1e-3.
+    assert next_scale(1.0, 0.6, 1.0) == 1.0
+    assert next_scale(1.0, 0.3, 1.0) == 1.0
+    assert next_scale(1.0, 0.2, 1.0) == 0.25
+    assert next_scale(0.25, 0.05, 1.0) == 0.0625
+    assert next_scale(0.25, 0.3, 1.0) == 0.25
+    assert next_scale(0.25, 0.8, 1.0) == 0.8
+    assert next_scale(0.1, 5.0, 1.0) == pytest.approx(0.4)
+    assert next_scale(0.5, 5.0, 1.0) == 1.0
+    assert next_scale(1.0, 10.0, 1.0) == 1.0
+    assert next_scale(0.002, 0.0, 1.0) == 1e-3
+    # A center with no tail displacement moves the scale toward the cap.
+    assert next_scale(0.1, 1.0, 0.0) == pytest.approx(0.4)
+
+
+def test_scaled_prox_is_the_weighted_metric_prox_point():
+    # The metric rho on the box and rho t^2 on the free tail is the plain
+    # prox in the variables (y, t Gamma).  The enumeration oracle, run on
+    # that change of variables, gives the same point; and in true coordinates
+    # the point meets the weighted metric's own optimality condition.
+    rng = np.random.default_rng(22)
+    beta = 0.1
+    seen = set()
+    for trial in range(60):
+        rho = 4.0 if trial % 2 else 0.25
+        n_box = int(rng.integers(3, 30))
+        dim = n_box + 9
+        center = np.concatenate([rng.uniform(-0.05, 0.15, size=n_box),
+                                 rng.normal(size=9)])
+        a = rng.normal(size=3)
+        S = rng.normal(size=(3, dim))
+        scale = float(np.exp(rng.uniform(np.log(0.05), 0.0)))
+        sol = bundle.scaled_prox(center, a, S, rho, scale, beta, n_box)
+        seen.add(sol.case_used)
+
+        center_t = center.copy()
+        center_t[n_box:] *= scale
+        S_t = S.copy()
+        S_t[:, n_box:] /= scale
+        ref = qp_support_enumeration(center_t, a, S_t, rho, beta, n_box)
+        z_ref = ref.z.copy()
+        z_ref[n_box:] /= scale
+        np.testing.assert_allclose(sol.z, z_ref, atol=1e-7 / scale)
+
+        metric = np.concatenate([np.ones(n_box), np.full(9, scale * scale)])
+        diff = sol.z - center
+        weighted = float((a + S @ sol.z).max()) + 0.5 * rho * float(metric @ (diff * diff))
+        assert weighted == pytest.approx(ref.objective, abs=1e-8 * (1.0 + abs(ref.objective)))
+        w = center - (S.T @ sol.theta) / (rho * metric)
+        np.testing.assert_allclose(sol.z[:n_box], np.clip(w[:n_box], 0.0, beta), atol=1e-9)
+        np.testing.assert_allclose(sol.z[n_box:], w[n_box:],
+                                   atol=1e-9 * (1.0 + np.abs(w[n_box:]).max()))
+    assert seen >= {"vertex", "edge", "interior"}
+    # At scale 1 it is the plain prox, bit for bit.
+    plain = solve_prox(center, a, S, rho, beta, n_box)
+    assert bundle.scaled_prox(center, a, S, rho, 1.0, beta, n_box).z.tobytes() == plain.z.tobytes()
+
+
+def test_metric_moves_keep_the_descent_test_and_the_cuts_valid():
+    # The base feeder replicated 3 times, planted infeasible (dim 84), in a
+    # box narrow enough that the tail scale moves off 1 at this size.  Each
+    # step must still pass the descent test it claims, the scale may move
+    # only at serious steps, and after each move the three cuts must stay
+    # below f at the center and at sampled points evaluated densely (about
+    # 0.2 s each at this size, so few).
+    problem, _ = planted_case(copies=3, feasible=False)
+    config = SolverConfig(beta=0.03)
+    state = init_state(problem, config)
+    problem = state.problem
+    assert problem.dim <= 138
+    rng = np.random.default_rng(23)
+    samples = np.array([
+        np.concatenate([rng.uniform(0.0, problem.beta, size=problem.n_box),
+                        rng.normal(scale=2.0, size=9)])
+        for _ in range(5)
+    ])
+    f_samples = np.array([
+        dense_penalty_value(problem, DualPoint(flat=x, n_buses=problem.n_buses))[0]
+        for x in samples
+    ])
+    scales = [state.gamma_scale]
+    checked = 0
+    while not state.converged and state.iteration < config.max_iters:
+        f_before = state.f_center
+        record = step(state)
+        assert record.gamma_scale == scales[-1]
+        if record.serious:
+            assert record.f_candidate <= f_before - config.eta * record.delta
+        elif not state.converged:
+            assert state.gamma_scale == record.gamma_scale
+        if state.gamma_scale != record.gamma_scale:
+            tol = 1e-9 * (1.0 + np.abs(f_samples).max())
+            cuts = samples @ state.S.T + state.a
+            assert (f_samples[:, None] - cuts).min() >= -tol
+            assert (state.a + state.S @ state.center).max() <= state.f_center + tol
+            checked += 1
+        scales.append(state.gamma_scale)
+    assert state.converged
+    assert min(scales) < 1.0
+    assert checked == np.count_nonzero(np.diff(scales))
+    assert not all(r.serious for r in state.history)

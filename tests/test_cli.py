@@ -196,8 +196,14 @@ def test_assess_config_file_and_unknown_keys(feasible_case, tmp_path, capsys):
     ("--config", {"max_iters": 10**400}, "max_iters must be finite"),
     ("--config", {"max_restarts": 10**400}, "max_restarts must be finite"),
     ("--config", {"seed": -1}, "seed must be nonnegative"),
+    ("--config", {"eig_tol": 0}, "eig_tol must be positive"),
+    ("--from-report", {"config": {"feas_tol": -1e-6}}, "feas_tol must be nonnegative"),
+    ("--config", {"comp_scale": -1e-6}, "comp_scale must be nonnegative"),
+    ("--config", {"gap_tol": -1.0}, "gap_tol must be nonnegative"),
 ], ids=["report-extra-key", "config-string-float", "report-string-int", "report-list",
-        "config-huge-iters", "config-huge-restarts", "config-negative-seed"])
+        "config-huge-iters", "config-huge-restarts", "config-negative-seed",
+        "config-zero-eig-tol", "report-negative-feas-tol", "config-negative-comp-scale",
+        "config-negative-gap-tol"])
 def test_assess_rejects_malformed_config_sources(
     feasible_case, tmp_path, capsys, source, doc, message
 ):

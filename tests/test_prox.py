@@ -141,9 +141,41 @@ def test_sweep_root_with_tied_breakpoints_is_a_root():
     after = -phi(1.0, 0.0)
     assert after - at_tie < 0.1 * at_tie         # the tie removes most of the slope
     for phi0 in (0.5 * at_tie, at_tie, 0.5 * (at_tie + after), 0.999 * after):
-        s = prox._sweep_root(phi0, dh, w0, rate, rho, beta, n_box)
+        s = prox._sweep_root(phi0, dh, w0, rate, rho, beta, n_box,
+                             prox._sweep_direction(dh, beta, n_box))
         assert 0.0 < s < 1.0
         assert abs(phi(s, phi0)) <= 1e-14 * (1.0 + abs(phi0))
+
+
+def test_sweep_root_along_a_reused_direction_is_a_root():
+    # The interior case computes a sweep direction's fixed parts once and
+    # sweeps along it at several rates and starts.  With some coordinates
+    # not moved by dh and some starting exactly on a bound, s must be a root
+    # of phi at every rate (or an end of [0, 1] where phi has no root).
+    rng = np.random.default_rng(21)
+    rho, beta, n_box = 2.0, 0.1, 30
+    for _ in range(200):
+        dh = rng.normal(size=n_box + 9)
+        dh[rng.random(n_box + 9) < 0.2] = 0.0
+        w0 = rng.uniform(-0.1, 0.2, size=n_box + 9)
+        w0[:n_box][rng.random(n_box) < 0.2] = 0.0
+        w0[:n_box][rng.random(n_box) < 0.2] = beta
+        direction = prox._sweep_direction(dh, beta, n_box)
+        for rate in (1.0, float(rng.uniform(0.01, 1.0))):
+
+            def phi(t, phi0):
+                moved = project_box(w0 - t * rate * dh / rho, beta, n_box)
+                return phi0 + float(dh @ (moved - project_box(w0, beta, n_box)))
+
+            phi0 = float(rng.uniform(-0.1, 1.0)) * max(-phi(1.0, 0.0), 1e-3)
+            s = prox._sweep_root(phi0, dh, w0, rate, rho, beta, n_box, direction)
+            tol = 1e-12 * (1.0 + abs(phi0))
+            if s == 0.0:
+                assert phi0 < 0.0
+            elif s == 1.0:
+                assert phi(1.0, phi0) >= -tol
+            else:
+                assert abs(phi(s, phi0)) <= tol
 
 
 def test_interior_newton_symmetric_instance():
