@@ -19,16 +19,27 @@ values go straight into a dense array with no sparse matrix built, and
 restarted Lanczos for large H.  Lanczos can start from the previous
 evaluation's eigenvector, blended with a small seeded random vector, and ends
 a cycle as soon as the Ritz estimate of the top pair is below the tolerance.
+A Lanczos step costs its product with -H (scipy's CSR kernel, called
+directly) and the Gram-Schmidt products with the basis; the rest of the step
+works in place, and every BLAS call goes through numpy's thread pool.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg.lapack import dstebz, dstein, zheevr
+
+# The one private scipy kernel used: the CSR product that H.dot ends in.
+# Called directly, it skips scipy's dispatch, a fifth of a product at
+# Lanczos sizes: 21 against 17 us per product at dim 813 (7,299 nonzeros,
+# 2-core host).  If scipy moves it, this import fails and the test suite
+# with it.
+from scipy.sparse._sparsetools import csr_matvec
 
 from .network import OperatingLimits, ThreePhaseNetwork, assemble_admittance
 
@@ -386,7 +397,13 @@ WARM_BLEND = 1e-3
 # weight, whole solves at 1, 2, 3, 4 and 6 steps per check (best of 5): k=30
 # 0.189, 0.179, 0.173, 0.171 and 0.176 s; k=20 infeasible 0.93, 0.71, 0.69,
 # 0.72 and 0.79 s, at 147, 141, 147, 144 and 154 iterations (the schedule
-# moves the roundoff there).
+# moves the roundoff there).  Re-measured with the in-place step, replaying
+# the Lanczos calls of whole solves at 2, 4, 6 and 8 steps per check (best of
+# 5, 2 threads), two replays: k=30 (23 calls) 0.066/0.064, 0.068/0.060,
+# 0.079/0.060 and 0.072/0.061 s at 1048, 1072, 1086 and 1124 matvecs; k=20
+# infeasible (43 calls) 0.130/0.093, 0.120/0.088, 0.124/0.089 and
+# 0.118/0.083 s at 1822, 1860, 1928 and 1888 matvecs.  The settings differ
+# by less than the replays do.
 RITZ_CHECK_EVERY = 4
 
 
@@ -441,6 +458,19 @@ def lanczos_extreme(
     repeated by the DGKS rule, keeps the basis clean; each restart continues
     from the top Ritz vector, and only the explicitly recomputed residual
     decides convergence.
+
+    A step costs its product with the operator and two matrix-vector
+    products with the basis (four when DGKS repeats the pass).  Everything
+    else is done in place: the three-term update goes through one scratch
+    vector, norms are square roots of vdot, and the next basis vector is
+    written straight into its row.  matvec must return a new array, which
+    the step then overwrites, and must not change its argument, a row of the
+    basis.  Every BLAS call goes through numpy: scipy.linalg.blas runs its own
+    OpenBLAS thread pool beside numpy's, and a call on one pool right after
+    threaded work on the other waits for it.  With scipy's zgemv for the two
+    basis products, whole k=30 and k=20 feeder solves ran 2.2 to 3 times
+    slower at 2 threads; a scipy zaxpy at dim 12,000, where it threads,
+    followed by a numpy product took 8.0 ms against 0.19 ms on one thread.
     Returns (value, vector, residual, value2, matvecs); raises EigenFailure
     if the residual never reaches tol.
     """
@@ -459,36 +489,39 @@ def lanczos_extreme(
         v = v / np.linalg.norm(v)
     best_resid = float("inf")
     Q = np.empty((m, dim), dtype=complex)
+    scratch = np.empty(dim, dtype=complex)
     alphas = np.empty(m)
     betas = np.empty(m)
     for _ in range(max_restarts + 1):
-        q = v
+        Q[0] = v
         used = 0
         for j in range(m):
-            Q[j] = q
+            q = Q[j]
             w = apply(q)
-            alphas[j] = float(np.real(np.vdot(q, w)))
-            w = w - alphas[j] * q
+            alpha = np.vdot(q, w).real
+            alphas[j] = alpha
+            w -= np.multiply(q, alpha, out=scratch)
             if j > 0:
-                w -= betas[j - 1] * Q[j - 1]
+                w -= np.multiply(Q[j - 1], betas[j - 1], out=scratch)
             # Reorthogonalize against the whole basis; a second pass only
             # when the first cancelled most of w (DGKS).
             basis = Q[: j + 1]
-            before = float(np.linalg.norm(w))
+            before = math.sqrt(np.vdot(w, w).real)
             w -= (basis @ w.conj()).conj() @ basis
-            beta = float(np.linalg.norm(w))
+            beta = math.sqrt(np.vdot(w, w).real)
             if beta < _DGKS_RATIO * before:
                 w -= (basis @ w.conj()).conj() @ basis
-                beta = float(np.linalg.norm(w))
+                beta = math.sqrt(np.vdot(w, w).real)
             used = j + 1
             betas[j] = beta
-            if beta < 1e-14 * max(1.0, abs(alphas[j])):
+            if beta < 1e-14 * max(1.0, abs(alpha)):
                 break
             if used % RITZ_CHECK_EVERY == 0:
                 _, s = _top_ritz(alphas[:used], betas, 1)
                 if abs(beta * s[-1]) <= 0.5 * tol:
                     break
-            q = w / beta
+            if used < m:
+                np.multiply(w, 1.0 / beta, out=Q[used])
         evals, s = _top_ritz(alphas[:used], betas, 2)
         ritz = float(evals[-1])
         ritz2 = float(evals[-2]) if used > 1 else None
@@ -519,6 +552,15 @@ def lanczos_extreme(
 # to about 165.  On random Hermitian matrices (1 thread, best of 5) the whole
 # spectrum by np.linalg.eigh took 0.17 ms at dim 30 and 3.8 ms at dim 117,
 # the top two by zheevr 0.09 and 1.6 ms.
+# Re-measured with the in-place Lanczos step, the same feeders, each warm call
+# timed on both paths (best of 3, alternating), median ms, Lanczos/dense, 1
+# thread: 90 1.32/0.60, 105 1.57/0.88, 111 1.44/0.96, 117 1.69/1.07, 120
+# 1.40/1.03, 135 1.57/1.44, 150 1.64/1.86, 180 1.87/2.97; dense now wins to
+# about 140.  2 threads: 90 2.16/5.67, 105 1.46/4.92, 111 1.86/4.80, 117
+# 2.57/5.29, 120 2.43/5.09, 135 1.89/5.53, 150 2.91/5.22, 180 3.12/13.70:
+# Lanczos wins everywhere, because from dim 66 on zheevr threads on scipy's
+# OpenBLAS pool and the residual's product on numpy's pool right after it
+# waits about 7 ms.
 DENSE_MAX_DIM = 117
 
 
@@ -552,14 +594,24 @@ def leading_eigenpair(
     are scattered into a dense -H for dense_extreme, with no sparse matrix
     built, and start is not used.  Above that the sparse H is assembled and
     negated in place, and Lanczos, warm-started from start when one is
-    given, applies it through matvecs only; an EigenFailure propagates.
+    given, applies it through matvecs only: each is scipy's CSR kernel on
+    -H's arrays into a new zero vector, the routine H.dot ends in, called
+    without its dispatch.  An EigenFailure propagates.
     """
     if problem.dim <= DENSE_MAX_DIM:
         return dense_extreme(problem.pattern.negated_dense(dual_data(problem, x)))
     neg = dual_matrix(problem, x)
     np.negative(neg.data, out=neg.data)
+    dim = problem.dim
+    indptr, indices, data = neg.indptr, neg.indices, neg.data
+
+    def product(vec):
+        out = np.zeros(dim, dtype=complex)
+        csr_matvec(dim, dim, indptr, indices, data, vec, out)
+        return out
+
     value, vec, resid, ritz2, matvecs = lanczos_extreme(
-        neg.dot, problem.dim, rng,
+        product, dim, rng,
         tol=tol, max_krylov=max_krylov, max_restarts=max_restarts, start=start,
     )
     return EigenResult(value=value, vector=vec, residual=resid, value2=ritz2,

@@ -503,6 +503,58 @@ def test_lanczos_path_equals_negating_every_product_bitwise(replica_above_dense)
     assert_bitwise(eig.vector, vec)
 
 
+def test_lanczos_product_is_the_negated_sparse_product_bitwise(replica_above_dense,
+                                                                monkeypatch):
+    # leading_eigenpair calls scipy's private CSR kernel on -H's arrays; it
+    # must give the bits of the public product, and the import must resolve.
+    from scipy.sparse._sparsetools import csr_matvec
+
+    assert operators.csr_matvec is csr_matvec
+    problem, point = replica_above_dense
+    products = []
+
+    def captured(matvec, *args, **kwargs):
+        products.append(matvec)
+        return lanczos_extreme(matvec, *args, **kwargs)
+
+    monkeypatch.setattr(operators, "lanczos_extreme", captured)
+    rng = np.random.default_rng(33)
+    for x in (point, problem.start_point()):
+        leading_eigenpair(problem, x, rng)
+        product = products[-1]
+        H = dual_matrix(problem, x)
+        for _ in range(5):
+            v = rng.normal(size=problem.dim) + 1j * rng.normal(size=problem.dim)
+            assert_bitwise(product(v), -(H @ v))
+    assert len(products) == 2
+
+
+def test_lanczos_with_the_second_gram_schmidt_pass_on_every_step(replica_above_dense,
+                                                                 monkeypatch):
+    # The DGKS repeat almost never fires on the feeders; a ratio above one
+    # forces it on every step.  The repeat only removes roundoff, so the
+    # same seeds take as many products as with the default ratio.
+    rng = np.random.default_rng(34)
+    matrices = [random_hermitian(rng, dim) for dim in (24, 80, 200)]
+    problem, x = replica_above_dense
+    matrices.append(-dual_matrix(problem, x).toarray())
+
+    def run(seed):
+        results = [lanczos_extreme(lambda v: A @ v, A.shape[0], np.random.default_rng(seed))
+                   for A in matrices[:-1]]
+        eig = leading_eigenpair(problem, x, np.random.default_rng(seed))
+        return results + [(eig.value, eig.vector, eig.residual, eig.value2, eig.matvecs)]
+
+    single = run(35)
+    monkeypatch.setattr(operators, "_DGKS_RATIO", 2.0)
+    for A, default, (value, vec, resid, _, matvecs) in zip(matrices, single, run(35)):
+        lam, _ = dense_lambda_max(A)
+        assert abs(value - lam) <= 1e-9 * (1.0 + abs(lam)), A.shape
+        assert resid <= 1e-9
+        assert float(np.linalg.norm(A @ vec - value * vec)) <= 1e-8
+        assert matvecs == default[4]
+
+
 def test_streamed_dense_oracle_checks_the_lanczos_path(replica_above_dense):
     problem, x = replica_above_dense
     Hd = dense_dual_matrix(problem, x)
