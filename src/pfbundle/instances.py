@@ -16,6 +16,11 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+# scipy's CSR-to-CSC and CSC product kernels, the routines tocsc() and a CSC
+# product end in, called on Y's and C's arrays with no slices or sparse sums
+# built.  If scipy moves them, this import fails and the test suite with it.
+from scipy.sparse._sparsetools import csc_matvec, csr_tocsc
+
 from .network import OperatingLimits, ThreePhaseNetwork, assemble_admittance
 
 
@@ -41,18 +46,57 @@ def loss_min_profile(network: ThreePhaseNetwork) -> np.ndarray:
     return _profile(network, _hermitian_part(assemble_admittance(network)))
 
 
-def _hermitian_part(Y) -> sp.csr_matrix:
-    return (0.5 * (Y + Y.conj().T)).tocsr()
+def _hermitian_part(Y: sp.csr_matrix) -> sp.csr_matrix:
+    """0.5 * (Y + Y^H) of an assembled admittance, with the bits scipy gives.
+
+    An assembled Y is canonical and its pattern is symmetric (blocks come in
+    mirror pairs), so Y^T's CSR arrays have Y's pattern, and C is computed
+    on it entry by entry, in the order scipy's sparse sum adds.  Sums that
+    are exactly zero are dropped, as that sum drops them; line blocks
+    without mutual coupling have such entries.
+    """
+    transposed = _csc_arrays(Y.shape, Y.indptr, Y.indices, Y.data)[2]
+    total = Y.data + np.conj(transposed)
+    keep = total != 0
+    kept = np.concatenate([[0], np.cumsum(keep)])
+    return sp.csr_matrix(
+        (total[keep] * 0.5, Y.indices[keep], kept[Y.indptr].astype(Y.indptr.dtype)),
+        shape=Y.shape,
+    )
+
+
+def _csc_arrays(shape, indptr, indices, data) -> tuple:
+    """The CSC (indptr, indices, data) of CSR arrays whose indptr starts at 0.
+
+    Rows come ascending within each column, as tocsc() builds them.
+    """
+    n_row, n_col = shape
+    out = (np.empty(n_col + 1, dtype=indptr.dtype), np.empty_like(indices),
+           np.empty_like(data))
+    csr_tocsc(n_row, n_col, indptr, indices, data, *out)
+    return out
 
 
 def _profile(network: ThreePhaseNetwork, C: sp.csr_matrix) -> np.ndarray:
-    """loss_min_profile given the Hermitian part C of the admittance."""
+    """loss_min_profile given the Hermitian part C of the admittance.
+
+    The CSC arrays of C's rows below the slack hold C21 (the first three
+    columns) and C22 (the rest) as slicing and tocsc() would build them, and
+    C21 @ v1 is scipy's CSC product on them.
+    """
     v1 = network.slack_voltage
     if network.n_buses == 1:
         return np.array(v1, dtype=complex)
-    C22 = C[3:, 3:].tocsc()
-    C21 = C[3:, :3].tocsc()
-    tail = spla.spsolve(C22, -(C21 @ v1))
+    m = C.shape[0] - 3
+    start = C.indptr[3]
+    indptr, indices, data = _csc_arrays(
+        (m, m + 3), C.indptr[3:] - start, C.indices[start:], C.data[start:]
+    )
+    c21_v1 = np.zeros(m, dtype=complex)
+    csc_matvec(m, 3, indptr, indices, data, v1, c21_v1)
+    split = indptr[3]
+    C22 = sp.csc_matrix((data[split:], indices[split:], indptr[3:] - split), shape=(m, m))
+    tail = spla.spsolve(C22, -c21_v1)
     return np.concatenate([v1, np.atleast_1d(tail)])
 
 

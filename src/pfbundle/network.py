@@ -33,6 +33,10 @@ class OperatingLimits:
 
     Active-power bands are offsets around the injection set point; reactive
     bands and squared-voltage-magnitude bands are absolute.
+
+    Limits are read-only: construction copies each band into a read-only
+    array, so validate() remembers each bus count it passed and checks the
+    bands once per count.  Copying never raises; validate() judges.
     """
 
     p_upper: np.ndarray
@@ -41,31 +45,48 @@ class OperatingLimits:
     q_lower: np.ndarray
     v_upper: np.ndarray
     v_lower: np.ndarray
+    _passed: frozenset = field(default=frozenset(), init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        for key in _LIMIT_KEYS:
+            object.__setattr__(self, key, _read_only_copy(getattr(self, key)))
+
+    def __reduce__(self):
+        return (type(self), tuple(self.as_dict().values()))
 
     def validate(self, n_buses: int) -> None:
+        """Raise NetworkFormatError naming the first defect; a pass is remembered."""
+        if n_buses in self._passed:
+            return
+        problem = self._first_problem(n_buses)
+        if problem is not None:
+            raise NetworkFormatError(problem)
+        object.__setattr__(self, "_passed", self._passed | {n_buses})
+
+    def _first_problem(self, n_buses: int) -> str | None:
+        """The message for the first defect of the bands at n_buses, or None."""
         m = 3 * n_buses
         for key in _LIMIT_KEYS:
             vec = getattr(self, key)
             if vec.shape != (m,):
-                raise NetworkFormatError(
-                    f"limit '{key}' has shape {vec.shape}, expected ({m},)"
-                )
+                return f"limit '{key}' has shape {vec.shape}, expected ({m},)"
             if not np.all(np.isfinite(vec)):
-                raise NetworkFormatError(f"limit '{key}' contains non-finite entries")
+                return f"limit '{key}' contains non-finite entries"
         if np.any(self.p_lower > self.p_upper):
-            raise NetworkFormatError("p_lower exceeds p_upper on some phase")
+            return "p_lower exceeds p_upper on some phase"
         if np.any(self.q_lower > self.q_upper):
-            raise NetworkFormatError("q_lower exceeds q_upper on some phase")
+            return "q_lower exceeds q_upper on some phase"
         if np.any(self.v_lower > self.v_upper):
-            raise NetworkFormatError("v_lower exceeds v_upper on some phase")
+            return "v_lower exceeds v_upper on some phase"
         if np.any(self.v_lower < 0.0):
-            raise NetworkFormatError("v_lower must be nonnegative")
+            return "v_lower must be nonnegative"
+        return None
 
     def as_dict(self) -> dict:
         return {key: getattr(self, key) for key in _LIMIT_KEYS}
 
 
-_LIMIT_KEYS = tuple(f.name for f in fields(OperatingLimits))
+_LIMIT_KEYS = tuple(f.name for f in fields(OperatingLimits) if f.init)
 
 
 @dataclass(frozen=True)
@@ -272,17 +293,34 @@ def assemble_admittance(network: ThreePhaseNetwork) -> sp.csr_matrix:
 
 
 def _assemble(network: ThreePhaseNetwork) -> sp.csr_matrix:
-    n = 3 * network.n_buses
-    if not network.blocks:
-        return sp.csr_matrix((n, n), dtype=complex)
-    keys = 3 * network._keys        # (B, 2)
-    vals = network._stack           # (B, 3, 3)
+    """Y's canonical CSR arrays, written straight from the blocks sorted by key.
+
+    Scalar row 3 r + p lists row p of each block of block row r, by block
+    column: with the blocks sorted by key, entry (p, c) of the one that is
+    b-th in its block row, which holds count blocks from sorted position
+    first on, lands at 9 first + 3 count p + 3 b + c.  A checked network's
+    keys are distinct and in range, so the arrays are canonical (explicit
+    zeros kept), and the matrix says so: no later call sorts them in place.
+    """
+    n = network.n_buses
+    keys, stack = network._keys, network._stack
+    order = np.argsort(keys[:, 0] * n + keys[:, 1])
+    bi, bj = keys[order, 0], keys[order, 1]
+    count = np.bincount(bi, minlength=n)
+    first = np.cumsum(count) - count
     phase = np.arange(3)
-    rows = np.broadcast_to(keys[:, 0, None, None] + phase[:, None], vals.shape)
-    cols = np.broadcast_to(keys[:, 1, None, None] + phase, vals.shape)
-    mat = sp.coo_matrix((vals.ravel(), (rows.ravel(), cols.ravel())), shape=(n, n))
-    mat = mat.tocsr()
-    mat.sum_duplicates()            # canonical, so no later call sorts in place
+    start = 9 * first[bi] + 3 * (np.arange(bi.size) - first[bi])
+    pos = (start[:, None, None] + (3 * count[bi])[:, None, None] * phase[:, None]
+           + phase).ravel()
+    data = np.empty(pos.size, dtype=complex)
+    data[pos] = stack[order].ravel()
+    indices = np.empty(pos.size, dtype=np.int32)
+    indices[pos] = np.broadcast_to(3 * bj[:, None, None] + phase, (bi.size, 3, 3)).ravel()
+    indptr = np.empty(3 * n + 1, dtype=np.int32)
+    indptr[:-1] = (9 * first[:, None] + 3 * count[:, None] * phase).ravel()
+    indptr[-1] = pos.size
+    mat = sp.csr_matrix((data, indices, indptr), shape=(3 * n, 3 * n))
+    mat.has_canonical_format = True
     return mat
 
 
@@ -538,8 +576,11 @@ def replicate_feeder(
     k * (n_buses - 1) + 1 buses.  tie_block, when given, replaces the series
     admittance of each root-incident line (diagonal blocks are adjusted to
     keep the implied shunts unchanged).  Limits are tiled copy by copy; the
-    slack rows keep the base root's limits.
+    slack rows keep the base root's limits.  One copy without a tie is the
+    feeder itself, so k = 1 then returns network and limits as given.
     """
+    if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
+        raise NetworkFormatError(f"replication count must be an integer, got {k!r}")
     if k < 1:
         raise NetworkFormatError(f"replication count must be >= 1, got {k}")
     nb = network.n_buses
@@ -558,10 +599,14 @@ def replicate_feeder(
     network.validate()
     keys, vals = network._keys, network._stack
     i, j = keys[:, 0], keys[:, 1]
-    diagonal = np.flatnonzero(i == j)
-    missing = np.setdiff1d(np.arange(nb), i[diagonal])
-    if missing.size:
-        raise NetworkFormatError(f"base feeder has no diagonal block at bus {missing[0] + 1}")
+    has_diagonal = np.zeros(nb, dtype=bool)
+    has_diagonal[i[i == j]] = True
+    if not has_diagonal.all():
+        missing = int(np.argmin(has_diagonal))
+        raise NetworkFormatError(f"base feeder has no diagonal block at bus {missing + 1}")
+    if k == 1 and tie_block is None:
+        limits.validate(nb)
+        return network, limits
 
     root_out = (i == 0) & (j != 0)
     root_lines = j[root_out].tolist()
@@ -600,17 +645,14 @@ def replicate_feeder(
     out_j = np.where(copy_j == 0, 0, copy_j + shift).ravel()
     blocks = dict(zip(zip(out_i.tolist(), out_j.tolist()), np.tile(copy_vals, (k, 1, 1))))
     if tie_block is None:
-        # Exact for k = 1: the base diagonal passes through untouched.
         blocks[(0, 0)] = network.blocks[(0, 0)] + (k - 1) * root_series_sum
     else:
         blocks[(0, 0)] = root_shunt + (k * len(root_lines)) * tie_block
 
-    def tile(vec: np.ndarray) -> np.ndarray:
-        root = vec[:3]
-        rest = vec[3:]
-        return np.concatenate([root] + [rest.copy() for _ in range(k)])
-
-    tiled = OperatingLimits(**{key: tile(vec) for key, vec in limits.as_dict().items()})
+    tiled = OperatingLimits(**{
+        key: np.concatenate([vec[:3], np.tile(vec[3:], k)])
+        for key, vec in limits.as_dict().items()
+    })
     out = ThreePhaseNetwork(
         n_buses=k * (nb - 1) + 1,
         blocks=blocks,

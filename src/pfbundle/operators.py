@@ -21,7 +21,8 @@ evaluation's eigenvector, blended with a small seeded random vector, and ends
 a cycle as soon as the Ritz estimate of the top pair is below the tolerance.
 A Lanczos step costs its product with -H (scipy's CSR kernel, called
 directly) and the Gram-Schmidt products with the basis; the rest of the step
-works in place, and every BLAS call goes through numpy's thread pool.
+works in place, and every BLAS call goes through numpy's thread pool.  The
+dense solve's residual calls no BLAS, so nothing waits for scipy's pool.
 """
 
 from __future__ import annotations
@@ -560,7 +561,11 @@ def lanczos_extreme(
 # 2.57/5.29, 120 2.43/5.09, 135 1.89/5.53, 150 2.91/5.22, 180 3.12/13.70:
 # Lanczos wins everywhere, because from dim 66 on zheevr threads on scipy's
 # OpenBLAS pool and the residual's product on numpy's pool right after it
-# waits about 7 ms.
+# waits about 7 ms.  With the residual's product taken by einsum, which calls
+# no BLAS, a dense call on random Hermitian matrices (best of 5 x 50 calls,
+# 2 threads) takes 1.19 ms at dim 90 (9.60 with the BLAS product, 1.20 for
+# zheevr alone) and 2.32 ms at dim 117 (8.09; 2.21), and about 3.5 us more
+# at dim 30 (0.10 ms).  The crossover has not been re-measured since.
 DENSE_MAX_DIM = 117
 
 
@@ -568,6 +573,9 @@ def dense_extreme(mat: np.ndarray) -> EigenResult:
     """The top two eigenpairs of a dense Hermitian matrix by LAPACK's zheevr.
 
     Only the top two are computed, by index; LAPACK returns them ascending.
+    The residual's product is einsum's, not BLAS's: zheevr runs on scipy's
+    OpenBLAS pool, and a threaded product on numpy's pool right after it
+    waits for those threads (see DENSE_MAX_DIM).
     """
     dim = mat.shape[0]
     w, z, _, _, info = zheevr(mat, range="I", il=dim - 1, iu=dim)
@@ -575,7 +583,7 @@ def dense_extreme(mat: np.ndarray) -> EigenResult:
         raise EigenFailure(f"dense eigensolve failed (LAPACK info {info})")
     vec = _normalize_phase(np.ascontiguousarray(z[:, 1]))
     value = float(w[1])
-    resid = float(np.linalg.norm(mat @ vec - value * vec))
+    resid = float(np.linalg.norm(np.einsum("ij,j->i", mat, vec) - value * vec))
     return EigenResult(value=value, vector=vec, residual=resid, value2=float(w[0]))
 
 

@@ -65,6 +65,18 @@ def criterion_2_triples(count=1000):
         yield center, intercepts, slopes, n_box
 
 
+def assert_bitwise(actual, expect):
+    assert actual.dtype == expect.dtype and actual.shape == expect.shape
+    assert actual.tobytes() == expect.tobytes()
+
+
+def assert_same_csr(actual, expect):
+    """Same shape and the same bits in data, indices and indptr, dtypes too."""
+    assert actual.shape == expect.shape
+    for name in ("data", "indices", "indptr"):
+        assert_bitwise(getattr(actual, name), getattr(expect, name))
+
+
 def node_paths(node, prefix=()):
     """Paths to every node below the root: dict keys and list indices."""
     children = node.items() if isinstance(node, dict) else (
@@ -110,6 +122,28 @@ TEN_BUS_PARAMS = RadialParams(series_min=0.5, series_max=1.25, shunt=0.1)
 def build_ten_bus():
     """Random radial feeder sized so certificates come out crisp."""
     net, _ = synth_radial(10, seed=3, params=TEN_BUS_PARAMS)
+    return net
+
+
+def build_meshed():
+    """An eight-bus feeder closed into two loops, blocks in shuffled order.
+
+    One added line carries no mutual coupling, so its blocks hold exact
+    zeros off the diagonal.
+    """
+    net, _ = synth_radial(8, seed=5, params=TEN_BUS_PARAMS)
+    blocks = dict(net.blocks)
+    loops = {(2, 6): np.diag([0.8, 0.9, 1.1]) + 0.3j * np.eye(3),
+             (1, 7): 0.7 * np.eye(3) + 0.1 * np.ones((3, 3)) + 0.05j * np.eye(3)}
+    for (a, b), series in loops.items():
+        blocks[(a, b)] = -series
+        blocks[(b, a)] = -series.conj().T
+        blocks[(a, a)] = blocks[(a, a)] + series
+        blocks[(b, b)] = blocks[(b, b)] + series.conj().T
+    keys = list(blocks)
+    np.random.default_rng(5).shuffle(keys)
+    net = ThreePhaseNetwork(n_buses=8, blocks={key: blocks[key] for key in keys})
+    net.validate()
     return net
 
 

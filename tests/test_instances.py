@@ -2,11 +2,58 @@
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
-from pfbundle import build_problem, plant_feasible, plant_infeasible
-from pfbundle.instances import loss_min_profile
+from pfbundle import (
+    RadialParams,
+    build_problem,
+    plant_feasible,
+    plant_infeasible,
+    replicate_feeder,
+    synth_radial,
+)
+from pfbundle.instances import _hermitian_part, _profile, loss_min_profile
 from pfbundle.network import assemble_admittance
 from pfbundle.operators import apply_constraint_rank1, limit_offset_vector
+
+from conftest import (
+    TEN_BUS_PARAMS,
+    assert_bitwise,
+    assert_same_csr,
+    build_meshed,
+    build_ten_bus,
+    build_two_bus,
+)
+
+
+SET_UP_NETWORKS = {
+    "two-bus": build_two_bus,
+    "ten-bus": build_ten_bus,
+    "meshed": build_meshed,
+    # Line blocks without mutual coupling: Y + Y^H has exact zeros off the
+    # diagonal of every line block.
+    "uncoupled-lines": lambda: synth_radial(6, seed=1, params=RadialParams(coupling=0.0))[0],
+    "replica": lambda: replicate_feeder(*synth_radial(10, 3, TEN_BUS_PARAMS), 4)[0],
+}
+
+
+@pytest.mark.parametrize("build", SET_UP_NETWORKS.values(), ids=SET_UP_NETWORKS.keys())
+def test_hermitian_part_and_profile_match_the_scipy_constructions(build):
+    net = build()
+    Y = assemble_admittance(net)
+    C = _hermitian_part(Y)
+    expect = (0.5 * (Y + Y.conj().T)).tocsr()
+    assert_same_csr(C, expect)
+    v1 = net.slack_voltage
+    tail = spla.spsolve(expect[3:, 3:].tocsc(), -(expect[3:, :3].tocsc() @ v1))
+    assert_bitwise(_profile(net, C), np.concatenate([v1, tail]))
+
+
+def test_hermitian_part_drops_exact_zero_sums():
+    net = SET_UP_NETWORKS["uncoupled-lines"]()
+    Y = assemble_admittance(net)
+    C = _hermitian_part(Y)
+    assert C.nnz < Y.nnz and np.all(C.data != 0)
 
 
 def test_loss_min_profile_solves_the_tail_system(ten_bus):

@@ -7,6 +7,7 @@ import pickle
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -33,7 +34,7 @@ from pfbundle.network import (
     network_to_dict,
 )
 
-from conftest import build_two_bus, node_paths
+from conftest import assert_same_csr, build_meshed, build_two_bus, node_paths
 
 
 def uniform_limits(n_buses, band=1.0):
@@ -166,12 +167,18 @@ def test_construction_never_raises_and_validate_names_the_defect(blocks, message
 
 def test_set_up_chain_checks_and_assembles_each_network_once(tmp_path, monkeypatch):
     checks, assemblies = collections.Counter(), collections.Counter()
+    limit_checks = collections.Counter()
     check = ThreePhaseNetwork._first_block_problem
+    check_limits = OperatingLimits._first_problem
     assemble = network_module._assemble
 
     def counted_check(net):
         checks[id(net)] += 1
         return check(net)
+
+    def counted_limit_check(limits, n_buses):
+        limit_checks[id(limits)] += 1
+        return check_limits(limits, n_buses)
 
     def counted_assemble(net):
         assemblies[id(net)] += 1
@@ -180,20 +187,60 @@ def test_set_up_chain_checks_and_assembles_each_network_once(tmp_path, monkeypat
     path = tmp_path / "feeder.json"
     save_network(path, *synth_radial(6, seed=1))
     monkeypatch.setattr(ThreePhaseNetwork, "_first_block_problem", counted_check)
+    monkeypatch.setattr(OperatingLimits, "_first_problem", counted_limit_check)
     monkeypatch.setattr(network_module, "_assemble", counted_assemble)
-    networks = []       # kept alive so no object id is reused
+    networks, bands = [], []    # kept alive so no object id is reused
     for copies, plant in ((1, plant_feasible), (3, plant_infeasible)):
         net, limits = load_network(path)
         big, big_limits = replicate_feeder(net, limits, copies)
+        assert (big is net) == (big_limits is limits) == (copies == 1)
         planted = plant(big)
         problem = build_problem(big, planted.limits, planted.u)
         loss_min_profile(big)
         networks += [net, big]
+        bands += [limits, big_limits, planted.limits]
         assert problem.Y is assemble_admittance(big)
         with pytest.raises(ValueError, match="read-only"):
             problem.Y.data[0] = 0.0
+    # The single copy is the loaded network: one check and one assembly,
+    # counted under both of its entries.
     assert [checks[id(n)] for n in networks] == [1, 1, 1, 1]
-    assert [assemblies[id(n)] for n in networks] == [0, 1, 0, 1]
+    assert [assemblies[id(n)] for n in networks] == [1, 1, 0, 1]
+    assert [limit_checks[id(b)] for b in bands] == [1, 1, 1, 1, 1, 1]
+
+
+def _coo_assembly(net):
+    """Y as COO -> CSR -> sum_duplicates builds it, the reference construction."""
+    n = 3 * net.n_buses
+    if not net.blocks:
+        return sp.csr_matrix((n, n), dtype=complex)
+    keys = 3 * np.array(list(net.blocks))
+    vals = np.array(list(net.blocks.values()))
+    phase = np.arange(3)
+    rows = np.broadcast_to(keys[:, 0, None, None] + phase[:, None], vals.shape)
+    cols = np.broadcast_to(keys[:, 1, None, None] + phase, vals.shape)
+    mat = sp.coo_matrix((vals.ravel(), (rows.ravel(), cols.ravel())), shape=(n, n)).tocsr()
+    mat.sum_duplicates()
+    return mat
+
+
+def _without_diagonal_block():
+    blocks = {key: blk for key, blk in build_two_bus().blocks.items() if key != (1, 1)}
+    return ThreePhaseNetwork(n_buses=2, blocks=blocks)
+
+
+@pytest.mark.parametrize("build", [
+    build_meshed,
+    lambda: replicate_feeder(*synth_radial(5, seed=2), 3,
+                             tie_block=np.diag([0.3, 0.4, 0.5]).astype(complex))[0],
+    _without_diagonal_block,
+    lambda: ThreePhaseNetwork(n_buses=2, blocks={}),
+], ids=["meshed", "tied-replica", "missing-diagonal", "no-blocks"])
+def test_assembly_writes_the_coo_to_csr_arrays(build):
+    net = build()
+    Y = assemble_admittance(net)
+    assert_same_csr(Y, _coo_assembly(net))
+    assert Y.has_canonical_format
 
 
 def _reference_block_problem(n_buses, blocks):
@@ -311,6 +358,33 @@ def test_limits_validate_rejects_negative_magnitude_floor():
 def test_limits_validate_rejects_wrong_length():
     with pytest.raises(NetworkFormatError, match="shape"):
         uniform_limits(2).validate(3)
+
+
+def test_limits_are_read_only_and_checked_once_per_bus_count(monkeypatch):
+    given = {key: vec.copy() for key, vec in uniform_limits(2).as_dict().items()}
+    lim = OperatingLimits(**given)
+    given["v_lower"][0] = -1.0      # the limits hold a copy: they stay valid
+    for vec in lim.as_dict().values():
+        with pytest.raises(ValueError, match="read-only"):
+            vec[0] = 0.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        lim.v_lower = given["v_lower"]
+    calls = []
+    check = OperatingLimits._first_problem
+    monkeypatch.setattr(OperatingLimits, "_first_problem",
+                        lambda self, n: calls.append(n) or check(self, n))
+    lim.validate(2)
+    lim.validate(2)
+    with pytest.raises(NetworkFormatError, match="shape"):
+        lim.validate(3)
+    lim.validate(2)
+    assert calls == [2, 3]
+    # A copy made by pickling is a new object, checked afresh.
+    copy = pickle.loads(pickle.dumps(lim))
+    copy.validate(2)
+    assert calls == [2, 3, 2]
+    with pytest.raises(ValueError, match="read-only"):
+        copy.p_upper[0] = 0.0
 
 
 def test_assemble_admittance_places_blocks(two_bus):
@@ -471,12 +545,19 @@ def test_synth_radial_rejects_single_bus():
 def test_replicate_single_copy_is_identity():
     net, lim = synth_radial(6, seed=2)
     out_net, out_lim = replicate_feeder(net, lim, 1)
-    assert out_net.n_buses == net.n_buses
-    assert set(out_net.blocks) == set(net.blocks)
-    for key, blk in net.blocks.items():
-        np.testing.assert_allclose(out_net.blocks[key], blk, atol=1e-14)
+    assert out_net is net and out_lim is lim
+    # With a tie one copy is still tiled: the root lines carry the tie.
+    tie = np.diag([0.3, 0.4, 0.5]).astype(complex)
+    tied, tied_lim = replicate_feeder(net, lim, 1, tie_block=tie)
+    assert tied is not net and tied_lim is not lim
+    assert tied.n_buses == net.n_buses and set(tied.blocks) == set(net.blocks)
+    for (i, j), blk in tied.blocks.items():
+        if i == 0 and j != 0:
+            np.testing.assert_array_equal(blk, -tie)
+        elif 0 not in (i, j) and i != j:
+            np.testing.assert_array_equal(blk, net.blocks[(i, j)])
     for key, vec in lim.as_dict().items():
-        np.testing.assert_array_equal(getattr(out_lim, key), vec)
+        np.testing.assert_array_equal(getattr(tied_lim, key), vec)
 
 
 def test_replicate_counts_and_limit_tiling():
@@ -533,6 +614,10 @@ def test_replicate_rejects_bad_arguments():
     net, lim = synth_radial(4, seed=0)
     with pytest.raises(NetworkFormatError, match=">= 1"):
         replicate_feeder(net, lim, 0)
+    for k in (2.5, 2.0, True, "2"):
+        with pytest.raises(NetworkFormatError, match=f"must be an integer, got {k!r}"):
+            replicate_feeder(net, lim, k)
+    assert replicate_feeder(net, lim, np.int64(2))[0].n_buses == 7
     with pytest.raises(NetworkFormatError, match="3x3"):
         replicate_feeder(net, lim, 2, tie_block=np.eye(2))
     skew = np.eye(3, dtype=complex)
