@@ -1,18 +1,18 @@
 """Three-phase network data model, file I/O, and synthetic instance builders.
 
-A network is a block-sparse bus admittance matrix: one 3x3 complex block per
-(bus_i, bus_j) pair that is electrically coupled, plus a fixed complex voltage
+A network is a block-sparse bus admittance matrix held as two arrays: a
+(B, 2) array of 0-based (bus_i, bus_j) keys of the electrically coupled pairs
+and a (B, 3, 3) array of their complex blocks, plus a fixed complex voltage
 at the slack bus (always bus 1).  Operating limits are six real vectors of
 length 3*n_buses giving per-phase bands on active power, reactive power, and
-squared voltage magnitude.
+squared voltage magnitude.  Both are converted to read-only arrays once, at
+construction; the file loader checks documents entry by entry before that.
 """
 
 from __future__ import annotations
 
 import json
-from collections.abc import Mapping
 from dataclasses import dataclass, field, fields
-from types import MappingProxyType
 
 import numpy as np
 import scipy.sparse as sp
@@ -27,6 +27,10 @@ class NetworkFormatError(ValueError):
     """Raised when a network document is malformed or violates an invariant."""
 
 
+# Y's scalar indices are int32, so a network has at most this many buses.
+MAX_BUSES = (2**31 - 1) // 3
+
+
 @dataclass(frozen=True)
 class OperatingLimits:
     """Per-phase operating bands, each a real vector of length 3*n_buses.
@@ -35,8 +39,9 @@ class OperatingLimits:
     bands and squared-voltage-magnitude bands are absolute.
 
     Limits are read-only: construction copies each band into a read-only
-    array, so validate() remembers each bus count it passed and checks the
-    bands once per count.  Copying never raises; validate() judges.
+    float64 vector, or raises NetworkFormatError naming the band, and
+    validate() remembers each bus count it passed and checks the bands once
+    per count.
     """
 
     p_upper: np.ndarray
@@ -49,7 +54,8 @@ class OperatingLimits:
 
     def __post_init__(self):
         for key in _LIMIT_KEYS:
-            object.__setattr__(self, key, _read_only_copy(getattr(self, key)))
+            vec = _frozen_array(getattr(self, key), np.float64, (), f"limit '{key}'")
+            object.__setattr__(self, key, vec)
 
     def __reduce__(self):
         return (type(self), tuple(self.as_dict().values()))
@@ -72,12 +78,9 @@ class OperatingLimits:
                 return f"limit '{key}' has shape {vec.shape}, expected ({m},)"
             if not np.all(np.isfinite(vec)):
                 return f"limit '{key}' contains non-finite entries"
-        if np.any(self.p_lower > self.p_upper):
-            return "p_lower exceeds p_upper on some phase"
-        if np.any(self.q_lower > self.q_upper):
-            return "q_lower exceeds q_upper on some phase"
-        if np.any(self.v_lower > self.v_upper):
-            return "v_lower exceeds v_upper on some phase"
+        for band in "pqv":
+            if np.any(getattr(self, f"{band}_lower") > getattr(self, f"{band}_upper")):
+                return f"{band}_lower exceeds {band}_upper on some phase"
         if np.any(self.v_lower < 0.0):
             return "v_lower must be nonnegative"
         return None
@@ -93,52 +96,47 @@ _LIMIT_KEYS = tuple(f.name for f in fields(OperatingLimits) if f.init)
 class ThreePhaseNetwork:
     """Block-sparse admittance model with a fixed slack voltage at bus 1.
 
-    blocks maps 0-based (i, j) bus pairs to 3x3 complex arrays.  The block
-    sparsity pattern is symmetric and off-diagonal pairs satisfy
-    blocks[j, i] == blocks[i, j].conj().T; diagonal blocks are unconstrained.
+    keys is a (B, 2) int64 array of 0-based (i, j) bus pairs and blocks the
+    (B, 3, 3) complex array of their admittance blocks, in insertion order.
+    The keys are distinct, the block sparsity pattern is symmetric, and the
+    block of (j, i) is the conjugate transpose of the block of (i, j);
+    diagonal blocks are unconstrained.
 
-    A network is read-only: construction copies the blocks into read-only
-    arrays behind a read-only mapping, and slack_voltage into a read-only
-    array, so validate() and assemble_admittance() do their work once per
-    network.  Copying never raises; validate() judges shapes and values.
-    To edit a network, build a new one from dict(network.blocks).
+    A network is read-only: construction copies keys, blocks and
+    slack_voltage into read-only arrays, or raises NetworkFormatError naming
+    keys or blocks when they are not integer pairs and 3x3 numbers, so
+    validate() and assemble_admittance() do their work once per network.
+    To edit a network, build a new one from edited copies of its arrays.
     """
 
     n_buses: int
-    blocks: Mapping = field(repr=False)
-    slack_voltage: np.ndarray = field(default_factory=lambda: DEFAULT_SLACK_VOLTAGE.copy())
+    keys: np.ndarray = field(repr=False)
+    blocks: np.ndarray = field(repr=False)
+    slack_voltage: np.ndarray = field(default_factory=lambda: DEFAULT_SLACK_VOLTAGE)
     topology: str = ""
-    # (B, 2) int64 block keys in insertion order (None: some key is not a
-    # pair of integers) and (B, 3, 3) complex blocks (None: some block is not
-    # a 3x3 numeric array); both read-only.
-    _keys: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
-    _stack: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
     _checked: bool = field(default=False, init=False, repr=False, compare=False)
     _admittance: sp.csr_matrix | None = field(
         default=None, init=False, repr=False, compare=False
     )
 
     def __post_init__(self):
-        blocks = dict(self.blocks)
-        arrays = [_as_array(blk) for blk in blocks.values()]
-        stack = _stack_blocks(arrays)
-        if stack is None:
-            frozen = dict(zip(blocks, map(_read_only_copy, arrays)))
-        else:
-            frozen = dict(zip(blocks, stack))
-        object.__setattr__(self, "blocks", MappingProxyType(frozen))
-        object.__setattr__(self, "slack_voltage", _read_only_copy(self.slack_voltage))
-        object.__setattr__(self, "_keys", _key_array(list(blocks)))
-        object.__setattr__(self, "_stack", stack)
+        keys = _frozen_array(self.keys, np.int64, (2,), "block keys")
+        blocks = _frozen_array(self.blocks, np.complex128, (3, 3), "blocks")
+        if len(keys) != len(blocks):
+            raise NetworkFormatError(f"{len(keys)} block keys for {len(blocks)} blocks")
+        slack = _frozen_array(self.slack_voltage, np.complex128, (), "slack_voltage")
+        object.__setattr__(self, "keys", keys)
+        object.__setattr__(self, "blocks", blocks)
+        object.__setattr__(self, "slack_voltage", slack)
 
     def __reduce__(self):
-        return (type(self), (self.n_buses, dict(self.blocks), self.slack_voltage,
+        return (type(self), (self.n_buses, self.keys, self.blocks, self.slack_voltage,
                              self.topology))
 
     def validate(self) -> None:
         """Raise NetworkFormatError naming the first defect; a pass is remembered.
 
-        Blocks are judged in insertion order, each by its range, shape,
+        Blocks are judged in insertion order, each by its range, duplicate,
         finiteness and mirror checks in that order; the error names the first
         block that fails one and the first check it fails.
         """
@@ -146,10 +144,11 @@ class ThreePhaseNetwork:
             return
         if self.n_buses < 1:
             raise NetworkFormatError(f"n_buses must be >= 1, got {self.n_buses}")
+        if self.n_buses > MAX_BUSES:
+            raise NetworkFormatError(f"n_buses {self.n_buses} is out of range (max {MAX_BUSES})")
         if self.slack_voltage.shape != (3,):
             raise NetworkFormatError("slack_voltage must have exactly 3 phases")
-        if not (np.all(np.isfinite(self.slack_voltage.real))
-                and np.all(np.isfinite(self.slack_voltage.imag))):
+        if not np.all(np.isfinite(self.slack_voltage)):
             raise NetworkFormatError("slack_voltage contains non-finite entries")
         problem = self._first_block_problem()
         if problem is not None:
@@ -158,32 +157,23 @@ class ThreePhaseNetwork:
 
     def _first_block_problem(self) -> str | None:
         """The message for the first offending block, all blocks checked at once."""
-        if self._keys is None:
-            return "block keys must be (i, j) pairs of integer bus indices"
-        count = len(self._keys)
+        count = len(self.keys)
         if count == 0:
             return None
         n = self.n_buses
-        keys = np.clip(self._keys, -1, n)
+        keys = np.clip(self.keys, -1, n)
         i, j = keys[:, 0], keys[:, 1]
         in_range = (i >= 0) & (i < n) & (j >= 0) & (j < n)
-        if self._stack is not None:
-            stack = self._stack
-            shape_ok = numeric = np.ones(count, dtype=bool)
-        else:
-            arrays = list(self.blocks.values())
-            shape_ok = np.array([a.shape == (3, 3) for a in arrays])
-            numeric = np.array([a.dtype.kind in _NUMERIC_KINDS for a in arrays])
-            stack = np.zeros((count, 3, 3), dtype=complex)
-            for b in np.flatnonzero(shape_ok & numeric):
-                stack[b] = arrays[b]
-        usable = shape_ok & numeric
-        finite = np.isfinite(stack).all(axis=(1, 2))
+        finite = np.isfinite(self.blocks).all(axis=(1, 2))
 
-        # Each in-range block's mirror, by a sorted search over the pair codes.
+        # Pair codes, sorted: equal neighbours are duplicates (the later
+        # insertion named), and a sorted search finds each block's mirror.
+        # n <= MAX_BUSES, so n * n + n fits in int64.
         codes = np.where(in_range, i * n + j, -1)
         order = np.argsort(codes, kind="stable")
         sorted_codes = codes[order]
+        duplicate = np.zeros(count, dtype=bool)
+        duplicate[order[1:]] = (sorted_codes[1:] == sorted_codes[:-1]) & (sorted_codes[1:] >= 0)
         wanted = j * n + i
         pos = np.minimum(np.searchsorted(sorted_codes, wanted), count - 1)
         has_mirror = sorted_codes[pos] == wanted
@@ -192,89 +182,50 @@ class ThreePhaseNetwork:
 
         # The conjugate test touches finite blocks only: a mirror's own
         # non-finite entries then meet finite values, which raises no warning.
-        compare = offdiag & has_mirror & usable & finite & usable[mirror]
+        compare = offdiag & has_mirror & finite
+        blk, other = self.blocks[compare], self.blocks[mirror[compare]]
+        scale = np.maximum(1.0, np.abs(blk).max(axis=(1, 2)))
+        gap = np.abs(other - blk.conj().transpose(0, 2, 1)).max(axis=(1, 2))
         not_conjugate = np.zeros(count, dtype=bool)
-        if compare.any():
-            blk = stack[compare]
-            other = stack[mirror[compare]]
-            scale = np.maximum(1.0, np.abs(blk).max(axis=(1, 2)))
-            gap = np.abs(other - blk.conj().transpose(0, 2, 1)).max(axis=(1, 2))
-            not_conjugate[compare] = gap > 1e-12 * scale
+        not_conjugate[compare] = gap > 1e-12 * scale
 
-        failures = np.select(
-            [~in_range, ~shape_ok, ~numeric, ~finite, offdiag & ~has_mirror,
-             not_conjugate],
-            [1, 2, 3, 4, 5, 6],
-            0,
+        checks = (
+            (~in_range, "{name} is out of range"),
+            (duplicate, "duplicate {name}"),
+            (~finite, "{name} has non-finite entries"),
+            (offdiag & ~has_mirror,
+             "{name} present but ({j}, {i}) missing: sparsity pattern must be symmetric"),
+            (not_conjugate, "block ({j}, {i}) is not the conjugate transpose of {name}"),
         )
-        bad = np.flatnonzero(failures)
+        failing = np.array([mask for mask, _ in checks])
+        bad = np.flatnonzero(failing.any(axis=0))
         if bad.size == 0:
             return None
-        first = int(bad[0])
-        (bi, bj), blk = list(self.blocks.items())[first]
-        name = f"block ({bi + 1}, {bj + 1})"
-        return {
-            1: f"{name} is out of range",
-            2: f"{name} has shape {blk.shape}, expected (3, 3)",
-            3: f"{name} has non-numeric entries",
-            4: f"{name} has non-finite entries",
-            5: f"{name} present but ({bj + 1}, {bi + 1}) missing:"
-               " sparsity pattern must be symmetric",
-            6: f"block ({bj + 1}, {bi + 1}) is not the conjugate transpose of {name}",
-        }[int(failures[first])]
-
-    def line_pairs(self) -> list:
-        """Sorted 0-based (i, j) pairs with i < j carrying an off-diagonal block."""
-        return sorted({(min(i, j), max(i, j)) for (i, j) in self.blocks if i != j})
+        i, j = self.keys[bad[0]].tolist()
+        message = checks[int(np.argmax(failing[:, bad[0]]))][1]
+        return message.format(name=f"block ({i + 1}, {j + 1})", i=i + 1, j=j + 1)
 
 
-_NUMERIC_KINDS = "biufc"
+def _frozen_array(value, dtype, shape: tuple, what: str) -> np.ndarray:
+    """value as a read-only dtype copy of shape (B,) + shape; an empty list is B = 0.
 
-
-def _as_array(value) -> np.ndarray:
-    """value as an array; ragged nesting becomes an object array of its parts."""
-    try:
-        return np.asarray(value)
-    except ValueError:
-        parts = np.empty(len(value), dtype=object)
-        parts[:] = list(value)
-        return parts
-
-
-def _read_only_copy(value) -> np.ndarray:
-    arr = np.array(_as_array(value))
-    arr.setflags(write=False)
-    return arr
-
-
-def _stack_blocks(arrays: list) -> np.ndarray | None:
-    """The blocks as one read-only (B, 3, 3) complex copy, if all are 3x3 numeric."""
-    if not all(a.shape == (3, 3) and a.dtype.kind in _NUMERIC_KINDS for a in arrays):
-        return None
-    stack = np.array(arrays, dtype=complex).reshape(len(arrays), 3, 3)
-    stack.setflags(write=False)
-    return stack
-
-
-def _key_array(keys: list) -> np.ndarray | None:
-    """Block keys as a read-only (B, 2) int64 array; None unless integer pairs.
-
-    An index beyond int64 becomes -1, which is out of range for any network.
+    Only values numpy casts to dtype without loss are taken; ragged nesting,
+    objects, floats as integers and wrong shapes raise NetworkFormatError.
     """
     try:
-        arr = np.array(keys) if keys else np.empty((0, 2), dtype=np.int64)
-    except ValueError:                      # pairs and other lengths mixed
-        return None
-    if arr.dtype == object and arr.ndim == 2 and all(
-        isinstance(k, int) for k in arr.ravel()
-    ):
-        arr = np.array([[k if -(2**63) <= k < 2**63 else -1 for k in row] for row in arr],
-                       dtype=np.int64)
-    if arr.dtype.kind not in "iu" or arr.shape != (len(keys), 2):
-        return None
-    arr = arr.astype(np.int64, copy=False)
-    arr.setflags(write=False)
-    return arr
+        arr = np.array(value)
+    except ValueError:
+        got = "ragged nesting"
+    else:
+        if arr.shape == (0,):
+            arr = arr.reshape((0,) + shape).astype(dtype)
+        if arr.ndim == len(shape) + 1 and arr.shape[1:] == shape and np.can_cast(arr.dtype, dtype):
+            arr = arr.astype(dtype, copy=False)
+            arr.setflags(write=False)
+            return arr
+        got = f"{arr.dtype} of shape {arr.shape}"
+    expected = str(("B",) + shape).replace("'", "")
+    raise NetworkFormatError(f"{what} must be a {expected} array of {np.dtype(dtype)}, got {got}")
 
 
 def assemble_admittance(network: ThreePhaseNetwork) -> sp.csr_matrix:
@@ -303,7 +254,7 @@ def _assemble(network: ThreePhaseNetwork) -> sp.csr_matrix:
     zeros kept), and the matrix says so: no later call sorts them in place.
     """
     n = network.n_buses
-    keys, stack = network._keys, network._stack
+    keys, stack = network.keys, network.blocks
     order = np.argsort(keys[:, 0] * n + keys[:, 1])
     bi, bj = keys[order, 0], keys[order, 1]
     count = np.bincount(bi, minlength=n)
@@ -326,11 +277,6 @@ def _assemble(network: ThreePhaseNetwork) -> sp.csr_matrix:
 
 # ---------------------------------------------------------------------------
 # file format
-
-
-def _pairs_from_complex(arr: np.ndarray) -> list:
-    flat = np.asarray(arr, dtype=complex).ravel()
-    return [[float(z.real), float(z.imag)] for z in flat]
 
 
 def _number(value, what: str, index=None, integer: bool = False):
@@ -374,31 +320,26 @@ def _check_pairs(pairs, count: int, what: str) -> None:
 
 
 def _complex_array(pairs: list) -> np.ndarray:
-    """Checked (nested) lists of [re, im] pairs as complex numbers.
+    """Checked (nested) lists of [re, im] pairs as a flat vector of complex numbers.
 
     The float pairs are reinterpreted in place, with no arithmetic, so an
     infinite part stays exactly as written and raises no warning.
     """
-    return np.array(pairs, dtype=float).view(complex)[..., 0]
-
-
-def _complex_from_pairs(pairs, count: int, what: str) -> np.ndarray:
-    _check_pairs(pairs, count, what)
-    return _complex_array(pairs)
+    return np.array(pairs, dtype=float).reshape(-1, 2).view(complex).ravel()
 
 
 def network_to_dict(network: ThreePhaseNetwork, limits: OperatingLimits) -> dict:
-    blocks = []
-    for (i, j) in sorted(network.blocks):
-        blocks.append(
-            {"i": i + 1, "j": j + 1, "y": _pairs_from_complex(network.blocks[(i, j)])}
-        )
+    """The network document: blocks sorted by key, bus indices 1-based."""
+    keys = network.keys
+    order = np.lexsort((keys[:, 1], keys[:, 0]))
+    ys = network.blocks[order].view(float).reshape(-1, 9, 2).tolist()
     return {
         "n_buses": network.n_buses,
         "topology": network.topology,
-        "slack_voltage": _pairs_from_complex(network.slack_voltage),
-        "blocks": blocks,
-        "limits": {key: [float(v) for v in vec] for key, vec in limits.as_dict().items()},
+        "slack_voltage": network.slack_voltage.view(float).reshape(-1, 2).tolist(),
+        "blocks": [{"i": i + 1, "j": j + 1, "y": y}
+                   for (i, j), y in zip(keys[order].tolist(), ys)],
+        "limits": {key: vec.tolist() for key, vec in limits.as_dict().items()},
     }
 
 
@@ -406,23 +347,26 @@ def network_from_dict(doc: dict) -> tuple:
     if "n_buses" not in doc:
         raise NetworkFormatError("missing 'n_buses'")
     n_buses = _number(doc["n_buses"], "n_buses", integer=True)
-    slack = _complex_from_pairs(doc.get("slack_voltage", []), 3, "slack_voltage")
+    slack = doc.get("slack_voltage", [])
+    _check_pairs(slack, 3, "slack_voltage")
     entries = doc.get("blocks", [])
     if not isinstance(entries, list):
         raise NetworkFormatError("'blocks' must be a list")
-    pairs = {}
+    keys, pairs, seen = [], [], set()
     for entry in entries:
         if not isinstance(entry, dict) or "i" not in entry or "j" not in entry:
             raise NetworkFormatError(f"malformed block entry: {entry!r}")
         i = _number(entry["i"], "block index i", integer=True) - 1
         j = _number(entry["j"], "block index j", integer=True) - 1
-        if (i, j) in pairs:
-            raise NetworkFormatError(f"duplicate block ({i + 1}, {j + 1})")
-        pairs[(i, j)] = entry.get("y", [])
-        _check_pairs(pairs[(i, j)], 9, f"block ({i + 1}, {j + 1})")
-    blocks = {}
-    if pairs:
-        blocks = dict(zip(pairs, _complex_array(list(pairs.values())).reshape(-1, 3, 3)))
+        name = f"block ({i + 1}, {j + 1})"
+        if (i, j) in seen:
+            raise NetworkFormatError(f"duplicate {name}")
+        if max(abs(i), abs(j)) >= 2**63:        # beyond int64: no key array holds it
+            raise NetworkFormatError(f"{name} is out of range")
+        seen.add((i, j))
+        keys.append((i, j))
+        pairs.append(entry.get("y", []))
+        _check_pairs(pairs[-1], 9, name)
     limits_doc = doc.get("limits")
     if not isinstance(limits_doc, dict):
         raise NetworkFormatError("missing 'limits' table")
@@ -433,8 +377,9 @@ def network_from_dict(doc: dict) -> tuple:
         vecs[key] = _real_vector(limits_doc[key], f"limit '{key}'")
     network = ThreePhaseNetwork(
         n_buses=n_buses,
-        blocks=blocks,
-        slack_voltage=slack,
+        keys=keys,
+        blocks=_complex_array(pairs).reshape(-1, 3, 3),
+        slack_voltage=_complex_array(slack),
         topology=str(doc.get("topology", "")),
     )
     limits = OperatingLimits(**vecs)
@@ -483,7 +428,8 @@ def load_tie_block(path) -> np.ndarray:
         doc = json.load(fh)
     if not isinstance(doc, dict) or "y" not in doc:
         raise NetworkFormatError(f"{path}: expected an object with key 'y'")
-    return _complex_from_pairs(doc["y"], 9, f"{path}: 'y'").reshape(3, 3)
+    _check_pairs(doc["y"], 9, f"{path}: 'y'")
+    return _complex_array(doc["y"]).reshape(3, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -528,35 +474,29 @@ def synth_radial(
     if seed < 0:
         raise NetworkFormatError(f"seed must be nonnegative, got {seed}")
     rng = np.random.default_rng(seed)
-    blocks: dict = {}
-    diag = [np.zeros((3, 3), dtype=complex) for _ in range(n_buses)]
+    keys, blocks = [], []
+    diag = np.zeros((n_buses, 3, 3), dtype=complex)
     for child in range(1, n_buses):
         parent = int(rng.integers(0, child))
         base = float(rng.uniform(params.series_min, params.series_max))
         series = base * np.eye(3, dtype=complex) + _random_hermitian(
             rng, params.coupling * base
         )
-        blocks[(parent, child)] = -series
-        blocks[(child, parent)] = -series.conj().T
-        diag[parent] = diag[parent] + series
-        diag[child] = diag[child] + series.conj().T
+        keys += [(parent, child), (child, parent)]
+        blocks += [-series, -series.conj().T]
+        diag[parent] += series
+        diag[child] += series.conj().T
     for b in range(n_buses):
-        shunt = params.shunt * np.eye(3, dtype=complex) + _random_hermitian(
+        diag[b] += params.shunt * np.eye(3, dtype=complex) + _random_hermitian(
             rng, 0.1 * params.shunt
         )
-        blocks[(b, b)] = diag[b] + shunt
-    m = 3 * n_buses
-    limits = OperatingLimits(
-        p_upper=np.full(m, params.p_band),
-        p_lower=np.full(m, -params.p_band),
-        q_upper=np.full(m, params.q_band),
-        q_lower=np.full(m, -params.q_band),
-        v_upper=np.full(m, params.v_upper),
-        v_lower=np.full(m, params.v_lower),
-    )
+        keys.append((b, b))
+    bands = (params.p_band, -params.p_band, params.q_band, -params.q_band,
+             params.v_upper, params.v_lower)
+    limits = OperatingLimits(*(np.full(3 * n_buses, band) for band in bands))
     network = ThreePhaseNetwork(
-        n_buses=n_buses, blocks=blocks, slack_voltage=DEFAULT_SLACK_VOLTAGE.copy(),
-        topology="radial",
+        n_buses=n_buses, keys=keys, blocks=blocks + list(diag),
+        slack_voltage=DEFAULT_SLACK_VOLTAGE, topology="radial",
     )
     network.validate()
     limits.validate(n_buses)
@@ -597,24 +537,19 @@ def replicate_feeder(
             raise NetworkFormatError("tie_block must be Hermitian")
 
     network.validate()
-    keys, vals = network._keys, network._stack
+    keys, vals = network.keys, network.blocks
     i, j = keys[:, 0], keys[:, 1]
-    has_diagonal = np.zeros(nb, dtype=bool)
-    has_diagonal[i[i == j]] = True
-    if not has_diagonal.all():
-        missing = int(np.argmin(has_diagonal))
-        raise NetworkFormatError(f"base feeder has no diagonal block at bus {missing + 1}")
+    missing = np.setdiff1d(np.arange(nb), i[i == j])
+    if missing.size:
+        raise NetworkFormatError(f"base feeder has no diagonal block at bus {missing[0] + 1}")
     if k == 1 and tie_block is None:
         limits.validate(nb)
         return network, limits
 
     root_out = (i == 0) & (j != 0)
-    root_lines = j[root_out].tolist()
-    # Shunt at the base root: diagonal minus the series admittances it sums.
-    root_series_sum = sum(
-        (-network.blocks[(0, b)] for b in root_lines), np.zeros((3, 3), complex)
-    )
-    root_shunt = network.blocks[(0, 0)] - root_series_sum
+    root_diag = vals[np.flatnonzero((i == 0) & (j == 0))[0]]
+    # The series admittances the base root's diagonal sums, in key order.
+    root_series_sum = sum(-vals[root_out], np.zeros((3, 3), complex))
 
     # One copy's blocks, in base order: a root line (0, j) becomes the pair
     # (0, j), (j, 0) carrying the coupling and its conjugate transpose, every
@@ -643,11 +578,11 @@ def replicate_feeder(
     shift = (np.arange(k) * (nb - 1))[:, None]
     out_i = np.where(copy_i == 0, 0, copy_i + shift).ravel()
     out_j = np.where(copy_j == 0, 0, copy_j + shift).ravel()
-    blocks = dict(zip(zip(out_i.tolist(), out_j.tolist()), np.tile(copy_vals, (k, 1, 1))))
     if tie_block is None:
-        blocks[(0, 0)] = network.blocks[(0, 0)] + (k - 1) * root_series_sum
+        slack_diag = root_diag + (k - 1) * root_series_sum
     else:
-        blocks[(0, 0)] = root_shunt + (k * len(root_lines)) * tie_block
+        # The root's shunt (diagonal minus series sum) plus one tie per line.
+        slack_diag = (root_diag - root_series_sum) + (k * np.count_nonzero(root_out)) * tie_block
 
     tiled = OperatingLimits(**{
         key: np.concatenate([vec[:3], np.tile(vec[3:], k)])
@@ -655,7 +590,8 @@ def replicate_feeder(
     })
     out = ThreePhaseNetwork(
         n_buses=k * (nb - 1) + 1,
-        blocks=blocks,
+        keys=np.append(np.stack([out_i, out_j], axis=1), [[0, 0]], axis=0),
+        blocks=np.append(np.tile(copy_vals, (k, 1, 1)), slack_diag[None], axis=0),
         slack_voltage=network.slack_voltage,
         topology=f"replicated-x{k}" if k > 1 else network.topology,
     )

@@ -87,6 +87,11 @@ def node_paths(node, prefix=()):
         yield from node_paths(child, prefix + (key,))
 
 
+def block_map(net):
+    """The network's blocks by 0-based (i, j) key, in insertion order."""
+    return dict(zip(map(tuple, net.keys.tolist()), net.blocks))
+
+
 def build_two_bus():
     """Hand-built two-bus feeder with phase coupling on every block."""
     cpl, shunt = 0.5, 0.45
@@ -111,7 +116,7 @@ def build_two_bus():
         (0, 1): -series,
         (1, 0): -series.conj().T,
     }
-    net = ThreePhaseNetwork(n_buses=2, blocks=blocks, topology="two-bus line")
+    net = ThreePhaseNetwork(2, list(blocks), list(blocks.values()), topology="two-bus line")
     net.validate()
     return net
 
@@ -132,7 +137,7 @@ def build_meshed():
     zeros off the diagonal.
     """
     net, _ = synth_radial(8, seed=5, params=TEN_BUS_PARAMS)
-    blocks = dict(net.blocks)
+    blocks = block_map(net)
     loops = {(2, 6): np.diag([0.8, 0.9, 1.1]) + 0.3j * np.eye(3),
              (1, 7): 0.7 * np.eye(3) + 0.1 * np.ones((3, 3)) + 0.05j * np.eye(3)}
     for (a, b), series in loops.items():
@@ -142,7 +147,7 @@ def build_meshed():
         blocks[(b, b)] = blocks[(b, b)] + series.conj().T
     keys = list(blocks)
     np.random.default_rng(5).shuffle(keys)
-    net = ThreePhaseNetwork(n_buses=8, blocks={key: blocks[key] for key in keys})
+    net = ThreePhaseNetwork(8, keys, [blocks[key] for key in keys])
     net.validate()
     return net
 

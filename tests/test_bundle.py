@@ -52,7 +52,7 @@ def network_with_flat_matrix(H):
         (1, 0): H[3:6, 0:3].copy(),
         (1, 1): H[3:6, 3:6].copy(),
     }
-    net = ThreePhaseNetwork(n_buses=2, blocks=blocks, topology="constructed")
+    net = ThreePhaseNetwork(2, list(blocks), list(blocks.values()), topology="constructed")
     net.validate()
     return net
 

@@ -33,7 +33,7 @@ from pfbundle.network import network_to_dict
 from pfbundle.operators import DualPoint
 from pfbundle.oracle import dense_penalty_value
 
-from conftest import build_two_bus, node_paths
+from conftest import block_map, build_two_bus, node_paths
 
 
 @pytest.fixture()
@@ -231,6 +231,8 @@ def test_assess_flags_override_config_file(feasible_case, tmp_path, capsys):
 @pytest.mark.parametrize("target, path, value", [
     ("network", ("n_buses",), None),
     ("network", ("n_buses",), 2.7),
+    ("network", ("n_buses",), 2**63),
+    ("network", ("n_buses",), 10**30),
     ("network", ("blocks",), 5),
     ("network", ("blocks", 0, "y", 0), [None, 0]),
     ("network", ("limits", "p_upper"), 5),
@@ -240,8 +242,8 @@ def test_assess_flags_override_config_file(feasible_case, tmp_path, capsys):
     ("network", None, None),
     ("injection", None, None),
     ("out", None, None),
-], ids=["n_buses-null", "n_buses-float", "blocks-number", "block-pair-null",
-        "p_upper-number", "p_upper-null-entry", "u-null-entry", "u-number",
+], ids=["n_buses-null", "n_buses-float", "n_buses-2**63", "n_buses-1e30", "blocks-number",
+        "block-pair-null", "p_upper-number", "p_upper-null-entry", "u-null-entry", "u-number",
         "network-dir", "injection-dir", "out-dir"])
 def test_assess_rejects_bad_inputs_with_an_error_line(
     feasible_case, tmp_path, capsys, target, path, value
@@ -269,8 +271,9 @@ def test_assess_rejects_bad_inputs_with_an_error_line(
 def cli_documents(tmp_path_factory):
     """Each document a command reads, valid, with the argv that reads it.
 
-    Entries are kind -> (document, argv without the document's path, the
-    paths that may be mutated); a report is mutated only where it is read.
+    Entries are kind -> (document, argv with None where the document's path
+    goes, the paths that may be mutated); a report is mutated only where it
+    is read.
     """
     root = tmp_path_factory.mktemp("documents")
     net = build_two_bus()
@@ -285,13 +288,16 @@ def cli_documents(tmp_path_factory):
     tie = {"y": [[float(z), 0.0] for z in (0.4 * np.eye(3)).ravel()]}
     config = dataclasses.asdict(SolverConfig())
     assess = ["assess", net_path, "--injection", u_path]
+    network = network_to_dict(net, inst.limits)
     return root, {
-        "injection": (injection, ["assess", net_path, "--injection"],
+        "network": (network, ["assess", None, "--injection", u_path],
+                    [()] + list(node_paths(network))),
+        "injection": (injection, ["assess", net_path, "--injection", None],
                       [()] + list(node_paths(injection))),
         "tie": (tie, ["generate", "replicate", net_path, str(root / "out.json"),
-                      "--copies", "2", "--tie-json"], [()] + list(node_paths(tie))),
-        "config": (config, assess + ["--config"], [()] + list(node_paths(config))),
-        "report": (report, assess + ["--from-report"],
+                      "--copies", "2", "--tie-json", None], [()] + list(node_paths(tie))),
+        "config": (config, assess + ["--config", None], [()] + list(node_paths(config))),
+        "report": (report, assess + ["--from-report", None],
                    [(), ("config",)] + list(node_paths(report["config"], ("config",)))),
     }
 
@@ -335,7 +341,8 @@ def test_cli_survives_mutated_documents(cli_documents, data):
         doc = data.draw(_JUNK)
     mutated = root / f"{kind}.mutated.json"
     mutated.write_text(json.dumps(doc))
-    assert main(argv + [str(mutated)]) in (EXIT_FEASIBLE, EXIT_ERROR, EXIT_NOT_FEASIBLE)
+    argv = [str(mutated) if arg is None else arg for arg in argv]
+    assert main(argv) in (EXIT_FEASIBLE, EXIT_ERROR, EXIT_NOT_FEASIBLE)
 
 
 # Where the library names a generate argument in its error line.
@@ -475,7 +482,7 @@ def test_generate_replicate_with_tie_block(tmp_path, capsys):
     capsys.readouterr()
     assert code == EXIT_FEASIBLE
     net, _ = load_network(out)
-    np.testing.assert_array_equal(net.blocks[(0, 1)], -herm)
+    np.testing.assert_array_equal(block_map(net)[(0, 1)], -herm)
 
     # A non-Hermitian tie admittance is rejected.
     herm[0, 1] = 0.2 + 0.3j

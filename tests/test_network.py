@@ -28,13 +28,14 @@ from pfbundle import network as network_module
 from pfbundle.instances import loss_min_profile
 from pfbundle.network import (
     DEFAULT_SLACK_VOLTAGE,
+    MAX_BUSES,
     assemble_admittance,
     load_injection,
     network_from_dict,
     network_to_dict,
 )
 
-from conftest import assert_same_csr, build_meshed, build_two_bus, node_paths
+from conftest import assert_same_csr, block_map, build_meshed, build_two_bus, node_paths
 
 
 def uniform_limits(n_buses, band=1.0):
@@ -49,6 +50,11 @@ def uniform_limits(n_buses, band=1.0):
     )
 
 
+def line_pairs(net):
+    """Sorted 0-based (i, j) pairs with i < j carrying an off-diagonal block."""
+    return sorted({(min(i, j), max(i, j)) for i, j in net.keys.tolist() if i != j})
+
+
 def test_default_slack_voltage_is_balanced():
     assert DEFAULT_SLACK_VOLTAGE.shape == (3,)
     np.testing.assert_allclose(np.abs(DEFAULT_SLACK_VOLTAGE), 1.0, atol=1e-15)
@@ -60,109 +66,124 @@ def test_default_slack_voltage_is_balanced():
 def test_validate_accepts_hand_built_network(two_bus):
     two_bus.validate()
     assert two_bus.n_buses == 2
-    assert two_bus.line_pairs() == [(0, 1)]
+    assert line_pairs(two_bus) == [(0, 1)]
 
 
 def test_validate_rejects_missing_mirror_block(two_bus):
-    blocks = dict(two_bus.blocks)
+    blocks = block_map(two_bus)
     del blocks[(1, 0)]
-    net = ThreePhaseNetwork(n_buses=2, blocks=blocks)
+    net = ThreePhaseNetwork(2, list(blocks), list(blocks.values()))
     with pytest.raises(NetworkFormatError, match="sparsity pattern"):
         net.validate()
 
 
 def test_validate_rejects_non_hermitian_pair(two_bus):
-    blocks = dict(two_bus.blocks)
-    blocks[(1, 0)] = blocks[(1, 0)] + 1e-6
-    net = ThreePhaseNetwork(n_buses=2, blocks=blocks)
+    blocks = two_bus.blocks.copy()
+    blocks[two_bus.keys.tolist().index([1, 0])] += 1e-6
+    net = ThreePhaseNetwork(2, two_bus.keys, blocks)
     with pytest.raises(NetworkFormatError, match="conjugate transpose"):
         net.validate()
 
 
 def test_validate_rejects_bad_block_shape():
-    net = ThreePhaseNetwork(n_buses=1, blocks={(0, 0): np.eye(2, dtype=complex)})
-    with pytest.raises(NetworkFormatError, match="shape"):
-        net.validate()
+    # A 2x2 block never becomes a network: construction names the blocks.
+    with pytest.raises(NetworkFormatError, match=r"blocks must be a \(B, 3, 3\) array"):
+        ThreePhaseNetwork(1, [(0, 0)], [np.eye(2, dtype=complex)])
 
 
 def test_validate_rejects_out_of_range_indices():
-    net = ThreePhaseNetwork(n_buses=1, blocks={(0, 1): np.eye(3, dtype=complex),
-                                               (1, 0): np.eye(3, dtype=complex)})
+    net = ThreePhaseNetwork(1, [(0, 1), (1, 0)], [np.eye(3, dtype=complex)] * 2)
     with pytest.raises(NetworkFormatError, match="out of range"):
+        net.validate()
+
+
+def test_validate_rejects_duplicate_keys():
+    # Arrays can repeat a key, which a mapping never could; the later one is named.
+    eye = np.eye(3, dtype=complex)
+    net = ThreePhaseNetwork(2, [(0, 0), (1, 1), (0, 1), (1, 0), (1, 1)], [eye] * 5)
+    with pytest.raises(NetworkFormatError, match=r"^duplicate block \(2, 2\)$"):
         net.validate()
 
 
 def test_validate_rejects_non_finite_entries():
     blk = np.eye(3, dtype=complex)
     blk[0, 0] = np.nan
-    net = ThreePhaseNetwork(n_buses=1, blocks={(0, 0): blk})
+    net = ThreePhaseNetwork(1, [(0, 0)], [blk])
     with pytest.raises(NetworkFormatError, match="non-finite"):
         net.validate()
 
 
 def test_validate_rejects_bad_slack_shape():
-    net = ThreePhaseNetwork(
-        n_buses=1,
-        blocks={(0, 0): np.eye(3, dtype=complex)},
-        slack_voltage=np.ones(4, dtype=complex),
-    )
+    net = ThreePhaseNetwork(1, [(0, 0)], [np.eye(3, dtype=complex)],
+                            slack_voltage=np.ones(4, dtype=complex))
     with pytest.raises(NetworkFormatError, match="3 phases"):
         net.validate()
 
 
+@pytest.mark.parametrize("n_buses", [MAX_BUSES + 1, 2**63, 10**30])
+def test_validate_rejects_n_buses_beyond_int32_indices(n_buses):
+    net = ThreePhaseNetwork(n_buses, [(0, 0)], [np.eye(3, dtype=complex)])
+    with pytest.raises(NetworkFormatError, match=f"n_buses {n_buses} is out of range"):
+        net.validate()
+
+
 def test_network_is_read_only(two_bus):
-    with pytest.raises(TypeError):
-        two_bus.blocks[(0, 0)] = np.eye(3, dtype=complex)
-    with pytest.raises(TypeError):
-        del two_bus.blocks[(1, 0)]
-    with pytest.raises(ValueError, match="read-only"):
-        two_bus.blocks[(0, 0)][0, 0] = 5.0
-    with pytest.raises(ValueError, match="read-only"):
-        two_bus.slack_voltage[0] = 2.0
+    for arr in (two_bus.keys, two_bus.blocks, two_bus.slack_voltage):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 2
     with pytest.raises(dataclasses.FrozenInstanceError):
-        two_bus.blocks = {}
-    # An edit is a new network built from a copy of the mapping.
-    blocks = dict(two_bus.blocks)
-    blocks[(0, 0)] = blocks[(0, 0)] + 1.0
-    edited = ThreePhaseNetwork(two_bus.n_buses, blocks, two_bus.slack_voltage)
+        two_bus.blocks = np.zeros((0, 3, 3))
+    # An edit is a new network built from edited copies of the arrays.
+    blocks = two_bus.blocks.copy()
+    blocks[0] += 1.0
+    edited = ThreePhaseNetwork(two_bus.n_buses, two_bus.keys, blocks, two_bus.slack_voltage)
     edited.validate()
-    assert edited.blocks[(0, 0)][0, 0] == two_bus.blocks[(0, 0)][0, 0] + 1.0
+    assert edited.blocks[0, 0, 0] == two_bus.blocks[0, 0, 0] + 1.0
+    # A pickled copy keeps the insertion order and the read-only arrays.
     copy = pickle.loads(pickle.dumps(two_bus))
-    assert list(copy.blocks) == list(two_bus.blocks)
-    for key, blk in two_bus.blocks.items():
-        np.testing.assert_array_equal(copy.blocks[key], blk)
+    assert copy.keys.tolist() == two_bus.keys.tolist() == [[0, 0], [1, 1], [0, 1], [1, 0]]
+    for name in ("keys", "blocks", "slack_voltage"):
+        arr = getattr(copy, name)
+        np.testing.assert_array_equal(arr, getattr(two_bus, name))
+        assert arr.dtype == getattr(two_bus, name).dtype and not arr.flags.writeable
 
 
 def test_construction_copies_the_arrays_given():
-    blk = np.eye(3, dtype=complex)
+    keys, blk = np.zeros((1, 2), dtype=np.int64), np.eye(3, dtype=complex)
     slack = DEFAULT_SLACK_VOLTAGE.copy()
-    net = ThreePhaseNetwork(n_buses=1, blocks={(0, 0): blk}, slack_voltage=slack)
+    net = ThreePhaseNetwork(1, keys, blk[None], slack_voltage=slack)
     net.validate()
+    keys[0, 0] = 5
     blk[0, 0] = np.nan
     slack[0] = 2.0
-    assert net.blocks[(0, 0)][0, 0] == 1.0
+    assert net.keys[0, 0] == 0 and net.blocks[0, 0, 0] == 1.0
     assert net.slack_voltage[0] == 1.0
-    # Nested lists are arrays too.
-    lists = {key: blk.tolist() for key, blk in build_two_bus().blocks.items()}
-    net = ThreePhaseNetwork(n_buses=2, blocks=lists)
+    # Nested lists, and real or integer numbers, are arrays too.
+    two_bus = build_two_bus()
+    net = ThreePhaseNetwork(2, two_bus.keys.tolist(), two_bus.blocks.tolist())
+    assert (net.keys.dtype, net.blocks.dtype) == (np.int64, np.complex128)
     np.testing.assert_array_equal(
-        assemble_admittance(net).toarray(), assemble_admittance(build_two_bus()).toarray()
+        assemble_admittance(net).toarray(), assemble_admittance(two_bus).toarray()
     )
     assert replicate_feeder(net, uniform_limits(2), 2)[0].n_buses == 3
+    eye = ThreePhaseNetwork(1, np.zeros((1, 2), dtype=np.uint8), [np.eye(3, dtype=int)])
+    assert eye.blocks.dtype == np.complex128 and eye.blocks[0, 1, 1] == 1.0
 
 
-@pytest.mark.parametrize("blocks, message", [
-    ({(0, 0): [[1, 2, 3], [4, 5]]}, "shape"),
-    ({(0, 0): None}, "shape"),
-    ({(0, 0): np.full((3, 3), None)}, "non-numeric"),
-    ({(0.5, 0): np.eye(3)}, "pairs of integer"),
-    ({(0, 0, 0): np.eye(3)}, "pairs of integer"),
-    ({(0, 2**70): np.eye(3)}, "out of range"),
-], ids=["ragged", "none", "object-entries", "float-key", "triple-key", "huge-index"])
-def test_construction_never_raises_and_validate_names_the_defect(blocks, message):
-    net = ThreePhaseNetwork(n_buses=1, blocks=blocks)
+@pytest.mark.parametrize("keys, blocks, message", [
+    ([(0, 0)], [[[1, 2, 3], [4, 5]]], r"blocks must .* got ragged nesting"),
+    ([(0, 0)], [None], r"blocks must .* got object of shape \(1,\)"),
+    ([(0, 0)], [np.full((3, 3), None)], r"blocks must .* got object of shape \(1, 3, 3\)"),
+    ([(0.5, 0)], [np.eye(3)], r"block keys must .* got float64"),
+    ([(0, 0, 0)], [np.eye(3)], r"block keys must .* got int64 of shape \(1, 3\)"),
+    ([(0, 2**70)], [np.eye(3)], r"block keys must .* got object"),
+    ([(0, 0), (0, 1)], [np.eye(3)], r"^2 block keys for 1 blocks$"),
+], ids=["ragged", "none", "object-entries", "float-key", "triple-key", "huge-index",
+        "count-mismatch"])
+def test_construction_never_raises_and_validate_names_the_defect(keys, blocks, message):
+    # Construction names a malformed array itself, so validate() never sees one.
     with pytest.raises(NetworkFormatError, match=message):
-        net.validate()
+        ThreePhaseNetwork(1, keys, blocks)
 
 
 def test_set_up_chain_checks_and_assembles_each_network_once(tmp_path, monkeypatch):
@@ -212,10 +233,9 @@ def test_set_up_chain_checks_and_assembles_each_network_once(tmp_path, monkeypat
 def _coo_assembly(net):
     """Y as COO -> CSR -> sum_duplicates builds it, the reference construction."""
     n = 3 * net.n_buses
-    if not net.blocks:
+    if not len(net.keys):
         return sp.csr_matrix((n, n), dtype=complex)
-    keys = 3 * np.array(list(net.blocks))
-    vals = np.array(list(net.blocks.values()))
+    keys, vals = 3 * net.keys, net.blocks
     phase = np.arange(3)
     rows = np.broadcast_to(keys[:, 0, None, None] + phase[:, None], vals.shape)
     cols = np.broadcast_to(keys[:, 1, None, None] + phase, vals.shape)
@@ -225,8 +245,9 @@ def _coo_assembly(net):
 
 
 def _without_diagonal_block():
-    blocks = {key: blk for key, blk in build_two_bus().blocks.items() if key != (1, 1)}
-    return ThreePhaseNetwork(n_buses=2, blocks=blocks)
+    two_bus = build_two_bus()
+    keep = (two_bus.keys != [1, 1]).any(axis=1)
+    return ThreePhaseNetwork(2, two_bus.keys[keep], two_bus.blocks[keep])
 
 
 @pytest.mark.parametrize("build", [
@@ -234,7 +255,7 @@ def _without_diagonal_block():
     lambda: replicate_feeder(*synth_radial(5, seed=2), 3,
                              tie_block=np.diag([0.3, 0.4, 0.5]).astype(complex))[0],
     _without_diagonal_block,
-    lambda: ThreePhaseNetwork(n_buses=2, blocks={}),
+    lambda: ThreePhaseNetwork(2, [], []),
 ], ids=["meshed", "tied-replica", "missing-diagonal", "no-blocks"])
 def test_assembly_writes_the_coo_to_csr_arrays(build):
     net = build()
@@ -390,10 +411,8 @@ def test_limits_are_read_only_and_checked_once_per_bus_count(monkeypatch):
 def test_assemble_admittance_places_blocks(two_bus):
     Y = assemble_admittance(two_bus).toarray()
     assert Y.shape == (6, 6)
-    np.testing.assert_array_equal(Y[0:3, 0:3], two_bus.blocks[(0, 0)])
-    np.testing.assert_array_equal(Y[0:3, 3:6], two_bus.blocks[(0, 1)])
-    np.testing.assert_array_equal(Y[3:6, 0:3], two_bus.blocks[(1, 0)])
-    np.testing.assert_array_equal(Y[3:6, 3:6], two_bus.blocks[(1, 1)])
+    for (i, j), blk in block_map(two_bus).items():
+        np.testing.assert_array_equal(Y[3 * i:3 * i + 3, 3 * j:3 * j + 3], blk)
     # Conjugate-symmetric blocks make the assembled matrix Hermitian.
     assert np.abs(Y - Y.conj().T).max() == 0.0
 
@@ -406,9 +425,10 @@ def test_round_trip_preserves_every_float(tmp_path, two_bus):
     assert net2.n_buses == two_bus.n_buses
     assert net2.topology == two_bus.topology
     np.testing.assert_array_equal(net2.slack_voltage, two_bus.slack_voltage)
-    assert set(net2.blocks) == set(two_bus.blocks)
-    for key, blk in two_bus.blocks.items():
-        np.testing.assert_array_equal(net2.blocks[key], blk)
+    blocks = block_map(net2)
+    assert set(blocks) == set(block_map(two_bus))
+    for key, blk in block_map(two_bus).items():
+        np.testing.assert_array_equal(blocks[key], blk)
     for key, vec in limits.as_dict().items():
         np.testing.assert_array_equal(getattr(lim2, key), vec)
 
@@ -417,8 +437,8 @@ def test_dict_round_trip_matches_file_round_trip(two_bus):
     limits = uniform_limits(2)
     doc = network_to_dict(two_bus, limits)
     net2, lim2 = network_from_dict(json.loads(json.dumps(doc)))
-    for key, blk in two_bus.blocks.items():
-        np.testing.assert_array_equal(net2.blocks[key], blk)
+    for key, blk in block_map(two_bus).items():
+        np.testing.assert_array_equal(block_map(net2)[key], blk)
     np.testing.assert_array_equal(lim2.v_upper, limits.v_upper)
 
 
@@ -444,6 +464,12 @@ def test_network_from_dict_rejects_malformed_blocks(two_bus):
     doc = network_to_dict(two_bus, uniform_limits(2))
     doc["blocks"].append(dict(doc["blocks"][0]))
     with pytest.raises(NetworkFormatError, match="duplicate block"):
+        network_from_dict(doc)
+
+    # An index no int64 key holds is named at its entry.
+    doc = network_to_dict(two_bus, uniform_limits(2))
+    doc["blocks"][3]["j"] = 10**30
+    with pytest.raises(NetworkFormatError, match=rf"^block \(2, {10**30}\) is out of range$"):
         network_from_dict(doc)
 
     doc = network_to_dict(two_bus, uniform_limits(2))
@@ -506,15 +532,14 @@ def test_load_injection_round_trip(tmp_path):
 def test_synth_radial_is_deterministic():
     net_a, lim_a = synth_radial(8, seed=11)
     net_b, lim_b = synth_radial(8, seed=11)
-    assert set(net_a.blocks) == set(net_b.blocks)
-    for key, blk in net_a.blocks.items():
-        np.testing.assert_array_equal(net_b.blocks[key], blk)
+    np.testing.assert_array_equal(net_b.keys, net_a.keys)
+    np.testing.assert_array_equal(net_b.blocks, net_a.blocks)
     np.testing.assert_array_equal(lim_a.p_upper, lim_b.p_upper)
-    net_c, _ = synth_radial(8, seed=12)
+    blocks_a, blocks_c = block_map(net_a), block_map(synth_radial(8, seed=12)[0])
     assert any(
-        not np.array_equal(net_c.blocks[key], net_a.blocks[key])
-        for key in net_a.blocks
-        if key in net_c.blocks
+        not np.array_equal(blocks_c[key], blocks_a[key])
+        for key in blocks_a
+        if key in blocks_c
     )
 
 
@@ -522,7 +547,7 @@ def test_synth_radial_builds_a_tree():
     for seed in range(5):
         net, _ = synth_radial(12, seed=seed)
         net.validate()
-        pairs = net.line_pairs()
+        pairs = line_pairs(net)
         assert len(pairs) == 11
         # Every non-root bus hangs below a strictly smaller parent: a tree.
         children = sorted(j for (_, j) in pairs)
@@ -550,12 +575,13 @@ def test_replicate_single_copy_is_identity():
     tie = np.diag([0.3, 0.4, 0.5]).astype(complex)
     tied, tied_lim = replicate_feeder(net, lim, 1, tie_block=tie)
     assert tied is not net and tied_lim is not lim
-    assert tied.n_buses == net.n_buses and set(tied.blocks) == set(net.blocks)
-    for (i, j), blk in tied.blocks.items():
+    blocks = block_map(net)
+    assert tied.n_buses == net.n_buses and set(block_map(tied)) == set(blocks)
+    for (i, j), blk in block_map(tied).items():
         if i == 0 and j != 0:
             np.testing.assert_array_equal(blk, -tie)
         elif 0 not in (i, j) and i != j:
-            np.testing.assert_array_equal(blk, net.blocks[(i, j)])
+            np.testing.assert_array_equal(blk, blocks[(i, j)])
     for key, vec in lim.as_dict().items():
         np.testing.assert_array_equal(getattr(tied_lim, key), vec)
 
@@ -578,15 +604,13 @@ def test_replicate_counts_and_limit_tiling():
 def test_replicate_preserves_copy_internals():
     net, lim = synth_radial(5, seed=9)
     out_net, _ = replicate_feeder(net, lim, 2)
-    nb = net.n_buses
+    nb, out_blocks = net.n_buses, block_map(out_net)
     for copy in range(2):
         shift = 1 + copy * (nb - 1)
-        for (i, j), blk in net.blocks.items():
+        for (i, j), blk in block_map(net).items():
             if i == 0 or j == 0:
                 continue
-            np.testing.assert_array_equal(
-                out_net.blocks[(shift + i - 1, shift + j - 1)], blk
-            )
+            np.testing.assert_array_equal(out_blocks[(shift + i - 1, shift + j - 1)], blk)
 
 
 def test_replicate_tie_block_swaps_root_couplings():
@@ -595,19 +619,20 @@ def test_replicate_tie_block_swaps_root_couplings():
     k = 2
     out_net, _ = replicate_feeder(net, lim, k, tie_block=tie)
     out_net.validate()
-    root_lines = [(i, j) for (i, j) in net.blocks if i == 0 and j != 0]
+    blocks, out_blocks = block_map(net), block_map(out_net)
+    root_lines = [(i, j) for (i, j) in blocks if i == 0 and j != 0]
     nb = net.n_buses
     for copy in range(k):
         for (_, j) in root_lines:
             new_j = 1 + copy * (nb - 1) + (j - 1)
-            np.testing.assert_array_equal(out_net.blocks[(0, new_j)], -tie)
+            np.testing.assert_array_equal(out_blocks[(0, new_j)], -tie)
     # Slack diagonal: the original root shunt plus one tie per rewired line.
     root_series_sum = sum(
-        -net.blocks[(0, j)] for (_, j) in root_lines
+        -blocks[(0, j)] for (_, j) in root_lines
     )
-    root_shunt = net.blocks[(0, 0)] - root_series_sum
+    root_shunt = blocks[(0, 0)] - root_series_sum
     expect = root_shunt + (k * len(root_lines)) * tie
-    np.testing.assert_allclose(out_net.blocks[(0, 0)], expect, atol=1e-14)
+    np.testing.assert_allclose(out_blocks[(0, 0)], expect, atol=1e-14)
 
 
 def test_replicate_rejects_bad_arguments():
@@ -644,5 +669,6 @@ def test_two_bus_builder_matches_frozen_admittance():
     evals = np.linalg.eigvalsh(C)
     assert evals[0] > 0.05
     # Frozen corner entries pin the fixture against accidental edits.
-    assert net.blocks[(0, 0)][0, 0] == pytest.approx(1.55)
-    assert net.blocks[(0, 1)][0, 1] == pytest.approx(-0.07 - 0.025j)
+    blocks = block_map(net)
+    assert blocks[(0, 0)][0, 0] == pytest.approx(1.55)
+    assert blocks[(0, 1)][0, 1] == pytest.approx(-0.07 - 0.025j)

@@ -37,7 +37,7 @@ from pfbundle.operators import (
 )
 from pfbundle.oracle import dense_dual_matrix, dense_lambda_max, dense_penalty_value
 
-from conftest import TEN_BUS_PARAMS, assert_bitwise
+from conftest import TEN_BUS_PARAMS, assert_bitwise, block_map
 
 
 def random_hermitian(rng, dim):
@@ -189,21 +189,23 @@ def meshed_network():
     base, limits = synth_radial(4, seed=5)
     tie = np.array([[1.2, 0.1 + 0.2j, 0.0], [0.1 - 0.2j, 1.1, 0.05j], [0.0, -0.05j, 1.3]])
     net, limits = replicate_feeder(base, limits, 2, tie_block=tie)
-    blocks = dict(net.blocks)
+    blocks = block_map(net)
     a, b = 3, net.n_buses - 1          # last bus of each copy
     series = np.diag([0.8, 0.9, 0.7]).astype(complex)
     blocks[(a, b)] = -series
     blocks[(b, a)] = -series
     blocks[(a, a)] = blocks[(a, a)] + series
     blocks[(b, b)] = blocks[(b, b)] + series
-    return ThreePhaseNetwork(net.n_buses, blocks, net.slack_voltage), limits
+    return ThreePhaseNetwork(net.n_buses, list(blocks), list(blocks.values()),
+                             net.slack_voltage), limits
 
 
 def edited_feeder(edit):
     net, limits = synth_radial(3, seed=6)
-    blocks = dict(net.blocks)
+    blocks = block_map(net)
     edit(blocks)
-    return ThreePhaseNetwork(net.n_buses, blocks, net.slack_voltage), limits
+    return ThreePhaseNetwork(net.n_buses, list(blocks), list(blocks.values()),
+                             net.slack_voltage), limits
 
 
 def diagonal_slack_block(blocks):
