@@ -28,7 +28,6 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from .operators import (
-    DualPoint,
     EigenFailure,
     EigenResult,
     PenaltyObjective,
@@ -195,7 +194,7 @@ def _start_state(problem: PenaltyObjective, config: SolverConfig) -> BundleState
         problem=problem,
         config=config,
         rng=np.random.default_rng(config.seed),
-        center=np.array(problem.start_point().flat, dtype=float),
+        center=problem.start_point(),
         f_center=float("nan"),
         a=np.zeros(3),
         S=np.tile(problem.fixed_slope, (3, 1)),
@@ -307,9 +306,8 @@ def init_state(problem: PenaltyObjective, config: SolverConfig) -> BundleState:
     """
     state = _start_state(problem, config)
     problem = state.problem
-    x0 = DualPoint(flat=state.center, n_buses=problem.n_buses)
-    eig = leading_eigenpair(problem, x0, state.rng, **config.eig_options)
-    state.f_center, _ = penalty_value(problem, x0, eig)
+    eig = leading_eigenpair(problem, state.center, state.rng, **config.eig_options)
+    state.f_center, _ = penalty_value(problem, state.center, eig)
     state.center_eig = eig
     state.last_vector = eig.vector
     return state
@@ -337,11 +335,10 @@ def step(state: BundleState) -> IterationRecord:
     model_value = float((a + S @ z).max())
     delta = state.f_center - model_value
 
-    zpt = DualPoint(flat=z, n_buses=problem.n_buses)
-    eig = leading_eigenpair(problem, zpt, state.rng, start=state.last_vector,
+    eig = leading_eigenpair(problem, z, state.rng, start=state.last_vector,
                             **config.eig_options)
     state.last_vector = eig.vector
-    f_z, f_lambda_z = penalty_value(problem, zpt, eig)
+    f_z, f_lambda_z = penalty_value(problem, z, eig)
     g = penalty_subgradient(problem, eig)
 
     center, f_old = state.center, state.f_center
@@ -396,7 +393,7 @@ def step(state: BundleState) -> IterationRecord:
     return record
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PrimalCertificate:
     """Rank-one candidate extracted from the bottom of the dual spectrum."""
 
@@ -423,7 +420,7 @@ class PrimalCertificate:
 
 def recover_primal(
     problem: PenaltyObjective,
-    x: DualPoint,
+    x: np.ndarray,
     eig: EigenResult,
     config: SolverConfig,
     f_value: float | None = None,
@@ -494,7 +491,7 @@ def recover_primal(
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SolveReport:
     """Everything a run produced: trace, final value, certificate, warnings."""
 
@@ -560,9 +557,8 @@ def solve(problem: PenaltyObjective, config: SolverConfig | None = None) -> Solv
             f" after {state.iteration} iterations"
         )
 
-    center_pt = DualPoint(flat=state.center, n_buses=problem.n_buses)
     certificate = recover_primal(
-        problem, center_pt, state.center_eig, config, f_value=state.f_center
+        problem, state.center, state.center_eig, config, f_value=state.f_center
     )
     if certificate.recovered and certificate.voltage is not None:
         trace_w = float(np.vdot(certificate.voltage, certificate.voltage).real)

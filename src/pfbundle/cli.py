@@ -71,9 +71,9 @@ def _read_config(path, in_report: bool) -> dict:
 def resolve_config(args: argparse.Namespace) -> SolverConfig:
     """Defaults, then config file, then --from-report, then explicit flags."""
     values = dataclasses.asdict(SolverConfig())
-    if args.config:
+    if args.config is not None:
         values.update(_read_config(args.config, in_report=False))
-    if args.from_report:
+    if args.from_report is not None:
         values.update(_read_config(args.from_report, in_report=True))
     for f in dataclasses.fields(SolverConfig):
         flag = getattr(args, f.name, None)
@@ -98,9 +98,9 @@ def run_manifest(argv, wall_seconds: float) -> dict:
 
 
 def _parse_injection(args: argparse.Namespace, n_buses: int) -> np.ndarray:
-    if getattr(args, "injection", None):
+    if args.injection is not None:
         return load_injection(args.injection, n_buses)
-    if getattr(args, "u", None):
+    if args.u is not None:
         u = np.asarray([float(tok) for tok in args.u.split(",")], dtype=float)
         if u.shape != (3 * n_buses,):
             raise NetworkFormatError(
@@ -120,14 +120,14 @@ def cmd_assess(args: argparse.Namespace) -> int:
     doc["network_file"] = args.network
     doc["injection"] = [float(v) for v in u]
     doc["manifest"] = run_manifest(args.argv, time.perf_counter() - t0)
-    if args.from_report:
+    if args.from_report is not None:
         doc["manifest"]["reproduced_from"] = args.from_report
 
     if args.out == "-":
         json.dump(doc, sys.stdout, indent=1, allow_nan=False)
         sys.stdout.write("\n")
     else:
-        if args.out:
+        if args.out is not None:
             with open(args.out, "w") as fh:
                 json.dump(doc, fh, indent=1, allow_nan=False)
                 fh.write("\n")
@@ -175,7 +175,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
         if injection_out is None and args.planted != "none":
             stem = args.out[:-5] if args.out.endswith(".json") else args.out
             injection_out = stem + ".u.json"
-        if injection_out:
+        if injection_out is not None:
             with open(injection_out, "w") as fh:
                 json.dump({"u": [float(v) for v in u]}, fh, indent=1)
                 fh.write("\n")
@@ -185,7 +185,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
         return EXIT_FEASIBLE
     if args.kind == "replicate":
         network, limits = load_network(args.base)
-        tie = load_tie_block(args.tie_json) if args.tie_json else None
+        tie = None if args.tie_json is None else load_tie_block(args.tie_json)
         out_net, out_lim = replicate_feeder(network, limits, args.copies, tie_block=tie)
         save_network(args.out, out_net, out_lim)
         print(f"wrote {args.out} ({out_net.n_buses} buses)")

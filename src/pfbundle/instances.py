@@ -16,15 +16,15 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-# scipy's CSR-to-CSC and CSC product kernels, the routines tocsc() and a CSC
-# product end in, called on Y's and C's arrays with no slices or sparse sums
-# built.  If scipy moves them, this import fails and the test suite with it.
-from scipy.sparse._sparsetools import csc_matvec, csr_tocsc
+# scipy's CSC product kernel, the routine a CSC product ends in, called on
+# C's arrays with no slices built.  If scipy moves it, this import fails and
+# the test suite with it.
+from scipy.sparse._sparsetools import csc_matvec
 
-from .network import OperatingLimits, ThreePhaseNetwork, assemble_admittance
+from .network import OperatingLimits, ThreePhaseNetwork, _csc_arrays, assemble_admittance
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PlantedInstance:
     """Limits + injection built around a reference voltage profile."""
 
@@ -63,18 +63,6 @@ def _hermitian_part(Y: sp.csr_matrix) -> sp.csr_matrix:
         (total[keep] * 0.5, Y.indices[keep], kept[Y.indptr].astype(Y.indptr.dtype)),
         shape=Y.shape,
     )
-
-
-def _csc_arrays(shape, indptr, indices, data) -> tuple:
-    """The CSC (indptr, indices, data) of CSR arrays whose indptr starts at 0.
-
-    Rows come ascending within each column, as tocsc() builds them.
-    """
-    n_row, n_col = shape
-    out = (np.empty(n_col + 1, dtype=indptr.dtype), np.empty_like(indices),
-           np.empty_like(data))
-    csr_tocsc(n_row, n_col, indptr, indices, data, *out)
-    return out
 
 
 def _profile(network: ThreePhaseNetwork, C: sp.csr_matrix) -> np.ndarray:

@@ -17,6 +17,11 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 import scipy.sparse as sp
 
+# scipy's CSR-to-CSC kernel, the routine tocsc() ends in, called on raw CSR
+# arrays with no sparse matrix built.  If scipy moves it, this import fails
+# and the test suite with it.
+from scipy.sparse._sparsetools import csr_tocsc
+
 # Balanced positive-sequence slack voltage: unit magnitude, 120 degree spacing.
 DEFAULT_SLACK_VOLTAGE = np.array(
     [1.0, np.exp(-2j * np.pi / 3.0), np.exp(2j * np.pi / 3.0)], dtype=complex
@@ -31,7 +36,7 @@ class NetworkFormatError(ValueError):
 MAX_BUSES = (2**31 - 1) // 3
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OperatingLimits:
     """Per-phase operating bands, each a real vector of length 3*n_buses.
 
@@ -41,7 +46,7 @@ class OperatingLimits:
     Limits are read-only: construction copies each band into a read-only
     float64 vector, or raises NetworkFormatError naming the band, and
     validate() remembers each bus count it passed and checks the bands once
-    per count.
+    per count.  Limits compare and hash by identity.
     """
 
     p_upper: np.ndarray
@@ -50,7 +55,7 @@ class OperatingLimits:
     q_lower: np.ndarray
     v_upper: np.ndarray
     v_lower: np.ndarray
-    _passed: frozenset = field(default=frozenset(), init=False, repr=False, compare=False)
+    _passed: frozenset = field(default=frozenset(), init=False, repr=False)
 
     def __post_init__(self):
         for key in _LIMIT_KEYS:
@@ -92,7 +97,7 @@ class OperatingLimits:
 _LIMIT_KEYS = tuple(f.name for f in fields(OperatingLimits) if f.init)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ThreePhaseNetwork:
     """Block-sparse admittance model with a fixed slack voltage at bus 1.
 
@@ -106,7 +111,8 @@ class ThreePhaseNetwork:
     slack_voltage into read-only arrays, or raises NetworkFormatError naming
     keys or blocks when they are not integer pairs and 3x3 numbers, so
     validate() and assemble_admittance() do their work once per network.
-    To edit a network, build a new one from edited copies of its arrays.
+    To edit a network, build a new one from edited copies of its arrays.  A
+    network compares and hashes by identity.
     """
 
     n_buses: int
@@ -114,10 +120,8 @@ class ThreePhaseNetwork:
     blocks: np.ndarray = field(repr=False)
     slack_voltage: np.ndarray = field(default_factory=lambda: DEFAULT_SLACK_VOLTAGE)
     topology: str = ""
-    _checked: bool = field(default=False, init=False, repr=False, compare=False)
-    _admittance: sp.csr_matrix | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
+    _checked: bool = field(default=False, init=False, repr=False)
+    _admittance: sp.csr_matrix | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         keys = _frozen_array(self.keys, np.int64, (2,), "block keys")
@@ -273,6 +277,18 @@ def _assemble(network: ThreePhaseNetwork) -> sp.csr_matrix:
     mat = sp.csr_matrix((data, indices, indptr), shape=(3 * n, 3 * n))
     mat.has_canonical_format = True
     return mat
+
+
+def _csc_arrays(shape, indptr, indices, data) -> tuple:
+    """The CSC (indptr, indices, data) of CSR arrays whose indptr starts at 0.
+
+    Rows come ascending within each column, as tocsc() builds them.
+    """
+    n_row, n_col = shape
+    out = (np.empty(n_col + 1, dtype=indptr.dtype), np.empty_like(indices),
+           np.empty_like(data))
+    csr_tocsc(n_row, n_col, indptr, indices, data, *out)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -3,10 +3,11 @@
 The dual variable is x = (y, Gamma): y is a nonnegative box-bounded vector of
 length 18N stacking six multiplier blocks (active power upper/lower, reactive
 upper/lower, squared-voltage upper/lower), and Gamma is a Hermitian 3x3 matrix
-attached to the slack-bus voltage block.  Internally x is flattened to a real
-vector of length 18N + 9 whose Euclidean inner product reproduces
-y1.y2 + trace(Gamma1 @ Gamma2): the Hermitian part is stored as
-(diagonal, sqrt(2) * Re upper, sqrt(2) * Im upper).
+attached to the slack-bus voltage block.  Every function here takes and
+returns x as one flat real vector [y; svec3(Gamma)] of length 18N + 9, whose
+Euclidean inner product reproduces y1.y2 + trace(Gamma1 @ Gamma2): the
+Hermitian part is stored as (diagonal, sqrt(2) * Re upper, sqrt(2) * Im
+upper), and x[:18N] and smat3(x[18N:]) are its two parts.
 
 The dual matrix is H(x) = C + Astar(y) + embed(Gamma), with C the Hermitian
 part of the admittance matrix.  Its sparsity pattern does not depend on x:
@@ -16,13 +17,14 @@ alpha * max(lambda_max(-H), 0) to the linear dual objective, which removes the
 semidefinite constraint on H at the price of one extreme eigenpair per
 evaluation: the top two eigenpairs by a dense LAPACK solve for small H, whose
 values go straight into a dense array with no sparse matrix built, and
-restarted Lanczos for large H.  Lanczos can start from the previous
-evaluation's eigenvector, blended with a small seeded random vector, and ends
-a cycle as soon as the Ritz estimate of the top pair is below the tolerance.
-A Lanczos step costs its product with -H (scipy's CSR kernel, called
-directly) and the Gram-Schmidt products with the basis; the rest of the step
-works in place, and every BLAS call goes through numpy's thread pool.  The
-dense solve's residual calls no BLAS, so nothing waits for scipy's pool.
+restarted Lanczos for large H; both return an EigenResult.  Lanczos can start
+from the previous evaluation's eigenvector, blended with a small seeded random
+vector, and ends a cycle as soon as the Ritz estimate of the top pair is below
+the tolerance.  A Lanczos step costs its product with -H (scipy's CSR kernel,
+called directly) and the Gram-Schmidt products with the basis; the rest of
+the step works in place, and every BLAS call goes through numpy's thread
+pool.  The dense solve's residual calls no BLAS, so nothing waits for scipy's
+pool.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from scipy.linalg.lapack import dstebz, dstein, zheevr
 # with it.
 from scipy.sparse._sparsetools import csr_matvec
 
-from .network import OperatingLimits, ThreePhaseNetwork, assemble_admittance
+from .network import OperatingLimits, ThreePhaseNetwork, _csc_arrays, assemble_admittance
 
 _SQRT2 = np.sqrt(2.0)
 # Row and column indices of the 3x3 upper triangle, in svec3 order.
@@ -51,19 +53,6 @@ _UPPER = (np.array([0, 0, 1]), np.array([1, 2, 2]))
 
 class EigenFailure(RuntimeError):
     """Extreme eigenpair iteration did not reach the requested residual."""
-
-
-def box_dim(n_buses: int) -> int:
-    return 18 * n_buses
-
-
-def flat_dim(n_buses: int) -> int:
-    return 18 * n_buses + 9
-
-
-def y_block(y: np.ndarray, index: int, n_buses: int) -> np.ndarray:
-    m = 3 * n_buses
-    return y[index * m : (index + 1) * m]
 
 
 def svec3(mat: np.ndarray) -> np.ndarray:
@@ -82,33 +71,6 @@ def smat3(vec: np.ndarray) -> np.ndarray:
     return mat
 
 
-@dataclass(frozen=True)
-class DualPoint:
-    """Dual iterate (y, Gamma) stored as one flat real vector."""
-
-    flat: np.ndarray
-    n_buses: int
-
-    def __post_init__(self):
-        if self.flat.shape != (flat_dim(self.n_buses),):
-            raise ValueError(
-                f"flat vector has shape {self.flat.shape}, expected"
-                f" ({flat_dim(self.n_buses)},)"
-            )
-
-    @property
-    def y(self) -> np.ndarray:
-        return self.flat[: box_dim(self.n_buses)]
-
-    @property
-    def gamma(self) -> np.ndarray:
-        return smat3(self.flat[box_dim(self.n_buses) :])
-
-    @classmethod
-    def from_parts(cls, y: np.ndarray, gamma: np.ndarray, n_buses: int) -> "DualPoint":
-        return cls(np.concatenate([np.asarray(y, float), svec3(gamma)]), n_buses)
-
-
 def limit_offset_vector(u: np.ndarray, limits: OperatingLimits) -> np.ndarray:
     """Stack the six limit offsets so the capacity rows read A(W) + m <= z."""
     u = np.asarray(u, dtype=float)
@@ -124,7 +86,7 @@ def limit_offset_vector(u: np.ndarray, limits: OperatingLimits) -> np.ndarray:
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DualPattern:
     """The fixed CSR sparsity pattern of H and the index maps into its data.
 
@@ -171,9 +133,9 @@ def dual_pattern(Y: sp.csr_matrix) -> DualPattern:
 
     Keys are row * n + col.  Y's nonzeros arrive in CSR order and their
     mirrors are sorted once, so the stable sort of all keys merges sorted
-    runs.  The pattern is symmetric: listed column by column (a stable sort
-    of the column indices) it is its own transpose listed row by row, so
-    that order names each position's mirror.
+    runs.  The pattern is symmetric: listed column by column it is its own
+    transpose listed row by row, so scipy's CSR-to-CSC kernel run on the
+    positions 0, 1, ... as data names each position's mirror.
     """
     n = Y.shape[0]
     keep = Y.data != 0
@@ -188,12 +150,14 @@ def dual_pattern(Y: sp.csr_matrix) -> DualPattern:
     )
     keys = keys[np.concatenate([[True], keys[1:] != keys[:-1]])]
     key_rows, key_cols = np.divmod(keys, n)
-    transpose = np.argsort(key_cols, kind="stable")
+    indptr = np.searchsorted(key_rows, np.arange(n + 1)).astype(np.int32)
+    indices = key_cols.astype(np.int32)
+    transpose = _csc_arrays((n, n), indptr, indices, np.arange(keys.size))[2]
     y_data = np.zeros(keys.size, dtype=complex)
     y_data[np.searchsorted(keys, y_keys)] = Y.data[keep]
     pattern = DualPattern(
-        indptr=np.searchsorted(key_rows, np.arange(n + 1)).astype(np.int32),
-        indices=key_cols.astype(np.int32),
+        indptr=indptr,
+        indices=indices,
         transpose=transpose,
         diagonal=np.searchsorted(keys, diag_keys),
         corner=np.searchsorted(keys, corner_keys),
@@ -205,7 +169,7 @@ def dual_pattern(Y: sp.csr_matrix) -> DualPattern:
     return pattern
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PenaltyObjective:
     """Immutable problem data for the penalized dual objective.
 
@@ -230,11 +194,11 @@ class PenaltyObjective:
 
     @property
     def n_box(self) -> int:
-        return box_dim(self.n_buses)
+        return 18 * self.n_buses
 
     @property
     def n_flat(self) -> int:
-        return flat_dim(self.n_buses)
+        return 18 * self.n_buses + 9
 
     @cached_property
     def fixed_slope(self) -> np.ndarray:
@@ -243,13 +207,9 @@ class PenaltyObjective:
         slope.setflags(write=False)
         return slope
 
-    def point(self, y: np.ndarray, gamma: np.ndarray) -> DualPoint:
-        return DualPoint.from_parts(y, gamma, self.n_buses)
-
-    def start_point(self) -> DualPoint:
-        """Midpoint of the multiplier box with a zero Hermitian part."""
-        y0 = np.full(self.n_box, 0.5 * self.beta)
-        return DualPoint.from_parts(y0, np.zeros((3, 3), complex), self.n_buses)
+    def start_point(self) -> np.ndarray:
+        """Midpoint of the multiplier box with a zero Hermitian part, flat."""
+        return np.concatenate([np.full(self.n_box, 0.5 * self.beta), np.zeros(9)])
 
 
 def build_problem(
@@ -309,12 +269,9 @@ def _adjoint_data(problem: PenaltyObjective, y: np.ndarray) -> np.ndarray:
     and its mirror are exact conjugates and the result is Hermitian by
     construction.
     """
-    y = np.asarray(y, dtype=float)
-    n = problem.n_buses
-    w = (y_block(y, 0, n) - y_block(y, 1, n)) + 1j * (
-        y_block(y, 2, n) - y_block(y, 3, n)
-    )
-    c = y_block(y, 4, n) - y_block(y, 5, n)
+    p_up, p_lo, q_up, q_lo, v_up, v_lo = np.asarray(y, dtype=float).reshape(6, -1)
+    w = (p_up - p_lo) + 1j * (q_up - q_lo)
+    c = v_up - v_lo
     pattern = problem.pattern
     left = pattern.yh_data * np.conj(w)[pattern.indices]   # Y^H diag(conj(w))
     out = 0.5 * (left + np.conj(left[pattern.transpose]))
@@ -337,14 +294,15 @@ def slack_block_matrix(gamma: np.ndarray, n_buses: int) -> sp.csr_matrix:
     ).tocsr()
 
 
-def dual_data(problem: PenaltyObjective, x: DualPoint) -> np.ndarray:
+def dual_data(problem: PenaltyObjective, x: np.ndarray) -> np.ndarray:
     """H(x) = C + adjoint(y) + embedded Gamma, as data on the fixed pattern."""
-    data = problem.C.data + _adjoint_data(problem, x.y)
-    data[problem.pattern.corner] += x.gamma.ravel()
+    n_box = problem.n_box
+    data = problem.C.data + _adjoint_data(problem, x[:n_box])
+    data[problem.pattern.corner] += smat3(x[n_box:]).ravel()
     return data
 
 
-def dual_matrix(problem: PenaltyObjective, x: DualPoint) -> sp.csr_matrix:
+def dual_matrix(problem: PenaltyObjective, x: np.ndarray) -> sp.csr_matrix:
     """H(x) as a CSR matrix on the fixed pattern."""
     return problem.pattern.matrix(dual_data(problem, x))
 
@@ -353,7 +311,7 @@ def dual_matrix(problem: PenaltyObjective, x: DualPoint) -> sp.csr_matrix:
 # extreme eigenpair
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EigenResult:
     """Extreme eigenpair of the negated dual matrix.
 
@@ -472,8 +430,9 @@ def lanczos_extreme(
     basis products, whole k=30 and k=20 feeder solves ran 2.2 to 3 times
     slower at 2 threads; a scipy zaxpy at dim 12,000, where it threads,
     followed by a numpy product took 8.0 ms against 0.19 ms on one thread.
-    Returns (value, vector, residual, value2, matvecs); raises EigenFailure
-    if the residual never reaches tol.
+    Returns an EigenResult whose value2 is the second Ritz value (None
+    after a one-step basis); raises EigenFailure if the residual never
+    reaches tol.
     """
     m = int(min(dim, max_krylov))
     counter = [0]
@@ -530,7 +489,8 @@ def lanczos_extreme(
         vec = vec / np.linalg.norm(vec)
         resid = float(np.linalg.norm(apply(vec) - ritz * vec))
         if resid <= tol:
-            return ritz, _normalize_phase(vec), resid, ritz2, counter[0]
+            return EigenResult(value=ritz, vector=_normalize_phase(vec), residual=resid,
+                               value2=ritz2, matvecs=counter[0])
         best_resid = min(best_resid, resid)
         v = vec
     raise EigenFailure(
@@ -589,7 +549,7 @@ def dense_extreme(mat: np.ndarray) -> EigenResult:
 
 def leading_eigenpair(
     problem: PenaltyObjective,
-    x: DualPoint,
+    x: np.ndarray,
     rng: np.random.Generator,
     tol: float = 1e-9,
     max_krylov: int = 60,
@@ -618,21 +578,19 @@ def leading_eigenpair(
         csr_matvec(dim, dim, indptr, indices, data, vec, out)
         return out
 
-    value, vec, resid, ritz2, matvecs = lanczos_extreme(
+    return lanczos_extreme(
         product, dim, rng,
         tol=tol, max_krylov=max_krylov, max_restarts=max_restarts, start=start,
     )
-    return EigenResult(value=value, vector=vec, residual=resid, value2=ritz2,
-                       matvecs=matvecs)
 
 
 # ---------------------------------------------------------------------------
 # penalized objective
 
 
-def penalty_value(problem: PenaltyObjective, x: DualPoint, eig: EigenResult):
+def penalty_value(problem: PenaltyObjective, x: np.ndarray, eig: EigenResult):
     """(f, f_lambda): penalized value with and without the positive part."""
-    linear = float(problem.fixed_slope @ x.flat)
+    linear = float(problem.fixed_slope @ x)
     f_lambda = linear + problem.alpha * eig.value
     f = linear + problem.alpha * max(eig.value, 0.0)
     return f, f_lambda

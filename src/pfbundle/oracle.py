@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .operators import PenaltyObjective, DualPoint, smat3, svec3
+from .operators import PenaltyObjective, smat3, svec3
 
 
 def dense_lambda_max(mat: np.ndarray):
@@ -69,7 +69,7 @@ def dense_constraint_matrix(Y_dense: np.ndarray) -> np.ndarray:
     return np.column_stack(cols)
 
 
-def dense_dual_matrix(problem: PenaltyObjective, x: DualPoint) -> np.ndarray:
+def dense_dual_matrix(problem: PenaltyObjective, x: np.ndarray) -> np.ndarray:
     """Dense H(x) assembled through the basis representation of the adjoint.
 
     The adjoint at y is reconstructed as sum_m (y . A(B_m)) B_m over the
@@ -77,21 +77,23 @@ def dense_dual_matrix(problem: PenaltyObjective, x: DualPoint) -> np.ndarray:
     The basis is streamed, one element added at a time, so memory stays
     O(dim^2).
     """
+    y = x[: problem.n_box]
     Yd = problem.Y.toarray()
     H = 0.5 * (Yd + Yd.conj().T)
     for b in hermitian_basis(Yd.shape[0]):
-        c = float(x.y @ dense_apply_constraint(b, Yd))
+        c = float(y @ dense_apply_constraint(b, Yd))
         if c != 0.0:
             H += c * b
-    H[:3, :3] += x.gamma
+    H[:3, :3] += smat3(x[problem.n_box :])
     return H
 
 
-def dense_penalty_value(problem: PenaltyObjective, x: DualPoint):
+def dense_penalty_value(problem: PenaltyObjective, x: np.ndarray):
     """(f, f_lambda, lambda) recomputed densely from definitions."""
     H = dense_dual_matrix(problem, x)
     lam, _ = dense_lambda_max(-H)
-    linear = float(-problem.m_vec @ x.y + np.real(np.trace(x.gamma @ problem.M1)))
+    gamma = smat3(x[problem.n_box :])
+    linear = float(-problem.m_vec @ x[: problem.n_box] + np.real(np.trace(gamma @ problem.M1)))
     return linear + problem.alpha * max(lam, 0.0), linear + problem.alpha * lam, lam
 
 

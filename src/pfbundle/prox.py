@@ -38,7 +38,7 @@ _MAX_SLICES = 128
 _ROUNDOFF = 8.0 * np.finfo(float).eps
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProxSolution:
     z: np.ndarray = field(repr=False)
     theta: np.ndarray

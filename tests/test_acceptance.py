@@ -27,7 +27,6 @@ from pfbundle import (
 from pfbundle.bundle import init_state, step
 from pfbundle.cli import EXIT_NOT_FEASIBLE, main
 from pfbundle.operators import (
-    DualPoint,
     apply_constraint_rank1,
     constraint_adjoint_matrix,
     lanczos_extreme,
@@ -163,13 +162,14 @@ def test_criterion_4_lanczos_vs_dense():
             evals[-3:] = evals[-1] - np.array([2e-4, 1e-4, 0.0])
             A = (evecs * evals) @ evecs.conj().T
             A = 0.5 * (A + A.conj().T)
-        value, vec, resid, _, _ = lanczos_extreme(
+        eig = lanczos_extreme(
             lambda v: A @ v, dim, rng,
             tol=1e-10, max_krylov=min(dim, 80), max_restarts=80,
         )
         lam, _ = dense_lambda_max(A)
-        worst_val = max(worst_val, abs(value - lam) / (1.0 + abs(lam)))
-        worst_resid = max(worst_resid, float(np.linalg.norm(A @ vec - value * vec)))
+        worst_val = max(worst_val, abs(eig.value - lam) / (1.0 + abs(lam)))
+        worst_resid = max(
+            worst_resid, float(np.linalg.norm(A @ eig.vector - eig.value * eig.vector)))
     elapsed = time.perf_counter() - t0
     ok = worst_val <= 1e-9 and worst_resid <= 1e-9
     record(
@@ -247,7 +247,7 @@ def check_bundle_invariants(problem, config, rng, n_points=100):
         samples.append(np.concatenate([y, tail]))
     samples = np.array(samples)
     f_samples = np.array([
-        dense_penalty_value(problem, DualPoint(flat=s, n_buses=problem.n_buses))[0]
+        dense_penalty_value(problem, s)[0]
         for s in samples
     ])
 

@@ -1,7 +1,9 @@
 """Bundle loop invariants, certificates, and end-to-end planted solves."""
 
 import dataclasses
+import importlib
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -11,9 +13,11 @@ from pfbundle import (
     SolverConfig,
     ThreePhaseNetwork,
     build_problem,
+    load_network,
     plant_feasible,
     plant_infeasible,
     replicate_feeder,
+    save_network,
     solve,
     synth_radial,
 )
@@ -21,15 +25,17 @@ from pfbundle import bundle
 from pfbundle.bundle import init_state, recover_primal, step
 from pfbundle.operators import (
     DENSE_MAX_DIM,
-    DualPoint,
     EigenFailure,
     leading_eigenpair,
     penalty_value,
+    svec3,
 )
 from pfbundle.oracle import dense_penalty_value, qp_support_enumeration
 from pfbundle.prox import solve_prox
 
 from conftest import TEN_BUS_PARAMS
+# The benchmark tracer, read from its file (a fixture).
+from test_benchmark_contract import tracing  # noqa: F401
 
 
 def generous_limits(n_buses):
@@ -133,9 +139,7 @@ def test_init_state_builds_linear_model(two_bus, two_bus_planted):
     np.testing.assert_array_equal(
         state.center[: problem.n_box], np.full(problem.n_box, 0.05)
     )
-    f_dense, _, _ = dense_penalty_value(
-        problem, DualPoint(flat=state.center, n_buses=2)
-    )
+    f_dense, _, _ = dense_penalty_value(problem, state.center)
     assert state.f_center == pytest.approx(f_dense, abs=1e-8)
 
 
@@ -171,14 +175,11 @@ def test_cut_refresh_makes_model_tight_at_candidate(two_bus, two_bus_planted):
     if not state.converged:
         # The refreshed current cut touches the sampled value at the
         # candidate, and the aggregate reproduces the model optimum there.
-        z = state.center if record.serious else None
         # Recover the candidate: it is where the current cut was anchored.
         # Its value there must match the unclipped objective sample.
         cur, agg = state.a[1:] + state.S[1:] @ state.center
-        x = DualPoint(flat=np.asarray(
-            state.center if record.serious else state.center), n_buses=2)
         if record.serious:
-            _, f_lambda, _ = dense_penalty_value(problem, x)
+            _, f_lambda, _ = dense_penalty_value(problem, state.center)
             assert cur == pytest.approx(f_lambda, abs=1e-8)
             assert agg == pytest.approx(record.model_value, abs=1e-9)
 
@@ -195,7 +196,7 @@ def test_final_cuts_minorize_the_objective(two_bus, two_bus_planted):
         y = rng.uniform(0.0, problem.beta, size=problem.n_box)
         tail = rng.normal(size=9)
         flat = np.concatenate([y, tail])
-        f, _, _ = dense_penalty_value(problem, DualPoint(flat=flat, n_buses=2))
+        f, _, _ = dense_penalty_value(problem, flat)
         for value in state.a + state.S @ flat:
             assert value <= f + 1e-9 * (1.0 + abs(f))
 
@@ -245,7 +246,7 @@ def test_recovery_reproduces_known_null_vector():
     H = psd_with_null_vector(v_unit, rng)
     net = network_with_flat_matrix(H)
     problem = build_problem(net, generous_limits(2), np.zeros(6))
-    x = DualPoint(flat=np.zeros(problem.n_flat), n_buses=2)
+    x = np.zeros(problem.n_flat)
     cert = recover_primal(problem, x, leading_eigenpair(problem, x, rng), SolverConfig())
     assert cert.recovered
     # The rescaling aligns the slack block exactly with the reference
@@ -266,7 +267,7 @@ def test_recovery_flags_zero_slack_block():
     H = psd_with_null_vector(v_unit, rng)
     net = network_with_flat_matrix(H)
     problem = build_problem(net, generous_limits(2), np.zeros(6))
-    x = DualPoint(flat=np.zeros(problem.n_flat), n_buses=2)
+    x = np.zeros(problem.n_flat)
     cert = recover_primal(problem, x, leading_eigenpair(problem, x, rng), SolverConfig())
     assert not cert.recovered
     assert cert.verdict == "infeasible_or_undecided"
@@ -277,8 +278,7 @@ def test_recovery_flags_zero_slack_block():
 def test_penalty_vanishes_at_convergence(two_bus, two_bus_planted, tight_config):
     problem = build_problem(two_bus, two_bus_planted.limits, two_bus_planted.u)
     report = solve(problem, tight_config)
-    x = DualPoint(flat=report.center, n_buses=2)
-    f, _, lam = dense_penalty_value(problem, x)
+    f, _, lam = dense_penalty_value(problem, report.center)
     # At the solution the eigenvalue penalty is inactive (or vanishing), so
     # the penalized value coincides with the plain dual objective.
     assert problem.alpha * max(lam, 0.0) <= 1e-6
@@ -291,13 +291,13 @@ def test_penalty_equals_plain_dual_objective_where_inactive(two_bus, two_bus_pla
     C = 0.5 * (problem.Y.toarray() + problem.Y.toarray().conj().T)
     S = C[:3, :3] - C[:3, 3:] @ np.linalg.solve(C[3:, 3:], C[3:, :3])
     gamma = -S + 0.1 * np.eye(3)
-    x = problem.point(np.zeros(problem.n_box), gamma)
+    x = np.concatenate([np.zeros(problem.n_box), svec3(gamma)])
     eig = leading_eigenpair(problem, x, np.random.default_rng(0))
     f, f_lambda = penalty_value(problem, x, eig)
     assert eig.value < 0.0
     # With the positive part clipped to zero the penalized value equals the
     # plain dual objective bitwise.
-    assert f == float(problem.fixed_slope @ x.flat)
+    assert f == float(problem.fixed_slope @ x)
     assert f_lambda < f
     f_dense, _, lam = dense_penalty_value(problem, x)
     assert lam < 0.0
@@ -421,9 +421,7 @@ def test_config_alpha_overrides_problem_alpha(two_bus, two_bus_planted):
     report = solve(problem, SolverConfig(alpha=override))
     assert report.converged
     strong = dataclasses.replace(problem, alpha=override)
-    f_dense, _, _ = dense_penalty_value(
-        strong, DualPoint(flat=report.center, n_buses=2)
-    )
+    f_dense, _, _ = dense_penalty_value(strong, report.center)
     assert report.f_best == pytest.approx(f_dense, abs=1e-8)
 
 
@@ -548,7 +546,7 @@ def test_weight_changes_keep_the_descent_test_and_the_cuts_valid(
         for _ in range(40)
     ])
     f_samples = np.array([
-        dense_penalty_value(problem, DualPoint(flat=x, n_buses=problem.n_buses))[0]
+        dense_penalty_value(problem, x)[0]
         for x in samples
     ])
     weights = [state.rho]
@@ -671,7 +669,7 @@ def test_metric_moves_keep_the_descent_test_and_the_cuts_valid():
         for _ in range(5)
     ])
     f_samples = np.array([
-        dense_penalty_value(problem, DualPoint(flat=x, n_buses=problem.n_buses))[0]
+        dense_penalty_value(problem, x)[0]
         for x in samples
     ])
     scales = [state.gamma_scale]
@@ -695,3 +693,58 @@ def test_metric_moves_keep_the_descent_test_and_the_cuts_valid():
     assert min(scales) < 1.0
     assert checked == np.count_nonzero(np.diff(scales))
     assert not all(r.serious for r in state.history)
+
+
+def load_one(kind, path):
+    """A new object of the named kind, built from the saved network at path."""
+    net, limits = load_network(path)
+    planted = plant_feasible(net)
+    problem = build_problem(net, planted.limits, planted.u)
+    state = init_state(problem, SolverConfig())
+    report = solve(problem)
+    return {
+        "network": net,
+        "limits": limits,
+        "planted": planted,
+        "pattern": problem.pattern,
+        "problem": problem,
+        "eigen": state.center_eig,
+        "prox": solve_prox(state.center, state.a, state.S, state.rho, problem.beta,
+                           problem.n_box),
+        "certificate": report.certificate,
+        "report": report,
+    }[kind]
+
+
+@pytest.mark.parametrize("kind", ["network", "limits", "planted", "pattern", "problem",
+                                  "eigen", "prox", "certificate", "report"])
+def test_objects_holding_arrays_compare_and_hash_by_identity(kind, tmp_path, two_bus,
+                                                             two_bus_planted):
+    path = tmp_path / "net.json"
+    save_network(path, two_bus, two_bus_planted.limits)
+    a, b = load_one(kind, path), load_one(kind, path)
+    assert (a == b) is False and a != b
+    assert a == a
+    assert len({a, b, a}) == 2
+
+
+def test_traced_dense_solve_counts_what_the_solver_did(tracing, ten_bus, ten_bus_planted):
+    # The loop must call each layer through the module global the tracer
+    # wraps; on the dense path no Lanczos runs and only recovery assembles H.
+    problem = build_problem(ten_bus, ten_bus_planted.limits, ten_bus_planted.u)
+    assert problem.dim <= DENSE_MAX_DIM
+    tracer = tracing.Tracer()
+    tracer.install({name: importlib.import_module(f"pfbundle.{name}")
+                    for name in ("network", "instances", "operators", "bundle", "prox")})
+    try:
+        report = bundle.solve(problem)
+    finally:
+        tracer.uninstall()
+    n = report.iterations
+    assert n > 0
+    counts = Counter(span["name"] for span in tracer.spans)
+    assert dict(counts) == {
+        "bundle.solve": 1, "bundle.init": 1, "operators.eig": n + 1, "bundle.step": n,
+        "prox.solve": n, "operators.subgradient": n, "bundle.recover": 1,
+        "operators.assemble": 1,
+    }

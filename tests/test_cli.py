@@ -30,7 +30,6 @@ from pfbundle.cli import (
     resolve_config,
 )
 from pfbundle.network import network_to_dict
-from pfbundle.operators import DualPoint
 from pfbundle.oracle import dense_penalty_value
 
 from conftest import block_map, build_two_bus, node_paths
@@ -242,17 +241,28 @@ def test_assess_flags_override_config_file(feasible_case, tmp_path, capsys):
     ("network", None, None),
     ("injection", None, None),
     ("out", None, None),
+    ("u", "", None),
+    ("injection", "", None),
+    ("config", "", None),
+    ("from-report", "", None),
+    ("out", "", None),
 ], ids=["n_buses-null", "n_buses-float", "n_buses-2**63", "n_buses-1e30", "blocks-number",
         "block-pair-null", "p_upper-number", "p_upper-null-entry", "u-null-entry", "u-number",
-        "network-dir", "injection-dir", "out-dir"])
+        "network-dir", "injection-dir", "out-dir", "u-empty", "injection-empty",
+        "config-empty", "from-report-empty", "out-empty"])
 def test_assess_rejects_bad_inputs_with_an_error_line(
     feasible_case, tmp_path, capsys, target, path, value
 ):
-    # path None puts a directory where the file goes; otherwise the value
-    # replaces the node at path in that JSON file.
+    # path None puts a directory where the file goes; path "" passes the
+    # target flag an empty argument; otherwise the value replaces the node at
+    # path in that JSON file.
     net_path, u_path, _ = feasible_case
     files = {"network": net_path, "injection": u_path, "out": str(tmp_path / "r.json")}
-    if path is None:
+    if path == "":
+        if target == "u":
+            del files["injection"]   # --u and --injection exclude each other
+        files[target] = ""
+    elif path is None:
         files[target] = str(tmp_path)
     else:
         doc = json.loads(Path(files[target]).read_text())
@@ -261,8 +271,10 @@ def test_assess_rejects_bad_inputs_with_an_error_line(
             node = node[key]
         node[path[-1]] = value
         Path(files[target]).write_text(json.dumps(doc))
-    code = main(["assess", files["network"], "--injection", files["injection"],
-                 "--out", files["out"]])
+    argv = ["assess", files.pop("network")]
+    for flag, arg in files.items():
+        argv += ["--" + flag, arg]
+    code = main(argv)
     assert code == EXIT_ERROR
     assert capsys.readouterr().err.startswith("error:")
 
@@ -403,9 +415,21 @@ def test_assess_oracle_check_checks_the_configured_objective(
     problem = dataclasses.replace(
         build_problem(build_two_bus(), inst.limits, inst.u), alpha=100.0, beta=0.5
     )
-    x = DualPoint(flat=np.asarray(doc["center"]), n_buses=2)
-    f_dense, _, _ = dense_penalty_value(problem, x)
+    f_dense, _, _ = dense_penalty_value(problem, np.asarray(doc["center"]))
     assert abs(f_dense - doc["f_best"]) <= 1e-8 * (1.0 + abs(f_dense))
+
+
+@pytest.mark.parametrize("argv", [
+    ["radial", "{out}", "--planted", "feasible", "--injection-out", ""],
+    ["replicate", "{base}", "{out}", "--copies", "2", "--tie-json", ""],
+], ids=["injection-out", "tie-json"])
+def test_generate_rejects_an_empty_file_argument(tmp_path, capsys, argv):
+    base, out = str(tmp_path / "base.json"), str(tmp_path / "out.json")
+    assert main(["generate", "radial", base, "--buses", "3"]) == EXIT_FEASIBLE
+    capsys.readouterr()
+    code = main(["generate"] + [arg.format(base=base, out=out) for arg in argv])
+    assert code == EXIT_ERROR
+    assert capsys.readouterr().err.startswith("error:")
 
 
 def test_generate_radial_writes_loadable_documents(tmp_path, capsys):

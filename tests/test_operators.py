@@ -20,7 +20,6 @@ from pfbundle import operators
 from pfbundle.network import assemble_admittance
 from pfbundle.operators import (
     DENSE_MAX_DIM,
-    DualPoint,
     EigenFailure,
     apply_constraint_rank1,
     constraint_adjoint_matrix,
@@ -54,7 +53,7 @@ def random_problem(rng, n_buses=3, seed=None):
 def random_point(rng, problem):
     y = rng.uniform(0.0, problem.beta, size=problem.n_box)
     gamma = random_hermitian(rng, 3)
-    return problem.point(y, gamma)
+    return np.concatenate([y, svec3(gamma)])
 
 
 def test_svec3_smat3_round_trip_and_isometry():
@@ -95,17 +94,6 @@ def test_svec3_smat3_equal_the_loop_definitions_bitwise():
         assert_bitwise(svec3(A), svec3_by_loop(A))
         vec = rng.normal(size=9) * 10.0 ** rng.uniform(-8, 8, size=9)
         assert_bitwise(smat3(vec), smat3_by_loop(vec))
-
-
-def test_dual_point_shape_check_and_parts():
-    rng = np.random.default_rng(1)
-    with pytest.raises(ValueError, match="flat vector"):
-        DualPoint(flat=np.zeros(10), n_buses=2)
-    y = rng.uniform(size=36)
-    gamma = random_hermitian(rng, 3)
-    pt = DualPoint.from_parts(y, gamma, 2)
-    np.testing.assert_array_equal(pt.y, y)
-    np.testing.assert_allclose(pt.gamma, gamma, atol=1e-15)
 
 
 def test_limit_offset_vector_frozen_single_bus():
@@ -317,14 +305,12 @@ def test_apply_constraint_rank1_against_definition():
 def test_lanczos_on_diagonal_operator():
     diag = np.array([-1.0, 2.0, 2.0, 0.5, -3.0, 1.9])
     rng = np.random.default_rng(13)
-    value, vec, resid, value2, matvecs = lanczos_extreme(
-        lambda v: diag * v, diag.size, rng
-    )
-    assert value == pytest.approx(2.0, abs=1e-10)
-    assert resid <= 1e-9
-    assert matvecs > 0
+    eig = lanczos_extreme(lambda v: diag * v, diag.size, rng)
+    assert eig.value == pytest.approx(2.0, abs=1e-10)
+    assert eig.residual <= 1e-9
+    assert eig.matvecs > 0
     # The eigenvector lives on the two tied coordinates.
-    mass = np.abs(vec[1]) ** 2 + np.abs(vec[2]) ** 2
+    mass = np.abs(eig.vector[1]) ** 2 + np.abs(eig.vector[2]) ** 2
     assert mass == pytest.approx(1.0, abs=1e-9)
 
 
@@ -332,11 +318,11 @@ def test_lanczos_matches_dense_on_random_hermitian():
     rng = np.random.default_rng(14)
     for dim in (5, 24, 80):
         A = random_hermitian(rng, dim)
-        value, vec, resid, value2, _ = lanczos_extreme(lambda v: A @ v, dim, rng)
+        eig = lanczos_extreme(lambda v: A @ v, dim, rng)
         lam, _ = dense_lambda_max(A)
-        assert abs(value - lam) <= 1e-9 * (1.0 + abs(lam))
-        assert resid <= 1e-9
-        assert float(np.linalg.norm(A @ vec - value * vec)) <= 1e-8
+        assert abs(eig.value - lam) <= 1e-9 * (1.0 + abs(lam))
+        assert eig.residual <= 1e-9
+        assert float(np.linalg.norm(A @ eig.vector - eig.value * eig.vector)) <= 1e-8
 
 
 def test_warm_start_from_a_lower_eigenvector_finds_lambda_max():
@@ -350,11 +336,9 @@ def test_warm_start_from_a_lower_eigenvector_finds_lambda_max():
             evals[-1] = evals[-2] + 1e-3
         A = (V * evals) @ V.conj().T
         A = 0.5 * (A + A.conj().T)
-        value, _, resid, _, _ = lanczos_extreme(
-            lambda v: A @ v, dim, rng, start=V[:, -2]
-        )
-        assert abs(value - evals[-1]) <= 1e-9 * (1.0 + abs(evals[-1])), (trial, dim)
-        assert resid <= 1e-9
+        eig = lanczos_extreme(lambda v: A @ v, dim, rng, start=V[:, -2])
+        assert abs(eig.value - evals[-1]) <= 1e-9 * (1.0 + abs(evals[-1])), (trial, dim)
+        assert eig.residual <= 1e-9
 
 
 def test_lanczos_raises_on_impossible_tolerance():
@@ -496,12 +480,13 @@ def test_lanczos_path_equals_negating_every_product_bitwise(replica_above_dense)
     problem, x = replica_above_dense
     H = dual_matrix(problem, x)
     start = np.random.default_rng(30).normal(size=problem.dim) + 0j
-    value, vec, resid, value2, matvecs = lanczos_extreme(
+    direct = lanczos_extreme(
         lambda v: -(H @ v), problem.dim, np.random.default_rng(31), start=start
     )
     eig = leading_eigenpair(problem, x, np.random.default_rng(31), start=start)
-    assert (eig.value, eig.residual, eig.value2, eig.matvecs) == (value, resid, value2, matvecs)
-    assert_bitwise(eig.vector, vec)
+    assert (eig.value, eig.residual, eig.value2, eig.matvecs) == (
+        direct.value, direct.residual, direct.value2, direct.matvecs)
+    assert_bitwise(eig.vector, direct.vector)
 
 
 def test_lanczos_product_is_the_negated_sparse_product_bitwise(replica_above_dense,
@@ -543,17 +528,16 @@ def test_lanczos_with_the_second_gram_schmidt_pass_on_every_step(replica_above_d
     def run(seed):
         results = [lanczos_extreme(lambda v: A @ v, A.shape[0], np.random.default_rng(seed))
                    for A in matrices[:-1]]
-        eig = leading_eigenpair(problem, x, np.random.default_rng(seed))
-        return results + [(eig.value, eig.vector, eig.residual, eig.value2, eig.matvecs)]
+        return results + [leading_eigenpair(problem, x, np.random.default_rng(seed))]
 
     single = run(35)
     monkeypatch.setattr(operators, "_DGKS_RATIO", 2.0)
-    for A, default, (value, vec, resid, _, matvecs) in zip(matrices, single, run(35)):
+    for A, default, eig in zip(matrices, single, run(35)):
         lam, _ = dense_lambda_max(A)
-        assert abs(value - lam) <= 1e-9 * (1.0 + abs(lam)), A.shape
-        assert resid <= 1e-9
-        assert float(np.linalg.norm(A @ vec - value * vec)) <= 1e-8
-        assert matvecs == default[4]
+        assert abs(eig.value - lam) <= 1e-9 * (1.0 + abs(lam)), A.shape
+        assert eig.residual <= 1e-9
+        assert float(np.linalg.norm(A @ eig.vector - eig.value * eig.vector)) <= 1e-8
+        assert eig.matvecs == default.matvecs
 
 
 def test_streamed_dense_oracle_checks_the_lanczos_path(replica_above_dense):
@@ -574,15 +558,15 @@ def test_penalty_value_positive_part():
 
     # At the origin H = C, which is positive definite for these feeders, so
     # the eigenvalue term is clipped and f equals the linear part exactly.
-    x0 = problem.point(np.zeros(problem.n_box), np.zeros((3, 3), complex))
+    x0 = np.zeros(problem.n_flat)
     eig = leading_eigenpair(problem, x0, rng)
     f, f_lambda = penalty_value(problem, x0, eig)
     assert eig.value < 0.0
-    assert f == float(problem.fixed_slope @ x0.flat)
+    assert f == float(problem.fixed_slope @ x0)
     assert f_lambda < f
 
     # A strongly negative Gamma makes -H dominant, so both values agree.
-    x1 = problem.point(np.zeros(problem.n_box), -50.0 * np.eye(3, dtype=complex))
+    x1 = np.concatenate([np.zeros(problem.n_box), svec3(-50.0 * np.eye(3, dtype=complex))])
     eig1 = leading_eigenpair(problem, x1, rng)
     f1, f_lambda1 = penalty_value(problem, x1, eig1)
     assert eig1.value > 0.0
@@ -615,7 +599,7 @@ def test_subgradient_minorant_inequality():
         _, f_lambda2 = penalty_value(
             problem, x2, leading_eigenpair(problem, x2, rng, tol=1e-11)
         )
-        plane = f_lambda + float(g @ (x2.flat - x.flat))
+        plane = f_lambda + float(g @ (x2 - x))
         assert plane <= f_lambda2 + 1e-8 * (1.0 + abs(f_lambda2))
 
 
@@ -633,9 +617,9 @@ def test_subgradient_staleness_check():
 
     # The pair is current at x and stale once one multiplier block moves far away.
     assert residual(x) <= 1e-6
-    y2 = np.array(x.y)
-    y2[: problem.dim] += 10.0 * problem.beta
-    assert residual(problem.point(y2, x.gamma)) > 1e-6
+    x2 = x.copy()
+    x2[: problem.dim] += 10.0 * problem.beta
+    assert residual(x2) > 1e-6
 
 
 def test_fixed_slope_and_start_point():
@@ -646,5 +630,5 @@ def test_fixed_slope_and_start_point():
     np.testing.assert_array_equal(slope[: problem.n_box], -problem.m_vec)
     np.testing.assert_allclose(slope[problem.n_box :], svec3(problem.M1), atol=1e-15)
     x0 = problem.start_point()
-    np.testing.assert_array_equal(x0.y, np.full(problem.n_box, 0.5 * problem.beta))
-    np.testing.assert_array_equal(x0.gamma, np.zeros((3, 3)))
+    np.testing.assert_array_equal(x0[: problem.n_box], np.full(problem.n_box, 0.5 * problem.beta))
+    np.testing.assert_array_equal(x0[problem.n_box :], np.zeros(9))
