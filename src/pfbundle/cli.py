@@ -10,6 +10,7 @@ manifest (argv, library versions, platform, wall time, peak memory).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import datetime
 import json
@@ -114,23 +115,24 @@ def cmd_assess(args: argparse.Namespace) -> int:
     t0 = time.perf_counter()
     network, limits = load_network(args.network)
     u = _parse_injection(args, network.n_buses)
-    report = solve(build_problem(network, limits, u), resolve_config(args))
-
-    doc = report.to_dict()
-    doc["network_file"] = args.network
-    doc["injection"] = [float(v) for v in u]
-    doc["manifest"] = run_manifest(args.argv, time.perf_counter() - t0)
-    if args.from_report is not None:
-        doc["manifest"]["reproduced_from"] = args.from_report
-
-    if args.out == "-":
-        json.dump(doc, sys.stdout, indent=1, allow_nan=False)
-        sys.stdout.write("\n")
-    else:
+    problem = build_problem(network, limits, u)
+    config = resolve_config(args)
+    # The report's file is opened before the solve, so a path that cannot be
+    # written costs no solve.
+    to_stdout = args.out in (None, "-")
+    with contextlib.nullcontext(sys.stdout) if to_stdout else open(args.out, "w") as fh:
+        report = solve(problem, config)
+        doc = report.to_dict()
+        doc["network_file"] = args.network
+        doc["injection"] = [float(v) for v in u]
+        doc["manifest"] = run_manifest(args.argv, time.perf_counter() - t0)
+        if args.from_report is not None:
+            doc["manifest"]["reproduced_from"] = args.from_report
         if args.out is not None:
-            with open(args.out, "w") as fh:
-                json.dump(doc, fh, indent=1, allow_nan=False)
-                fh.write("\n")
+            json.dump(doc, fh, indent=1, allow_nan=False)
+            fh.write("\n")
+
+    if args.out != "-":
         cert = report.certificate
         print(f"verdict      {report.verdict}")
         print(f"converged    {report.converged} ({report.iterations} iterations,"

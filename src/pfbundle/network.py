@@ -611,6 +611,13 @@ def replicate_feeder(
         slack_voltage=network.slack_voltage,
         topology=f"replicated-x{k}" if k > 1 else network.topology,
     )
+    # The tiling of a checked base is valid by construction: its keys are the
+    # base's, shifted per copy, so distinct, in range and mirrored, and its
+    # blocks are the base's, their conjugate transposes and the Hermitian tie.
+    # Only the size and the summed slack block are new; when they pass, the
+    # network is marked checked, and otherwise validate() names the defect.
+    if out.n_buses <= MAX_BUSES and np.isfinite(copy_vals).all() and np.isfinite(slack_diag).all():
+        object.__setattr__(out, "_checked", True)
     out.validate()
     tiled.validate(out.n_buses)
     return out, tiled

@@ -15,16 +15,20 @@ build_problem fixes it once (DualPattern), and dual_data computes H's values
 on it through precomputed index maps.  The penalized objective adds
 alpha * max(lambda_max(-H), 0) to the linear dual objective, which removes the
 semidefinite constraint on H at the price of one extreme eigenpair per
-evaluation: the top two eigenpairs by a dense LAPACK solve for small H, whose
-values go straight into a dense array with no sparse matrix built, and
-restarted Lanczos for large H; both return an EigenResult.  Lanczos can start
-from the previous evaluation's eigenvector, blended with a small seeded random
-vector, and ends a cycle as soon as the Ritz estimate of the top pair is below
-the tolerance.  A Lanczos step costs its product with -H (scipy's CSR kernel,
-called directly) and the Gram-Schmidt products with the basis; the rest of
-the step works in place, and every BLAS call goes through numpy's thread
-pool.  The dense solve's residual calls no BLAS, so nothing waits for scipy's
-pool.
+evaluation, returned as an EigenResult by leading_eigenpair.  For small H the
+top two eigenpairs come from a dense LAPACK solve whose values go straight
+into a dense array, with no sparse matrix built.  For large H they come from
+spectral-transformation Lanczos (Ericsson & Ruhe, Math. Comp. 1980): a shift
+sigma > lambda_max(-H) is bracketed by inertia alone, since a sparse LDL^H of
+sigma I + H (SuperLU, diagonal pivots, on a fill-reducing order that the
+pattern builds at its first such call) with positive pivots proves it
+(Sylvester's law of inertia; Parlett, The Symmetric Eigenvalue Problem).
+Lanczos then finds the top eigenpair theta of (sigma I + H)^-1, whose solves
+that factor gives, and lambda = sigma - 1 / theta; convergence is judged on
+H's own residual, one sparse product each.  A warm call shifts just above the
+previous eigenvector's Rayleigh quotient and starts Lanczos from that vector,
+blended with a small seeded random vector.  The dense solve's residual calls
+no BLAS, so nothing waits for scipy's pool.
 """
 
 from __future__ import annotations
@@ -37,12 +41,12 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.linalg.lapack import dstebz, dstein, zheevr
 
-# The one private scipy kernel used: the CSR product that H.dot ends in.
-# Called directly, it skips scipy's dispatch, a fifth of a product at
-# Lanczos sizes: 21 against 17 us per product at dim 813 (7,299 nonzeros,
-# 2-core host).  If scipy moves it, this import fails and the test suite
-# with it.
-from scipy.sparse._sparsetools import csr_matvec
+# scipy's SuperLU factorization, called without splu's wrapper.  splu checks
+# and copies its input and hands L and U out as sparse arrays, whose checks
+# cost about as much as the factor's own work on a feeder, where the inertia
+# test needs only U's diagonal.  If scipy moves it, this import fails and the
+# test suite with it.
+from scipy.sparse.linalg._dsolve._superlu import gstrf
 
 from .network import OperatingLimits, ThreePhaseNetwork, _csc_arrays, assemble_admittance
 
@@ -126,6 +130,11 @@ class DualPattern:
         out = np.zeros((self.dim, self.dim), dtype=complex)
         out.reshape(-1)[self.dense] += data
         return np.negative(out, out=out)
+
+    @cached_property
+    def factor_plan(self) -> FactorPlan:
+        """The pattern's FactorPlan, built at the first use and kept."""
+        return factor_plan(self)
 
 
 def dual_pattern(Y: sp.csr_matrix) -> DualPattern:
@@ -317,9 +326,10 @@ class EigenResult:
 
     value is lambda_max(-H); vector is a unit eigenvector; residual is the
     explicitly recomputed ||(-H) v - value * v||; value2 is the next
-    eigenvalue (a separation diagnostic): exact on the dense path, a Ritz
-    value on the Lanczos path; matvecs counts Lanczos operator applications
-    (0 on the dense path).
+    eigenvalue (a separation diagnostic): exact on the dense path, the second
+    Ritz value mapped back through the shift on the factor path.  matvecs
+    counts Lanczos operator applications, which on leading_eigenpair's factor
+    path are solves with the factor of sigma I + H (0 on the dense path).
     """
 
     value: float
@@ -341,29 +351,33 @@ def _normalize_phase(v: np.ndarray) -> np.ndarray:
 # exactly at the second eigenvector, the Krylov space is invariant and Lanczos
 # returns lambda_2.  On 50 random Hermitian matrices (dims 61-300, half with
 # lambda_1 - lambda_2 = 1e-3) started there, weights 0, 1e-6, 1e-4, 1e-3 and
-# 1e-2 gave 50, 25, 0, 0 and 0 wrong results.  Matvecs per eigensolve on the
-# replicated k=30 feeder at weights 0, 1e-6, 1e-3, 1e-2 and 1e-1: 33.8, 36.8,
-# 43.1, 46.3 and 49.8 (61.5 with cold starts), same iterations and f gap.
+# 1e-2 gave 50, 25, 0, 0 and 0 wrong results.  On the factor path the blend
+# costs no solves: per eigensolve at weights 1e-3, 1e-4, 1e-5 and 1e-7, the
+# replicated k=30 feeder took 7.14 at all four and k=20 infeasible 6.74,
+# 6.67, 6.67 and 6.67, with the same iterations.
 WARM_BLEND = 1e-3
 
-# Lanczos steps between Ritz-estimate checks inside a cycle.  A check through
-# scipy's eigh_tridiagonal cost about as much as a step at dim 813.  The
-# Lanczos calls of whole solves replayed at 1, 2, 3, 4, 6 and 8 steps per
-# check (best of 5, 2 OpenBLAS threads, 2-core host) took 0.79, 0.63, 0.65,
-# 0.60, 0.65 and 0.63 s on the replicated k=30 feeder (41.9 to 44.4 matvecs
-# per call) and 1.84, 1.48, 1.31, 1.22, 1.25 and 1.22 s on k=20 infeasible.
-# Re-measured with _top_ritz calling LAPACK directly and the adaptive prox
-# weight, whole solves at 1, 2, 3, 4 and 6 steps per check (best of 5): k=30
-# 0.189, 0.179, 0.173, 0.171 and 0.176 s; k=20 infeasible 0.93, 0.71, 0.69,
-# 0.72 and 0.79 s, at 147, 141, 147, 144 and 154 iterations (the schedule
-# moves the roundoff there).  Re-measured with the in-place step, replaying
-# the Lanczos calls of whole solves at 2, 4, 6 and 8 steps per check (best of
-# 5, 2 threads), two replays: k=30 (23 calls) 0.066/0.064, 0.068/0.060,
-# 0.079/0.060 and 0.072/0.061 s at 1048, 1072, 1086 and 1124 matvecs; k=20
-# infeasible (43 calls) 0.130/0.093, 0.120/0.088, 0.124/0.089 and
-# 0.118/0.083 s at 1822, 1860, 1928 and 1888 matvecs.  The settings differ
-# by less than the replays do.
-RITZ_CHECK_EVERY = 4
+# Lanczos steps between Ritz-estimate checks inside a cycle.  Lanczos runs on
+# (sigma I + H)^-1, where a step's solve costs about as much as its vector
+# work (40 and 35 us at dim 543) and a check (one _top_ritz call) about half
+# as much.  The eigensolves of whole solves replayed at 1, 2, 3 and 4 steps
+# per check (median of 9 alternating replays, 2-core host), solves and time
+# relative to 1, at 1 and at 2 OpenBLAS threads: replicated k=30 (23 calls)
+# 167, 182, 195 and 200 solves, x1.00, 1.00, 1.00 and 1.00, and x1.00, 1.01,
+# 1.00 and 0.97; k=20 infeasible (43 calls) 293, 314, 330 and 364 solves,
+# x1.00, 0.97, 0.99 and 1.01, and x1.00, 0.98, 0.98 and 1.04; deep 500-bus
+# (104 calls) 778, 858, 963 and 860 solves, x1.00, 0.99, 1.07 and 0.98, and
+# (90 calls at 2 threads) x1.00, 1.01, 1.04 and 0.87.  The settings differ by
+# less than the replays do; 1 takes the fewest solves.
+RITZ_CHECK_EVERY = 1
+
+# Inside a cycle with a forward operator, the forward residual estimate must
+# be at most this fraction of tol.  At 1/2, as without one, the
+# planted-infeasible k=20 feeder takes 43 iterations instead of the 42 that
+# every tighter eig_tol gives (3e-10 down to 1e-12, on this path and on the
+# earlier Lanczos on -H alike); at 1/10 it takes 42, and 293 solves in all
+# (6.8 per eigensolve) instead of 285 (6.5).
+FORWARD_CHECK = 0.1
 
 
 def _top_ritz(alphas: np.ndarray, betas: np.ndarray, count: int):
@@ -406,6 +420,7 @@ def lanczos_extreme(
     max_krylov: int = 60,
     max_restarts: int = 50,
     start: np.ndarray | None = None,
+    forward=None,
 ):
     """Largest eigenpair of a Hermitian operator by restarted Lanczos.
 
@@ -417,6 +432,16 @@ def lanczos_extreme(
     repeated by the DGKS rule, keeps the basis clean; each restart continues
     from the top Ritz vector, and only the explicitly recomputed residual
     decides convergence.
+
+    forward, when given, is the Hermitian positive definite operator that
+    matvec inverts, and tol then bounds forward's residual
+    ||forward(v) - v / theta|| at the top Ritz pair (theta, v) instead.  A
+    Ritz pair whose residual under matvec is r has forward residual
+    ||forward(r)|| / theta, and r = s_j w for the unnormalized next basis
+    vector w.  Inside a cycle that is checked against FORWARD_CHECK tol, by
+    one forward product, once |beta_j s_j| / theta^2 (its value were r along
+    the top eigenvector) is that small; the explicit check costs one forward
+    product in place of one matvec.
 
     A step costs its product with the operator and two matrix-vector
     products with the basis (four when DGKS repeats the pass).  Everything
@@ -431,8 +456,8 @@ def lanczos_extreme(
     slower at 2 threads; a scipy zaxpy at dim 12,000, where it threads,
     followed by a numpy product took 8.0 ms against 0.19 ms on one thread.
     Returns an EigenResult whose value2 is the second Ritz value (None
-    after a one-step basis); raises EigenFailure if the residual never
-    reaches tol.
+    after a one-step basis) and whose residual is the one tol bounds;
+    raises EigenFailure if that residual never reaches tol.
     """
     m = int(min(dim, max_krylov))
     counter = [0]
@@ -440,6 +465,18 @@ def lanczos_extreme(
     def apply(vec):
         counter[0] += 1
         return matvec(vec)
+
+    def converged_in_cycle(theta, s_last, beta, w):
+        if forward is None:
+            return abs(beta * s_last) <= 0.5 * tol
+        if abs(beta * s_last) > FORWARD_CHECK * tol * theta * theta:
+            return False
+        return abs(s_last) * np.linalg.norm(forward(w)) <= FORWARD_CHECK * tol * theta
+
+    def explicit_residual(vec, theta):
+        if forward is None:
+            return float(np.linalg.norm(apply(vec) - theta * vec))
+        return float(np.linalg.norm(forward(vec) - vec / theta))
 
     v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
     v = v / np.linalg.norm(v)
@@ -477,8 +514,8 @@ def lanczos_extreme(
             if beta < 1e-14 * max(1.0, abs(alpha)):
                 break
             if used % RITZ_CHECK_EVERY == 0:
-                _, s = _top_ritz(alphas[:used], betas, 1)
-                if abs(beta * s[-1]) <= 0.5 * tol:
+                evals, s = _top_ritz(alphas[:used], betas, 1)
+                if converged_in_cycle(evals[-1], s[-1], beta, w):
                     break
             if used < m:
                 np.multiply(w, 1.0 / beta, out=Q[used])
@@ -487,7 +524,7 @@ def lanczos_extreme(
         ritz2 = float(evals[-2]) if used > 1 else None
         vec = s @ Q[:used]
         vec = vec / np.linalg.norm(vec)
-        resid = float(np.linalg.norm(apply(vec) - ritz * vec))
+        resid = explicit_residual(vec, ritz)
         if resid <= tol:
             return EigenResult(value=ritz, vector=_normalize_phase(vec), residual=resid,
                                value2=ritz2, matvecs=counter[0])
@@ -500,32 +537,25 @@ def lanczos_extreme(
 
 
 # Largest dimension solved densely (the top two eigenpairs of -H by LAPACK's
-# zheevr); restarted Lanczos above it.  Median ms per eigensolve inside a
-# solve (the warm calls after the first, best of 3 solves), warm Lanczos with
-# DGKS reorthogonalization / zheevr, 1 (2) OpenBLAS threads on a 2-core host,
-# planted synth_radial(n, seed=3, RadialParams(series_min=0.5,
-# series_max=1.25, shunt=0.1)) feeders: dim 90 1.8/0.7 (3.3/1.6), 105
-# 1.8/0.9 (3.3/2.1), 111 2.2/1.1 (2.2/1.7), 117 3.0/1.8 (3.3/2.5), 120
-# 2.2/1.2 (2.4/2.7), 135 2.5/1.7 (3.5/3.7), 150 2.6/1.9 (2.4/4.0), 180
-# 2.7/3.0 (2.5/6.0), 210 3.3/5.0 (4.3/10.1).  A repeat at 2 threads read
-# 117 2.7/2.6, 120 3.6/5.9 and 135 2.5/3.0.  With 2 threads, as the
-# benchmark runs, dense stops winning at about 120; with 1 thread it wins up
-# to about 165.  On random Hermitian matrices (1 thread, best of 5) the whole
-# spectrum by np.linalg.eigh took 0.17 ms at dim 30 and 3.8 ms at dim 117,
-# the top two by zheevr 0.09 and 1.6 ms.
-# Re-measured with the in-place Lanczos step, the same feeders, each warm call
-# timed on both paths (best of 3, alternating), median ms, Lanczos/dense, 1
-# thread: 90 1.32/0.60, 105 1.57/0.88, 111 1.44/0.96, 117 1.69/1.07, 120
-# 1.40/1.03, 135 1.57/1.44, 150 1.64/1.86, 180 1.87/2.97; dense now wins to
-# about 140.  2 threads: 90 2.16/5.67, 105 1.46/4.92, 111 1.86/4.80, 117
-# 2.57/5.29, 120 2.43/5.09, 135 1.89/5.53, 150 2.91/5.22, 180 3.12/13.70:
-# Lanczos wins everywhere, because from dim 66 on zheevr threads on scipy's
-# OpenBLAS pool and the residual's product on numpy's pool right after it
-# waits about 7 ms.  With the residual's product taken by einsum, which calls
-# no BLAS, a dense call on random Hermitian matrices (best of 5 x 50 calls,
-# 2 threads) takes 1.19 ms at dim 90 (9.60 with the BLAS product, 1.20 for
-# zheevr alone) and 2.32 ms at dim 117 (8.09; 2.21), and about 3.5 us more
-# at dim 30 (0.10 ms).  The crossover has not been re-measured since.
+# zheevr); the factor path above it.  The dense residual's product is einsum,
+# which calls no BLAS: from dim 66 on zheevr threads on scipy's OpenBLAS
+# pool, and a threaded product on numpy's pool right after it waits for those
+# threads.  A dense call on random Hermitian matrices (best of 5 x 50 calls, 2
+# threads, 2-core host) takes 1.19 ms at dim 90 with einsum (9.60 with the
+# BLAS product, 1.20 for zheevr alone) and 2.32 ms at dim 117 (8.09; 2.21).
+# Against the factor path, on planted synth_radial(n, seed=3,
+# RadialParams(series_min=0.5, series_max=1.25, shunt=0.1)) feeders, each
+# warm call of a whole solve timed on both paths (best of 3, alternating),
+# median ms, dense/factor, two runs each.  1 thread: 90
+# 0.74/0.68 and 1.20/1.24, 105 1.04/0.82 and 1.68/1.36, 117 1.36/0.87 and
+# 2.14/1.40, 120 1.66/1.00 and 2.29/1.44, 135 1.86/0.89 and 2.03/1.07, 150
+# 3.70/1.35 and 3.63/1.66, 180 5.89/1.37 and 5.57/1.68: the two tie at 90,
+# and the factor path wins from 105.  2 threads: 90 1.98/1.55 and 1.73/1.05,
+# 105 2.62/1.36 and 2.54/1.41, 117 3.41/1.50 and 3.51/1.59, 120 3.61/1.48 and
+# 3.67/1.70, 135 4.78/1.42 and 4.73/1.27, 150 5.61/1.81 and 6.16/1.57, 180
+# 8.19/1.79 and 9.31/1.73: it wins from 90 on, so the crossover lies at or
+# below 90.  The constant has not moved with these figures: moving it
+# changes every count in the dims it moves across.
 DENSE_MAX_DIM = 117
 
 
@@ -547,6 +577,198 @@ def dense_extreme(mat: np.ndarray) -> EigenResult:
     return EigenResult(value=value, vector=vec, residual=resid, value2=float(w[0]))
 
 
+@dataclass(frozen=True, eq=False)
+class FactorPlan:
+    """sigma I + H in a fill-reducing symmetric order, as CSC arrays.
+
+    order[i] is H's row and column at position i of the reordered matrix
+    B = H[order][:, order]; indptr and indices are B's CSC pattern, source[k]
+    is the position in H's CSR data of B's k-th CSC entry, and diagonal holds
+    the CSC positions of B's diagonal.  So B's values are h_data[source],
+    with sigma added at diagonal.
+    """
+
+    order: np.ndarray
+    indptr: np.ndarray
+    indices: np.ndarray
+    source: np.ndarray
+    diagonal: np.ndarray
+
+    def shifted_data(self, h_data: np.ndarray, sigma: float) -> np.ndarray:
+        """The CSC values of sigma I + H in the plan's order."""
+        data = h_data[self.source]
+        data[self.diagonal] += sigma
+        return data
+
+
+def _raw_csc(arrays, shape):
+    """gstrf's constructor for L and U: their CSC (data, indices, indptr) as is."""
+    return arrays
+
+
+# PanelSize 1: with one-column supernodes (see factor_plan), wider panels
+# only add work.  A factor at dim 543 in that order took 386 us against 613
+# at the default panel size, and the solves 44 us either way.
+_FACTOR_OPTIONS = dict(DiagPivotThresh=0.0, ColPerm="NATURAL", SymmetricMode=True, PanelSize=1)
+
+
+def factor_plan(pattern: DualPattern) -> FactorPlan:
+    """The elimination order of H's pattern and the CSC map into its data.
+
+    The order starts from SuperLU's minimum degree on the pattern of
+    A^T + A, taken from one factor of a diagonally dominant matrix on H's
+    pattern; on a radial feeder it eliminates from the leaves and makes no
+    fill.  It is then re-sorted by depth in that factor's elimination tree,
+    deepest first.  Every order that eliminates each column before its
+    parent has the same fill (Liu, SIAM J. Matrix Anal. Appl. 1990), and in
+    this one a column is directly followed by its parent only where one depth
+    ends, so SuperLU's supernodes are nearly all one column wide.  On a tree
+    of 3x3 blocks they would otherwise be one bus each, and SuperLU's solve
+    makes BLAS calls per supernode: in this order a solve at dim 543 took 40
+    us against 135.  Read-only arrays.
+    """
+    n = pattern.dim
+    row_len = np.diff(pattern.indptr)
+    values = np.ones(pattern.indices.size)
+    values[pattern.diagonal] = row_len + 1.0
+    probe = gstrf(n, values.size, values, pattern.indices, pattern.indptr,
+                  csc_construct_func=_raw_csc, ilu=False,
+                  options=dict(_FACTOR_OPTIONS, ColPerm="MMD_AT_PLUS_A"))
+    # The parent of column j in the elimination tree is the first row of L
+    # below j; pointer jumping then counts each column's ancestors, with n
+    # standing for "no parent".
+    _, l_rows, l_indptr = probe.L
+    cols = np.repeat(np.arange(n), np.diff(l_indptr))
+    rows = l_rows[: l_indptr[-1]]
+    below = rows > cols
+    parent = np.full(n + 1, n)
+    np.minimum.at(parent, cols[below], rows[below])
+    depth = (parent != n).astype(np.int64)
+    depth[n] = 0
+    while np.any(parent[:n] != n):
+        depth = depth + depth[parent]
+        parent = parent[parent]
+    # perm_c maps each column to its position, so argsort lists the columns
+    # in elimination order.
+    order = np.argsort(probe.perm_c)[np.argsort(-depth[:n], kind="stable")]
+    position = np.empty(n, dtype=np.int64)
+    position[order] = np.arange(n)
+    rows = position[np.repeat(np.arange(n), row_len)]
+    cols = position[pattern.indices]
+    source = np.argsort(cols * n + rows, kind="stable")
+    indices = rows[source].astype(np.int32)
+    indptr = np.searchsorted(cols[source], np.arange(n + 1)).astype(np.int32)
+    plan = FactorPlan(
+        order=order,
+        indptr=indptr,
+        indices=indices,
+        source=source,
+        diagonal=np.flatnonzero(indices == np.repeat(np.arange(n), np.diff(indptr))),
+    )
+    for arr in vars(plan).values():
+        arr.setflags(write=False)
+    return plan
+
+
+def shifted_factor(plan: FactorPlan, h_data: np.ndarray, sigma: float):
+    """SuperLU's LDL^H of sigma I + H if it proves it positive definite, else None.
+
+    B = sigma I + H in the plan's order is factored with no column ordering
+    and with every pivot taken on the diagonal when it is nonzero
+    (DiagPivotThresh = 0, SymmetricMode).  When the row and column
+    permutations agree the factor is L D L^H with D the diagonal of U, and by
+    Sylvester's law of inertia D has as many negative entries as
+    sigma I + H has eigenvalues below zero.  So a factor whose pivots are all
+    diagonal and positive proves sigma > lambda_max(-H); an exactly singular
+    matrix, an off-diagonal pivot or a pivot that is not positive returns
+    None.  The factor's solve works in the plan's order.
+    """
+    data = plan.shifted_data(h_data, sigma)
+    n = plan.order.size
+    try:
+        lu = gstrf(n, data.size, data, plan.indices, plan.indptr,
+                   csc_construct_func=_raw_csc, ilu=False, options=_FACTOR_OPTIONS)
+    except RuntimeError:   # exactly singular
+        return None
+    if not np.array_equal(lu.perm_r, lu.perm_c):
+        return None
+    # scipy writes each column of U with its diagonal entry last (the
+    # supernode's rows come after the rows above it); a factor whose arrays
+    # are laid out otherwise proves nothing.
+    u_data, u_rows, u_indptr = lu.U
+    last = u_indptr[1:] - 1
+    if not np.array_equal(u_rows[last], np.arange(n)) or not np.all(u_data[last].real > 0):
+        return None
+    return lu
+
+
+# Bisection of the cold shift stops once the bracket is this fraction of
+# 1 + |sigma| wide; a warm shift starts this far above the warm vector's
+# Rayleigh quotient and the margin grows by SHIFT_RAISE until the factor is
+# positive definite.
+SHIFT_MARGIN = 0.01
+SHIFT_RAISE = 4.0
+
+
+def _gershgorin_top(H: sp.csr_matrix, diag: np.ndarray) -> float:
+    """Gershgorin's upper bound on lambda_max(-H) (every row holds its diagonal)."""
+    row_sums = np.add.reduceat(np.abs(H.data), H.indptr[:-1])
+    return float((row_sums - np.abs(diag) - diag).max())
+
+
+def _cold_shift(plan: FactorPlan, H: sp.csr_matrix):
+    """(sigma, factor) for a call with no warm vector.
+
+    sigma = 0 is tried first: it passes whenever H is positive definite, as
+    C is at the start point of a shunt-loaded feeder.  Otherwise the
+    bracket's top is above Gershgorin's bound.  Its bottom is
+    max diag(-H) <= lambda_max(-H), and the bracket is bisected by inertia
+    until it is SHIFT_MARGIN (1 + |sigma|) wide.
+    """
+    diag = H.diagonal().real
+    lower = float(-diag.min())
+    sigma = 0.0
+    lu = shifted_factor(plan, H.data, sigma)
+    if lu is None:
+        top = _gershgorin_top(H, diag)
+        sigma = top + SHIFT_MARGIN * (1.0 + abs(top))
+        lu = shifted_factor(plan, H.data, sigma)
+        if lu is None:
+            raise EigenFailure(f"no positive definite factor at the Gershgorin shift {sigma:.3e}")
+    while sigma - lower > SHIFT_MARGIN * (1.0 + abs(sigma)):
+        mid = 0.5 * (lower + sigma)
+        trial = shifted_factor(plan, H.data, mid)
+        if trial is None:
+            lower = mid
+        else:
+            sigma, lu = mid, trial
+    return sigma, lu
+
+
+def _warm_shift(plan: FactorPlan, H: sp.csr_matrix, start: np.ndarray):
+    """(sigma, factor) for a call warm-started from start.
+
+    sigma starts at mu + SHIFT_MARGIN (1 + |mu|), with mu <= lambda_max(-H)
+    start's Rayleigh quotient on -H, and the margin grows SHIFT_RAISE-fold
+    until the factor is positive definite.  Past Gershgorin's bound every
+    shift must pass, so a failure there, or a NaN, raises EigenFailure.
+    """
+    mu = -float(np.vdot(start, H @ start).real / np.vdot(start, start).real)
+    margin = SHIFT_MARGIN * (1.0 + abs(mu))
+    top = None
+    while True:
+        sigma = mu + margin
+        lu = shifted_factor(plan, H.data, sigma)
+        if lu is not None:
+            return sigma, lu
+        if top is None:
+            top = _gershgorin_top(H, H.diagonal().real)
+        if not sigma <= top:   # NaN included
+            raise EigenFailure(f"no positive definite factor at shift {sigma:.3e}"
+                               f" above the Gershgorin bound {top:.3e}")
+        margin *= SHIFT_RAISE
+
+
 def leading_eigenpair(
     problem: PenaltyObjective,
     x: np.ndarray,
@@ -558,29 +780,51 @@ def leading_eigenpair(
 ) -> EigenResult:
     """lambda_max(-H(x)) with eigenvector; the matrix size picks the path.
 
-    H's values are computed once and negated once.  Up to DENSE_MAX_DIM they
-    are scattered into a dense -H for dense_extreme, with no sparse matrix
-    built, and start is not used.  Above that the sparse H is assembled and
-    negated in place, and Lanczos, warm-started from start when one is
-    given, applies it through matvecs only: each is scipy's CSR kernel on
-    -H's arrays into a new zero vector, the routine H.dot ends in, called
-    without its dispatch.  An EigenFailure propagates.
+    Up to DENSE_MAX_DIM, H's values are scattered into a dense -H for
+    dense_extreme, with no sparse matrix built, and start is not used.  Above
+    it the sparse H is assembled and a shift sigma > lambda_max(-H) is
+    bracketed by inertia alone (_warm_shift from start when one is given,
+    _cold_shift otherwise).  The positive definite factor of sigma I + H
+    that proves it also gives the solves, and Lanczos finds the top
+    eigenpair (theta, v) of (sigma I + H)^-1, warm-started from start.  Then
+    lambda = sigma - 1 / theta, and the residual tol bounds is that of the
+    forward operator sigma I + H, ||(sigma I + H) v - v / theta|| =
+    ||H v + lambda v||, -H's own.  value2 is sigma - 1 / theta_2; matvecs
+    counts the solves.  An EigenFailure propagates.
     """
     if problem.dim <= DENSE_MAX_DIM:
         return dense_extreme(problem.pattern.negated_dense(dual_data(problem, x)))
-    neg = dual_matrix(problem, x)
-    np.negative(neg.data, out=neg.data)
+    H = dual_matrix(problem, x)
+    plan = problem.pattern.factor_plan
+    if start is None:
+        sigma, lu = _cold_shift(plan, H)
+    else:
+        start = np.asarray(start, dtype=complex)
+        sigma, lu = _warm_shift(plan, H, start)
+    order = plan.order
     dim = problem.dim
-    indptr, indices, data = neg.indptr, neg.indices, neg.data
 
-    def product(vec):
-        out = np.zeros(dim, dtype=complex)
-        csr_matvec(dim, dim, indptr, indices, data, vec, out)
+    def solve(vec):
+        out = np.empty(dim, dtype=complex)
+        out[order] = lu.solve(vec[order])
         return out
 
-    return lanczos_extreme(
-        product, dim, rng,
-        tol=tol, max_krylov=max_krylov, max_restarts=max_restarts, start=start,
+    def forward(vec):
+        out = H @ vec
+        out += sigma * vec
+        return out
+
+    inverse = lanczos_extreme(
+        solve, dim, rng, tol=tol, max_krylov=max_krylov, max_restarts=max_restarts,
+        start=start, forward=forward,
+    )
+    theta2 = inverse.value2
+    return EigenResult(
+        value=sigma - 1.0 / inverse.value,
+        vector=inverse.vector,
+        residual=inverse.residual,
+        value2=None if theta2 is None or theta2 <= 0 else sigma - 1.0 / theta2,
+        matvecs=inverse.matvecs,
     )
 
 

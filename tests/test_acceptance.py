@@ -27,9 +27,12 @@ from pfbundle import (
 from pfbundle.bundle import init_state, step
 from pfbundle.cli import EXIT_NOT_FEASIBLE, main
 from pfbundle.operators import (
+    DENSE_MAX_DIM,
     apply_constraint_rank1,
     constraint_adjoint_matrix,
+    dual_matrix,
     lanczos_extreme,
+    leading_eigenpair,
     slack_block_matrix,
 )
 from pfbundle.oracle import (
@@ -170,14 +173,51 @@ def test_criterion_4_lanczos_vs_dense():
         worst_val = max(worst_val, abs(eig.value - lam) / (1.0 + abs(lam)))
         worst_resid = max(
             worst_resid, float(np.linalg.norm(A @ eig.vector - eig.value * eig.vector)))
+    # leading_eigenpair's factor path on feeders above DENSE_MAX_DIM: a cold
+    # call at the start point, then warm calls along a random walk of points,
+    # each started from the previous eigenvector as the bundle loop does.
+    feeder_calls = 0
+    for problem in criterion_4_feeders():
+        x = problem.start_point()
+        start = None
+        for _ in range(6):
+            eig = leading_eigenpair(problem, x, rng, start=start)
+            mat = -dual_matrix(problem, x).toarray()
+            lam, _ = dense_lambda_max(mat)
+            worst_val = max(worst_val, abs(eig.value - lam) / (1.0 + abs(lam)))
+            worst_resid = max(
+                worst_resid, float(np.linalg.norm(mat @ eig.vector - eig.value * eig.vector)))
+            feeder_calls += 1
+            start = eig.vector
+            x = x + np.concatenate([rng.uniform(-0.02, 0.02, size=problem.n_box),
+                                    rng.normal(scale=0.3, size=9)])
     elapsed = time.perf_counter() - t0
     ok = worst_val <= 1e-9 and worst_resid <= 1e-9
     record(
         4,
         ok,
-        f"200 operators (dim <= 300), eigenvalue err {worst_val:.2e} (<= 1e-9), "
+        f"200 operators (dim <= 300) and {feeder_calls} feeder eigensolves above "
+        f"DENSE_MAX_DIM, eigenvalue err {worst_val:.2e} (<= 1e-9), "
         f"residual {worst_resid:.2e} (<= 1e-9), {elapsed:.1f}s",
     )
+
+
+def criterion_4_feeders():
+    """Replicated, deep, tied and planted-infeasible feeders with dims 138-300."""
+    params = RadialParams(series_min=0.5, series_max=1.25, shunt=0.1)
+    base, base_limits = synth_radial(10, seed=3, params=params)
+    tie = 0.8 * np.eye(3, dtype=complex) + 0.1 * (np.ones((3, 3)) - np.eye(3))
+    cases = [
+        (replicate_feeder(base, base_limits, 5)[0], plant_feasible),
+        (replicate_feeder(base, base_limits, 11, tie_block=tie)[0], plant_feasible),
+        (synth_radial(60, seed=3, params=params)[0], plant_feasible),
+        (synth_radial(100, seed=5, params=params)[0], plant_infeasible),
+    ]
+    for net, plant in cases:
+        inst = plant(net)
+        problem = build_problem(net, inst.limits, inst.u)
+        assert problem.dim > DENSE_MAX_DIM
+        yield problem
 
 
 def test_criterion_5_planted_feasible_end_to_end(

@@ -29,6 +29,7 @@ from pfbundle.cli import (
     main,
     resolve_config,
 )
+from pfbundle import cli
 from pfbundle.network import network_to_dict
 from pfbundle.oracle import dense_penalty_value
 
@@ -251,11 +252,16 @@ def test_assess_flags_override_config_file(feasible_case, tmp_path, capsys):
         "network-dir", "injection-dir", "out-dir", "u-empty", "injection-empty",
         "config-empty", "from-report-empty", "out-empty"])
 def test_assess_rejects_bad_inputs_with_an_error_line(
-    feasible_case, tmp_path, capsys, target, path, value
+    feasible_case, tmp_path, capsys, monkeypatch, target, path, value
 ):
     # path None puts a directory where the file goes; path "" passes the
     # target flag an empty argument; otherwise the value replaces the node at
-    # path in that JSON file.
+    # path in that JSON file.  Every input, the report path included, is
+    # checked before the solve, which a stub makes fail loudly.
+    def no_solve(*args, **kwargs):
+        raise AssertionError("assess solved before rejecting its input")
+
+    monkeypatch.setattr(cli, "solve", no_solve)
     net_path, u_path, _ = feasible_case
     files = {"network": net_path, "injection": u_path, "out": str(tmp_path / "r.json")}
     if path == "":

@@ -224,8 +224,9 @@ def test_set_up_chain_checks_and_assembles_each_network_once(tmp_path, monkeypat
         with pytest.raises(ValueError, match="read-only"):
             problem.Y.data[0] = 0.0
     # The single copy is the loaded network: one check and one assembly,
-    # counted under both of its entries.
-    assert [checks[id(n)] for n in networks] == [1, 1, 1, 1]
+    # counted under both of its entries.  The three-copy tiling of a checked
+    # base is marked checked without a block pass.
+    assert [checks[id(n)] for n in networks] == [1, 1, 1, 0]
     assert [assemblies[id(n)] for n in networks] == [1, 1, 0, 1]
     assert [limit_checks[id(b)] for b in bands] == [1, 1, 1, 1, 1, 1]
 
@@ -633,6 +634,31 @@ def test_replicate_tie_block_swaps_root_couplings():
     root_shunt = blocks[(0, 0)] - root_series_sum
     expect = root_shunt + (k * len(root_lines)) * tie
     np.testing.assert_allclose(out_blocks[(0, 0)], expect, atol=1e-14)
+
+
+@pytest.mark.parametrize("k", [2, 5, 30])
+@pytest.mark.parametrize("tied", [False, True], ids=["no-tie", "tie"])
+def test_replicate_marks_a_tiling_that_a_fresh_check_passes(k, tied):
+    # replicate_feeder skips the full check of its tiling; a network built
+    # afresh from the same arrays must pass it.
+    net, lim = synth_radial(10, seed=3)
+    tie = (0.6 * np.eye(3) + 0.1j * (np.triu(np.ones((3, 3)), 1) - np.tril(np.ones((3, 3)), -1))
+           if tied else None)
+    out, _ = replicate_feeder(net, lim, k, tie_block=tie)
+    assert out._checked
+    fresh = ThreePhaseNetwork(out.n_buses, out.keys, out.blocks, out.slack_voltage)
+    assert not fresh._checked
+    fresh.validate()
+    assert fresh._checked
+
+
+def test_replicate_still_names_a_slack_block_that_overflows():
+    # A finite tie summed over many lines can overflow the slack block; that
+    # tiling is not marked checked, and the full check names the block.
+    net, lim = synth_radial(10, seed=3)
+    with np.errstate(over="ignore"), pytest.raises(
+            NetworkFormatError, match=r"block \(1, 1\) has non-finite entries"):
+        replicate_feeder(net, lim, 3, tie_block=1e308 * np.eye(3))
 
 
 def test_replicate_rejects_bad_arguments():

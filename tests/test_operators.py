@@ -5,6 +5,7 @@ import itertools
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from scipy.linalg import eigh_tridiagonal
 from scipy.linalg.lapack import zheevr
 
@@ -476,43 +477,219 @@ def replica_above_dense():
     return problem, random_point(np.random.default_rng(29), problem)
 
 
-def test_lanczos_path_equals_negating_every_product_bitwise(replica_above_dense):
+def record_shifts(monkeypatch):
+    """Record the sigma of every factor leading_eigenpair proves positive definite."""
+    shifts = []
+    factor = operators.shifted_factor
+
+    def recorded(plan, h_data, sigma):
+        lu = factor(plan, h_data, sigma)
+        if lu is not None:
+            shifts.append(sigma)
+        return lu
+
+    monkeypatch.setattr(operators, "shifted_factor", recorded)
+    return shifts
+
+
+def test_factor_path_equals_lanczos_on_the_shifted_inverse_bitwise(replica_above_dense,
+                                                                    monkeypatch):
+    # Above DENSE_MAX_DIM, leading_eigenpair is lanczos_extreme on the solves
+    # with sigma I + H, forward operator sigma I + H, mapped back: lambda =
+    # sigma - 1 / theta, value2 likewise.
     problem, x = replica_above_dense
     H = dual_matrix(problem, x)
-    start = np.random.default_rng(30).normal(size=problem.dim) + 0j
-    direct = lanczos_extreme(
-        lambda v: -(H @ v), problem.dim, np.random.default_rng(31), start=start
-    )
-    eig = leading_eigenpair(problem, x, np.random.default_rng(31), start=start)
-    assert (eig.value, eig.residual, eig.value2, eig.matvecs) == (
-        direct.value, direct.residual, direct.value2, direct.matvecs)
-    assert_bitwise(eig.vector, direct.vector)
+    plan = problem.pattern.factor_plan
+    order, dim = plan.order, problem.dim
+    shifts = record_shifts(monkeypatch)
+    start = np.random.default_rng(30).normal(size=dim) + 0j
+    for warm in (None, start):
+        eig = leading_eigenpair(problem, x, np.random.default_rng(31), start=warm)
+        sigma = shifts[-1]
+        lu = operators.shifted_factor(plan, H.data, sigma)
+
+        def solve(v):
+            out = np.empty(dim, dtype=complex)
+            out[order] = lu.solve(v[order])
+            return out
+
+        direct = lanczos_extreme(solve, dim, np.random.default_rng(31), start=warm,
+                                 forward=lambda v: H @ v + sigma * v)
+        assert (eig.value, eig.residual, eig.value2, eig.matvecs) == (
+            sigma - 1.0 / direct.value, direct.residual, sigma - 1.0 / direct.value2,
+            direct.matvecs)
+        assert_bitwise(eig.vector, direct.vector)
+        assert eig.residual == pytest.approx(
+            np.linalg.norm(H @ eig.vector + eig.value * eig.vector), rel=1e-6)
 
 
-def test_lanczos_product_is_the_negated_sparse_product_bitwise(replica_above_dense,
-                                                                monkeypatch):
-    # leading_eigenpair calls scipy's private CSR kernel on -H's arrays; it
-    # must give the bits of the public product, and the import must resolve.
-    from scipy.sparse._sparsetools import csr_matvec
+def test_factor_path_operator_inverts_the_shifted_matrix(replica_above_dense, monkeypatch):
+    # The operator Lanczos sees is the solve with SuperLU's factor of
+    # sigma I + H in the plan's order, called without splu's wrapper: it must
+    # give splu's bits on that matrix, and the import must resolve.  Its
+    # forward operator is sigma I + H itself.
+    from scipy.sparse.linalg import splu
+    from scipy.sparse.linalg._dsolve._superlu import gstrf
 
-    assert operators.csr_matvec is csr_matvec
+    assert operators.gstrf is gstrf
     problem, point = replica_above_dense
-    products = []
+    order, dim = problem.pattern.factor_plan.order, problem.dim
+    shifts = record_shifts(monkeypatch)
+    operators_seen = []
 
     def captured(matvec, *args, **kwargs):
-        products.append(matvec)
+        operators_seen.append((matvec, kwargs["forward"]))
         return lanczos_extreme(matvec, *args, **kwargs)
 
     monkeypatch.setattr(operators, "lanczos_extreme", captured)
     rng = np.random.default_rng(33)
     for x in (point, problem.start_point()):
-        leading_eigenpair(problem, x, rng)
-        product = products[-1]
-        H = dual_matrix(problem, x)
+        eig = leading_eigenpair(problem, x, rng)
+        solve, forward = operators_seen[-1]
+        sigma = shifts[-1]
+        shifted = dual_matrix(problem, x) + sigma * sp.identity(dim, format="csr")
+        public = splu(shifted[order][:, order].tocsc(), permc_spec="NATURAL",
+                      diag_pivot_thresh=0.0, panel_size=1, options=dict(SymmetricMode=True))
         for _ in range(5):
-            v = rng.normal(size=problem.dim) + 1j * rng.normal(size=problem.dim)
-            assert_bitwise(product(v), -(H @ v))
-    assert len(products) == 2
+            v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+            out = solve(v)
+            assert_bitwise(out[order], public.solve(v[order]))
+            assert np.linalg.norm(shifted @ out - v) <= 1e-10 * np.linalg.norm(v) * (
+                1.0 + abs(1.0 / (sigma - eig.value)))
+            np.testing.assert_allclose(forward(v), shifted @ v, rtol=0, atol=1e-12)
+    assert len(operators_seen) == 2
+
+
+@pytest.fixture(scope="module")
+def inertia_cases():
+    """A replica, a deep feeder and a tied replica, each above DENSE_MAX_DIM."""
+    base, base_limits = synth_radial(10, seed=3, params=TEN_BUS_PARAMS)
+    deep, deep_limits = synth_radial(60, seed=3, params=TEN_BUS_PARAMS)
+    tie = 0.8 * np.eye(3, dtype=complex) + 0.1 * (np.ones((3, 3)) - np.eye(3))
+    cases = {
+        "replica": replicate_feeder(base, base_limits, 5),
+        "deep": (deep, deep_limits),
+        "tied": replicate_feeder(base, base_limits, 6, tie_block=tie),
+    }
+    problems = {}
+    for name, (net, _) in cases.items():
+        inst = plant_feasible(net)
+        problems[name] = build_problem(net, inst.limits, inst.u)
+        assert problems[name].dim > DENSE_MAX_DIM
+    return problems
+
+
+@pytest.mark.parametrize("name", ["replica", "deep", "tied"])
+def test_inertia_verdict_agrees_with_the_dense_spectrum(inertia_cases, name):
+    # A factor of sigma I + H exists exactly when sigma > lambda_max(-H).
+    problem = inertia_cases[name]
+    plan = problem.pattern.factor_plan
+    rng = np.random.default_rng(40)
+    for x in (problem.start_point(), random_point(rng, problem), random_point(rng, problem)):
+        H = dual_matrix(problem, x)
+        lam = float(np.linalg.eigvalsh(-H.toarray())[-1])
+        step = 1e-6 * (1.0 + abs(lam))
+        assert operators.shifted_factor(plan, H.data, lam + step) is not None
+        assert operators.shifted_factor(plan, H.data, lam - step) is None
+
+
+def test_shifted_factor_reads_the_pivots_splu_reports(monkeypatch):
+    # shifted_factor reads U's diagonal as the last entry of each column of
+    # gstrf's raw CSC arrays; its verdict must be the one splu's U gives, on
+    # every shift, and every factor must have that layout.
+    from scipy.sparse.linalg import splu
+
+    raw_u = []
+    factor = operators.gstrf
+
+    def recorded(*args, **kwargs):
+        lu = factor(*args, **kwargs)
+        raw_u.append(lu.U)
+        return lu
+
+    monkeypatch.setattr(operators, "gstrf", recorded)
+    rng = np.random.default_rng(41)
+    for n in range(36, 48):
+        net, _ = synth_radial(n, seed=3, params=TEN_BUS_PARAMS)
+        inst = plant_feasible(net)
+        problem = build_problem(net, inst.limits, inst.u)
+        plan = problem.pattern.factor_plan
+        for x in (problem.start_point(), random_point(rng, problem)):
+            H = dual_matrix(problem, x)
+            lam = float(np.linalg.eigvalsh(-H.toarray())[-1])
+            for sigma in (lam - 0.5, lam - 1e-3, lam + 1e-3, lam + 2.0):
+                verdict = operators.shifted_factor(plan, H.data, sigma) is not None
+                mat = sp.csc_matrix((plan.shifted_data(H.data, sigma), plan.indices, plan.indptr),
+                                    shape=(problem.dim, problem.dim))
+                lu = splu(mat, permc_spec="NATURAL", diag_pivot_thresh=0.0, panel_size=1,
+                          options=dict(SymmetricMode=True))
+                assert verdict == (np.array_equal(lu.perm_r, lu.perm_c)
+                                   and bool(np.all(lu.U.diagonal().real > 0)))
+                assert verdict == (sigma > lam)
+                _, rows, indptr = raw_u[-1]
+                np.testing.assert_array_equal(rows[indptr[1:] - 1], np.arange(problem.dim))
+
+
+def test_shifted_factor_rejects_an_off_diagonal_pivot():
+    # SuperLU passes over a zero diagonal pivot.  [[0, 1], [1, 0]] factors
+    # with rows swapped and positive pivots, yet its eigenvalues are -1 and 1:
+    # only a factor that kept the diagonal proves anything.
+    plan = operators.FactorPlan(
+        order=np.arange(2), indptr=np.array([0, 2, 4], dtype=np.int32),
+        indices=np.array([0, 1, 0, 1], dtype=np.int32), source=np.arange(4),
+        diagonal=np.array([0, 3]),
+    )
+    h_data = np.array([0.0, 1.0, 1.0, 0.0], dtype=complex)
+    assert operators.shifted_factor(plan, h_data, 0.0) is None
+    assert operators.shifted_factor(plan, h_data, 1.5) is not None
+    assert operators.shifted_factor(plan, h_data, 0.5) is None
+
+
+def test_factor_plan_is_fill_free_on_trees_and_sorted_by_depth(inertia_cases):
+    # On a tree the plan's order makes no fill, SuperLU keeps it, and the
+    # columns run deepest first in the elimination tree, so a column is
+    # directly followed by its parent only where one depth ends.
+    for name, problem in inertia_cases.items():
+        plan = problem.pattern.factor_plan
+        H = dual_matrix(problem, problem.start_point())
+        lu = operators.shifted_factor(plan, H.data, 10.0)
+        _, l_rows, l_indptr = lu.L
+        n = problem.dim
+        cols = np.repeat(np.arange(n), np.diff(l_indptr))
+        rows = l_rows[: l_indptr[-1]]
+        below = rows > cols
+        assert np.array_equal(lu.perm_c, np.arange(n))
+        assert below.sum() == (H.nnz - n) // 2, name      # a tree: no fill
+        parent = np.full(n + 1, n)
+        np.minimum.at(parent, cols[below], rows[below])
+        depth = np.zeros(n + 1, dtype=int)
+        for j in range(n - 1, -1, -1):
+            if parent[j] < n:
+                depth[j] = depth[parent[j]] + 1
+        assert np.all(np.diff(depth[:n]) <= 0), name
+
+
+def test_first_eigensolve_on_a_deep_3000_bus_feeder_converges():
+    # Restarted Lanczos on -H stalled on this start point's cluster of top
+    # eigenvalues and raised EigenFailure; no dense check fits in memory, so
+    # the inertia test proves the value is the top one.
+    net, _ = synth_radial(3000, seed=3, params=TEN_BUS_PARAMS)
+    inst = plant_feasible(net)
+    problem = build_problem(net, inst.limits, inst.u)
+    x = problem.start_point()
+    eig = leading_eigenpair(problem, x, np.random.default_rng(0))
+    H = dual_matrix(problem, x)
+    assert eig.residual <= 1e-9
+    assert eig.residual == pytest.approx(
+        np.linalg.norm(H @ eig.vector + eig.value * eig.vector), rel=1e-6)
+    assert eig.value2 < eig.value < 0.0
+    # The bisected shift separates the top of the cluster: 30 solves at
+    # writing, where sigma = 0 alone leaves theta_2 / theta_1 near 0.995.
+    assert eig.matvecs <= 60
+    step = 1e-6 * (1.0 + abs(eig.value))
+    plan = problem.pattern.factor_plan
+    assert operators.shifted_factor(plan, H.data, eig.value + step) is not None
+    assert operators.shifted_factor(plan, H.data, eig.value - step) is None
 
 
 def test_lanczos_with_the_second_gram_schmidt_pass_on_every_step(replica_above_dense,
