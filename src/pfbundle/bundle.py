@@ -145,6 +145,7 @@ class IterationRecord:
     lambda_neg: float
     eig_matvecs: int
     prox_seconds: float
+    prox_evals: int
     step_norm: float
     rho: float
     gamma_scale: float
@@ -361,6 +362,7 @@ def step(state: BundleState) -> IterationRecord:
         lambda_neg=eig.value,
         eig_matvecs=eig.matvecs,
         prox_seconds=prox_seconds,
+        prox_evals=prox.diagnostics["evals"],
         step_norm=step_norm,
         rho=rho,
         gamma_scale=scale,

@@ -594,11 +594,14 @@ def replicate_feeder(
     shift = (np.arange(k) * (nb - 1))[:, None]
     out_i = np.where(copy_i == 0, 0, copy_i + shift).ravel()
     out_j = np.where(copy_j == 0, 0, copy_j + shift).ravel()
-    if tie_block is None:
-        slack_diag = root_diag + (k - 1) * root_series_sum
-    else:
-        # The root's shunt (diagonal minus series sum) plus one tie per line.
-        slack_diag = (root_diag - root_series_sum) + (k * np.count_nonzero(root_out)) * tie_block
+    # A sum that overflows leaves inf in the slack block, for validate() to
+    # name below, rather than a numpy warning first.
+    with np.errstate(over="ignore"):
+        if tie_block is None:
+            slack_diag = root_diag + (k - 1) * root_series_sum
+        else:
+            # The root's shunt (diagonal minus series sum) plus one tie per line.
+            slack_diag = (root_diag - root_series_sum) + (k * np.count_nonzero(root_out)) * tie_block
 
     tiled = OperatingLimits(**{
         key: np.concatenate([vec[:3], np.tile(vec[3:], k)])

@@ -1,13 +1,21 @@
-"""Proximal step over a three-cut model: vertex, edge, then interior case.
+"""Proximal step over a three-cut model: active-set Newton on the cut weights.
 
 The subproblem minimizes the max of three affine cuts plus a quadratic
-anchored at the current center, over a box on the multiplier part (the
-Hermitian tail is unconstrained).  Its dual is a concave piecewise-quadratic
-program over the weight simplex, solved exactly: single-cut supports first,
-then pairs by a breakpoint sweep of the piecewise-linear equal-height
-function, then the full support by a bracketed root of the slice slope whose
-inner weight comes from the same sweep.  The support-enumeration oracle is
-only a safety net for an interior solve whose KKT residual is off.
+anchored at the current center c, over a box on the multiplier part (the
+Hermitian tail is unconstrained).  Its dual over the weight simplex,
+
+    psi(theta) = theta . (a + S z) + rho / 2 |z - c|^2,  z = P(c - S^T theta / rho),
+
+is concave, continuously differentiable and piecewise quadratic; its gradient
+a + S z is the cut values at z.  While no box coordinate of c - S^T theta / rho
+crosses a bound, psi is the quadratic with Hessian -S_F S_F^T / rho over the
+free coordinates F, so a Newton step maximises that quadratic over the
+simplex in closed form and is exact once the pattern is the optimal one: the
+active-set dual method of Kiwiel (IMA J. Numer. Anal. 1986), and the Newton
+method of Cominetti, Mascarenhas & Silva (Math. Prog. Comp. 2014) for clipped
+piecewise-quadratic duals.  Each evaluation of psi is one projection and two
+3 x n products.  The support-enumeration oracle is only a safety net for a
+solve that does not settle.
 """
 
 from __future__ import annotations
@@ -18,24 +26,26 @@ import numpy as np
 
 from .oracle import qp_support_enumeration
 
-_EDGES = ((0, 1), (0, 2), (1, 2))
-
-# Case-acceptance slack, relative to the cut-value scale.  Loose acceptance
-# bleeds straight into the model decrease and caps the reachable accuracy, so
-# this sits near roundoff; a wrong rejection only falls through to the next
-# case, never to a wrong answer.
+# Support-acceptance slack of the Newton step, relative to the cut-value
+# scale; also the roundoff by which psi may fall on an accepted step.  Loose
+# acceptance bleeds straight into the model decrease and caps the reachable
+# accuracy, so this sits near roundoff; a support that misses it only loses
+# to the candidate with the smallest KKT residual.
 _CASE_TOL = 1e-12
 
-# KKT residual above which the interior solve hands over to the enumeration
-# oracle.  The exact solve lands near roundoff, far below this.
+# KKT residual above which the solve hands over to the enumeration oracle.
+# The settled Newton solve lands near roundoff, far below this.
 _KKT_TOL = 1e-10
 
-# Slice evaluations allowed in the interior case; the bracket at least halves
-# every other evaluation, so it reaches roundoff width within about 106.
-_MAX_SLICES = 128
+# Evaluations of psi before the solve hands over to the oracle.  Whole
+# solves on planted feeders (base seeds 0-39 replicated 5 and 15 times, and
+# at start weights 0.05 and 100) settle in 2.6 on average, at most 27; the
+# cap bounds the cost where the models stay rank-deficient from step to step
+# (no free tail and a box clamped almost everywhere).
+_MAX_EVALS = 40
 
-# A slice slope within this many ulps of the cut-value magnitudes is zero.
-_ROUNDOFF = 8.0 * np.finfo(float).eps
+_CASES = {1: "vertex", 2: "edge", 3: "interior"}
+_VERTICES = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
 
 
 @dataclass(frozen=True, eq=False)
@@ -55,190 +65,74 @@ def project_box(flat: np.ndarray, beta: float, n_box: int) -> np.ndarray:
     return out
 
 
-def vertex_points(center, a, S, rho, beta, n_box):
-    """Each cut's own prox point, before and after the clip, and its cut values.
+def newton_step(vals, G, theta, rho):
+    """Maximiser over the simplex of psi's quadratic model at theta.
 
-    Returns (W, Z, V): row i of W is center - S[i] / rho, row i of Z is its
-    box projection, and V[i] = a + S @ Z[i].  The vertex case tests these
-    points and the edge case starts its sweeps from them.
+    vals is psi's gradient at theta and G = S_F S_F^T, so the model's gradient
+    at weights t is m(t) = vals - G (t - theta) / rho, affine in t.  Returns
+    the first weights (a tuple) among theta itself, the vertices, the edges
+    and the full support whose KKT residual, max m(t) less the least m(t) on
+    the support of t, is within roundoff of the cut values; the edge and
+    full-support weights solve m_i = m_j on their support and must be
+    positive.  Failing that, the candidate with the smallest residual.
+    theta itself is checked on m(theta) = vals, its own cut values, so it
+    passes when it already is a KKT point of psi.
     """
-    W = center - S / rho
-    Z = W.copy()
-    np.clip(Z[:, :n_box], 0.0, beta, out=Z[:, :n_box])
-    return W, Z, [a + S @ z for z in Z]
+    q = G / rho
+    # Row j: the model's gradient at vertex e_j (q is symmetric).
+    mv = (vals + q @ theta - q).tolist()
+    best, best_res = None, np.inf
+
+    def settles(t, m=None):
+        nonlocal best, best_res
+        if m is None:
+            m = [t[0] * mv[0][k] + t[1] * mv[1][k] + t[2] * mv[2][k] for k in range(3)]
+        top = max(m)
+        res = top - min(m[k] for k in range(3) if t[k] > 0.0)
+        if res < best_res:
+            best, best_res = t, res
+        return res <= _CASE_TOL * (1.0 + abs(top))
+
+    if settles(tuple(theta.tolist()), vals.tolist()) or any(map(settles, _VERTICES, mv)):
+        return best
+    q = q.tolist()
+    for i, j in ((0, 1), (0, 2), (1, 2)):
+        # m_i - m_j falls linearly from cut j's vertex to cut i's.
+        curv = q[i][i] - 2.0 * q[i][j] + q[j][j]
+        s = (mv[j][i] - mv[j][j]) / curv if curv > 0.0 else 0.0
+        if 0.0 < s < 1.0:
+            t = [0.0, 0.0, 0.0]
+            t[i], t[j] = s, 1.0 - s
+            if settles(tuple(t)):
+                return best
+    # All three: t = e2 + x0 (e0 - e2) + x1 (e1 - e2) with m0 = m1 = m2.
+    m00 = q[0][0] - 2.0 * q[0][2] + q[2][2]
+    m11 = q[1][1] - 2.0 * q[1][2] + q[2][2]
+    m01 = q[0][1] - q[0][2] - q[1][2] + q[2][2]
+    det = m00 * m11 - m01 * m01
+    if det > 1e-14 * m00 * m11:
+        r0, r1 = mv[2][0] - mv[2][2], mv[2][1] - mv[2][2]
+        x0 = (m11 * r0 - m01 * r1) / det
+        x1 = (m00 * r1 - m01 * r0) / det
+        t = (x0, x1, 1.0 - x0 - x1)
+        if min(t) > 0.0:
+            settles(t)
+    return best
 
 
-def vertex_case(points):
-    """First single-cut support whose cut stays on top at its own prox point."""
-    _, Z, V = points
-    for i in range(3):
-        vals = V[i]
-        top = float(vals.max())
-        if vals[i] >= top - _CASE_TOL * (1.0 + abs(top)):
-            theta = np.zeros(3)
-            theta[i] = 1.0
-            return Z[i], theta, i
-    return None
+def _evaluate(theta, center, a, S, rho, beta, n_box):
+    """(pattern, z, cut values at z, psi) at weights theta.
 
-
-def _sweep_direction(dh, beta, n_box):
-    """The parts of a sweep along dh that its start and rate do not change.
-
-    Returns (nz, dnz, zero_sign, shut): the box coordinates dh moves, their
-    entries of dh, the sign of the slope change where such a coordinate
-    reaches zero (a rising step moves the point down, so it clamps there),
-    and the bound on which it counts as clamped at the sweep's start.
+    z = P(w), w = center - S^T theta / rho, and pattern codes each box
+    coordinate of w as 0 on or below the box, 1 inside it, 2 on or above it.
     """
-    dhb = dh[:n_box]
-    nz = dhb != 0.0
-    dnz = dhb[nz]
-    rising = dnz > 0.0
-    return nz, dnz, np.where(rising, -1.0, 1.0), np.where(rising, 0.0, beta)
-
-
-def _sweep_root(phi0, dh, w0, rate, rho, beta, n_box, direction) -> float:
-    """Root in [0, 1] of phi(s) = phi0 + dh . (P(w0 - s rate dh / rho) - P(w0)).
-
-    phi is piecewise linear and nonincreasing for rate > 0; its breakpoints
-    are the s where a box coordinate of the projected point hits a bound.  A
-    single left-to-right sweep tracks the slope through those clamp toggles
-    and solves the active segment in closed form.  Returns 0 when phi0 < 0
-    and 1 when phi stays positive on the whole interval.  direction is
-    _sweep_direction(dh, beta, n_box), which a caller sweeping along dh more
-    than once computes once.
-    """
-    if phi0 < 0.0:
-        return 0.0
-    nz, dnz, zero_sign, shut = direction
-    enz = rate * dnz
-    wnz = w0[:n_box][nz]
-    slope_free = (dh[n_box:] @ (rate * dh[n_box:])) / rho   # the tail never clamps
-    s_zero = rho * wnz / enz
-    s_beta = rho * (wnz - beta) / enz
-    # Toggle sign: does the coordinate become free (+) or clamped (-) there?
-    # Reaching beta toggles the opposite way to reaching zero.
-    gain = dnz * enz / rho
-    at_zero = zero_sign * gain
-    ev_s = np.concatenate([s_zero, s_beta])
-    ev_delta = np.concatenate([at_zero, -at_zero])
-    inside = (ev_s > 0.0) & (ev_s < 1.0)
-    ev_s = ev_s[inside]
-    ev_delta = ev_delta[inside]
-
-    # Free just after s = 0: inside the box, or on the bound it moves away
-    # from (shut is the bound it moves toward).
-    free0 = (wnz >= 0.0) & (wnz <= beta) & (wnz != shut)
-    slope0 = float(gain[free0].sum()) + slope_free
-
-    # Tied breakpoints make zero-length segments, which move nothing.
-    order = np.argsort(ev_s)
-    bounds = np.concatenate([[0.0], ev_s[order], [1.0]])
-    seg_slope = slope0 + np.concatenate([[0.0], np.cumsum(ev_delta[order])])
-    ends = phi0 - np.cumsum(seg_slope * (bounds[1:] - bounds[:-1]))
-    if ends[-1] > 0.0:
-        return 1.0
-    p = int(np.argmax(ends <= 0.0))
-    start_val = phi0 if p == 0 else float(ends[p - 1])
-    if seg_slope[p] > 0.0:
-        s_star = bounds[p] + start_val / seg_slope[p]
-        return float(min(max(s_star, bounds[p]), bounds[p + 1]))
-    return float(0.5 * (bounds[p] + bounds[p + 1]))
-
-
-def edge_root(points, S, i, j, rho, beta, n_box):
-    """Root of the equal-height function of cuts i and j along their edge.
-
-    The difference of cut values along the edge is piecewise linear and
-    nonincreasing in the weight s of cut i; `_sweep_root` finds its zero,
-    starting from cut j's prox point in points (see vertex_points).
-    Returns s in (0, 1) or None.
-    """
-    W, _, V = points
-    dh = S[i] - S[j]
-    s = _sweep_root(float(V[j][i] - V[j][j]), dh, W[j], 1.0, rho, beta, n_box,
-                    _sweep_direction(dh, beta, n_box))
-    return s if 0.0 < s < 1.0 else None
-
-
-def edge_case(center, a, S, rho, beta, n_box, points):
-    """First two-cut support with an interior equal-height root that dominates."""
-    for i, j in _EDGES:
-        s = edge_root(points, S, i, j, rho, beta, n_box)
-        if s is None:
-            continue
-        theta = np.zeros(3)
-        theta[i] = s
-        theta[j] = 1.0 - s
-        z = project_box(center - (S.T @ theta) / rho, beta, n_box)
-        vals = a + S @ z
-        common = max(float(vals[i]), float(vals[j]))
-        m = 3 - i - j
-        if vals[m] <= common + _CASE_TOL * (1.0 + abs(common)):
-            return z, theta, (i, j)
-    return None
-
-
-def interior_case(center, a, S, rho, beta, n_box):
-    """Exact full-support solve: bracketed root of the slice slope in mu.
-
-    Weights are theta = (mu lam, mu (1 - lam), 1 - mu).  For fixed mu the
-    best lam is the equal-height root of cuts 0 and 1, found by the
-    breakpoint sweep; the dual's derivative along the slice is then
-    g(mu) = lam (v0 - v2) + (1 - lam) (v1 - v2), nonincreasing in mu.  Each
-    trial mu is the 2x2 equal-height solve on the current clamp pattern,
-    which is exact once the pattern is the optimal one.  A bisection replaces
-    a trial that leaves the bracket, or any trial once the bracket has not
-    halved over two evaluations.  Returns (z, theta, slice evaluations).
-    """
-    d01 = S[0] - S[1]
-    c01 = float(a[0] - a[1])
-    d1 = S[0] - S[2]
-    d2 = S[1] - S[2]
-    free = np.ones(S.shape[1], dtype=bool)     # the tail never clamps
-    abs_a, abs_s = np.abs(a), np.abs(S)
-    direction = _sweep_direction(d01, beta, n_box)   # every slice sweeps along d01
-
-    def evaluate(mu):
-        base = center - ((1.0 - mu) * S[2] + mu * S[1]) / rho
-        phi0 = c01 + float(d01 @ project_box(base, beta, n_box))
-        lam = _sweep_root(phi0, d01, base, mu, rho, beta, n_box, direction)
-        theta = np.array([mu * lam, mu * (1.0 - lam), 1.0 - mu])
-        w = center - (S.T @ theta) / rho
-        z = project_box(w, beta, n_box)
-        vals = a + S @ z
-        r1 = float(vals[0] - vals[2])
-        r2 = float(vals[1] - vals[2])
-        floor = _ROUNDOFF * float((abs_a + abs_s @ np.abs(z)).max())
-        return theta, w, z, r1, r2, lam * r1 + (1.0 - lam) * r2, floor
-
-    def pattern_root(theta, w, r1, r2):
-        # v0 - v2 and v1 - v2 are affine in (theta0, theta1) while no box
-        # coordinate changes state, with Jacobian -G / rho.
-        free[:n_box] = (w[:n_box] > 0.0) & (w[:n_box] < beta)
-        m1 = d1[free]
-        m2 = d2[free]
-        g11, g12, g22 = float(m1 @ m1), float(m1 @ m2), float(m2 @ m2)
-        det = g11 * g22 - g12 * g12
-        if not det > 1e-14 * max(g11 * g22, 1e-300):
-            return None
-        return float(theta[0] + theta[1]) + rho * ((g22 - g12) * r1 + (g11 - g12) * r2) / det
-
-    lo, hi = 0.0, 1.0
-    widths = [2.0, 2.0]         # bracket widths before the last two evaluations
-    mu = 2.0 / 3.0              # equal weights
-    for evals in range(1, _MAX_SLICES + 1):
-        widths = [widths[1], hi - lo]
-        theta, w, z, r1, r2, g, floor = evaluate(mu)
-        if abs(g) <= floor:
-            break
-        lo, hi = (mu, hi) if g > 0.0 else (lo, mu)
-        trial = pattern_root(theta, w, r1, r2)
-        if hi - lo <= 4e-16 or (trial is not None and abs(trial - mu) <= 4e-16):
-            break
-        if trial is None or not lo < trial < hi or hi - lo > 0.5 * widths[0]:
-            trial = 0.5 * (lo + hi)
-        mu = trial
-    return z, theta, evals
+    z = center - (S.T @ theta) / rho
+    box = z[:n_box]
+    pattern = np.add(box > 0.0, box >= beta, dtype=np.int8)
+    np.clip(box, 0.0, beta, out=box)
+    vals = a + S @ z
+    diff = z - center
+    return pattern, z, vals, float(theta @ vals) + 0.5 * rho * float(diff @ diff)
 
 
 def solve_prox(
@@ -254,47 +148,65 @@ def solve_prox(
     Args:
         center: flat anchor point of the quadratic term.
         a: (3,) cut intercepts.
-        S: (3, n) cut slopes, one row per cut (row order fixes tie-breaking).
+        S: (3, n) cut slopes, one row per cut (ties keep the start, then the
+            lower row).
         rho: prox weight.
         beta: multiplier box upper bound.
         n_box: number of leading box-constrained coordinates.
 
-    Returns a ProxSolution whose case_used names the case that solved it and
-    whose diagnostics record the support of the weights; the interior case
-    also records its slice evaluations.
+    Starts at the aggregate cut's weights e2, whose prox point is the previous
+    candidate when the center and the weight have not moved.  Each step takes
+    the free coordinates at theta, maximises psi's quadratic model there
+    (newton_step) and halves the step until psi does not fall.  The solve
+    settles when a full step keeps the clamp pattern: z is then exactly
+    P(center - S^T theta / rho) at a KKT point.  A solve that has not settled
+    after _MAX_EVALS evaluations of psi, or whose KKT residual is above
+    _KKT_TOL, goes to the enumeration oracle.
+
+    Returns a ProxSolution whose case_used names the size of the support
+    (vertex, edge, interior) or fallback, and whose diagnostics record the
+    support and the number of psi evaluations.
     """
-    points = vertex_points(center, a, S, rho, beta, n_box)
-    hit = vertex_case(points)
-    if hit is not None:
-        z, theta, idx = hit
-        return _finish(center, a, S, rho, z, theta, "vertex", support=(idx,))
-
-    hit = edge_case(center, a, S, rho, beta, n_box, points)
-    if hit is not None:
-        z, theta, pair = hit
-        return _finish(center, a, S, rho, z, theta, "edge", support=pair)
-
-    z, theta, evals = interior_case(center, a, S, rho, beta, n_box)
-    sol = _finish(center, a, S, rho, z, theta, "interior",
-                  support=(0, 1, 2), slice_evals=evals)
-    if sol.kkt_residual <= _KKT_TOL:
+    tail = S[:, n_box:]
+    G_tail = tail @ tail.T        # the tail never clamps
+    theta = np.array([0.0, 0.0, 1.0])
+    pattern, z, vals, psi = _evaluate(theta, center, a, S, rho, beta, n_box)
+    evals, step, settled = 1, 1.0, False
+    while not settled and evals < _MAX_EVALS:
+        if step == 1.0:
+            free = S.take(np.flatnonzero(pattern == 1), axis=1)
+            target = np.array(newton_step(vals, free @ free.T + G_tail, theta, rho))
+            if (target == theta).all():
+                settled = True
+                break
+        trial = target if step == 1.0 else theta + step * (target - theta)
+        t_pattern, t_z, t_vals, t_psi = _evaluate(trial, center, a, S, rho, beta, n_box)
+        evals += 1
+        if t_psi < psi - _CASE_TOL * (1.0 + abs(psi)):
+            step *= 0.5
+            continue
+        settled = step == 1.0 and (pattern == t_pattern).all()
+        theta, pattern, z, vals, psi, step = trial, t_pattern, t_z, t_vals, t_psi, 1.0
+    support = tuple(i for i in range(3) if theta[i] > 0.0)
+    sol = _finish(center, rho, z, vals, theta, _CASES[len(support)],
+                  support=support, evals=evals)
+    if settled and sol.kkt_residual <= _KKT_TOL:
         return sol
     ref = qp_support_enumeration(center, a, S, rho, beta, n_box)
     zhat = project_box(center - (S.T @ ref.theta) / rho, beta, n_box)
-    return _finish(center, a, S, rho, ref.z, ref.theta, "fallback",
+    return _finish(center, rho, ref.z, a + S @ ref.z, ref.theta, "fallback",
                    proj_err=float(np.abs(ref.z - zhat).max()),
-                   support=ref.support, interior_kkt=sol.kkt_residual)
+                   support=ref.support, evals=evals, newton_kkt=sol.kkt_residual)
 
 
-def _finish(center, a, S, rho, z, theta, case, proj_err=0.0, **extra):
-    """The solution with its KKT residual and objective.
+def _finish(center, rho, z, vals, theta, case, proj_err=0.0, **extra):
+    """The solution with its KKT residual and objective; vals = a + S z.
 
     The KKT residual is the largest of the projection error
     |z - P(center - S^T theta / rho)|, the simplex error and the scaled
-    complementarity error.  The exact cases build z as that projection, so
-    their projection error is 0; only the fallback passes its own.
+    complementarity error.  The Newton solve builds z as that projection, so
+    its projection error is 0; only the fallback passes its own.
     """
-    vals = a + S @ z
     top = float(vals.max())
     simp_err = abs(float(theta.sum()) - 1.0) + float(max(0.0, -theta.min()))
     comp_err = float((theta * (top - vals)).max()) / (1.0 + abs(top))

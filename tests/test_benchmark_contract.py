@@ -44,16 +44,14 @@ def test_prox_cases_are_the_traced_ones(tracing, monkeypatch):
         seen.setdefault(case, (center, intercepts, slopes, n_box))
     assert set(seen) == {"vertex", "edge", "interior"}
 
-    # The safety net's label, forced by an interior solve that is off: its
-    # weights are permuted and z is their prox point.
-    exact = prox.interior_case
+    # The safety net's label, forced by a Newton step that is off: its
+    # weights are permuted.
+    exact = prox.newton_step
 
-    def off(center, a, S, rho, beta, n_box):
-        _, theta, evals = exact(center, a, S, rho, beta, n_box)
-        theta = np.roll(theta, 1)
-        return prox.project_box(center - (S.T @ theta) / rho, beta, n_box), theta, evals
+    def off(vals, G, theta, rho):
+        return tuple(np.roll(exact(vals, G, theta, rho), 1))
 
-    monkeypatch.setattr(prox, "interior_case", off)
+    monkeypatch.setattr(prox, "newton_step", off)
     center, intercepts, slopes, n_box = seen["interior"]
     seen[solve_prox(center, intercepts, slopes, 4.0, 0.1, n_box).case_used] = None
     assert "fallback" in seen

@@ -159,6 +159,7 @@ def test_manual_stepping_invariants(ten_bus, ten_bus_planted):
             assert state.f_center == prev_center_value
         assert record.prox_seconds >= 0.0
         assert record.case_used in ("vertex", "edge", "interior", "fallback")
+        assert record.prox_evals >= 1
         prev_center_value = state.f_center
     assert state.converged
     assert state.history[-1].delta <= config.eps
@@ -331,7 +332,7 @@ def test_solve_reports_are_serializable_and_consistent(two_bus, two_bus_planted)
     assert set(doc["history"][0]) == {
         "iteration", "f_center", "f_candidate", "model_value", "delta", "serious",
         "case_used", "kkt_residual", "lambda_neg", "eig_matvecs", "prox_seconds",
-        "step_norm", "rho", "gamma_scale",
+        "prox_evals", "step_norm", "rho", "gamma_scale",
     }
     assert doc["history"][0]["rho"] == report.config.rho
     assert doc["history"][0]["gamma_scale"] == 1.0

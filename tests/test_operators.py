@@ -496,7 +496,9 @@ def test_factor_path_equals_lanczos_on_the_shifted_inverse_bitwise(replica_above
                                                                     monkeypatch):
     # Above DENSE_MAX_DIM, leading_eigenpair is lanczos_extreme on the solves
     # with sigma I + H, forward operator sigma I + H, mapped back: lambda =
-    # sigma - 1 / theta, value2 likewise.
+    # sigma - 1 / theta, value2 likewise.  A cold call starts it from its
+    # warm vector: COLD_SOLVES normalized solves with its first positive
+    # definite factor, from the seeded random vector.
     problem, x = replica_above_dense
     H = dual_matrix(problem, x)
     plan = problem.pattern.factor_plan
@@ -504,6 +506,7 @@ def test_factor_path_equals_lanczos_on_the_shifted_inverse_bitwise(replica_above
     shifts = record_shifts(monkeypatch)
     start = np.random.default_rng(30).normal(size=dim) + 0j
     for warm in (None, start):
+        first = len(shifts)
         eig = leading_eigenpair(problem, x, np.random.default_rng(31), start=warm)
         sigma = shifts[-1]
         lu = operators.shifted_factor(plan, H.data, sigma)
@@ -513,7 +516,17 @@ def test_factor_path_equals_lanczos_on_the_shifted_inverse_bitwise(replica_above
             out[order] = lu.solve(v[order])
             return out
 
-        direct = lanczos_extreme(solve, dim, np.random.default_rng(31), start=warm,
+        rng = np.random.default_rng(31)
+        lanczos_start = warm
+        if warm is None:
+            cold = operators.shifted_factor(plan, H.data, shifts[first])
+            vec = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+            for _ in range(operators.COLD_SOLVES):
+                vec = cold.solve(vec)
+                vec /= np.linalg.norm(vec)
+            lanczos_start = np.empty(dim, dtype=complex)
+            lanczos_start[order] = vec
+        direct = lanczos_extreme(solve, dim, rng, start=lanczos_start,
                                  forward=lambda v: H @ v + sigma * v)
         assert (eig.value, eig.residual, eig.value2, eig.matvecs) == (
             sigma - 1.0 / direct.value, direct.residual, sigma - 1.0 / direct.value2,
@@ -683,8 +696,9 @@ def test_first_eigensolve_on_a_deep_3000_bus_feeder_converges():
     assert eig.residual == pytest.approx(
         np.linalg.norm(H @ eig.vector + eig.value * eig.vector), rel=1e-6)
     assert eig.value2 < eig.value < 0.0
-    # The bisected shift separates the top of the cluster: 30 solves at
-    # writing, where sigma = 0 alone leaves theta_2 / theta_1 near 0.995.
+    # The cold shift separates the top of the cluster: 21 solves at writing
+    # (30 when it was bisected), where sigma = 0 alone leaves
+    # theta_2 / theta_1 near 0.995.
     assert eig.matvecs <= 60
     step = 1e-6 * (1.0 + abs(eig.value))
     plan = problem.pattern.factor_plan

@@ -1,20 +1,15 @@
-"""Proximal subproblem: case chain, breakpoint sweep, exact interior, safety net."""
+"""Proximal subproblem: active-set Newton on the cut weights, safety net."""
 
 import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pfbundle import prox
 from pfbundle.oracle import qp_support_enumeration
-from pfbundle.prox import (
-    ProxSolution,
-    edge_root,
-    project_box,
-    solve_prox,
-    vertex_case,
-    vertex_points,
-)
+from pfbundle.prox import ProxSolution, project_box, solve_prox
 
 from conftest import criterion_2_triples
 
@@ -55,6 +50,7 @@ def test_project_box_clips_only_leading_coordinates():
 
 
 def test_identical_cuts_resolve_at_the_vertex():
+    # Every vertex is optimal; the solve keeps its start, the aggregate cut.
     slope = np.array([1.0, -2.0, 0.5, 3.0])
     a, S = cut_arrays([0.2, 0.2, 0.2], [slope, slope, slope])
     center = np.array([0.05, 0.02, -0.5, 1.0])
@@ -62,7 +58,8 @@ def test_identical_cuts_resolve_at_the_vertex():
     assert sol.case_used == "vertex"
     expect = project_box(center - slope / 4.0, 0.1, 2)
     np.testing.assert_allclose(sol.z, expect, atol=1e-15)
-    assert sol.theta[0] == 1.0
+    assert sol.theta[2] == 1.0
+    assert sol.diagnostics["evals"] == 1
     assert sol.kkt_residual <= 1e-12
 
 
@@ -81,30 +78,51 @@ def test_two_cut_toy_has_known_interior_weight():
     assert sol.objective == pytest.approx(0.02, abs=1e-12)
 
 
-def test_vertex_case_rejects_when_another_cut_dominates():
+def dual_value(theta, center, a, S, rho, beta, n_box):
+    """psi(theta) of the subproblem's dual, straight from its definition."""
+    z = project_box(center - (S.T @ theta) / rho, beta, n_box)
+    diff = z - center
+    return float(theta @ (a + S @ z) + 0.5 * rho * (diff @ diff))
+
+
+def test_a_vertex_another_cut_dominates_is_not_the_solution():
+    # At each cut's own prox point the other cut of the toy is higher, so no
+    # single-cut support is optimal and the solve settles on the edge.
     a, S = cut_arrays([0.0, 0.0, -10.0], [[1.0], [-1.0], [0.0]])
-    assert vertex_case(vertex_points(np.array([0.1]), a, S, 4.0, 0.1, 0)) is None
+    center = np.array([0.1])
+    for i, j in ((0, 1), (1, 0)):
+        vals = a + S @ project_box(center - S[i] / 4.0, 0.1, 0)
+        assert vals[j] > vals[i]
+    sol = solve_prox(center, a, S, 4.0, 0.1, 0)
+    assert sol.case_used == "edge"
+    assert sol.theta[0] > 0.0 and sol.theta[1] > 0.0
 
 
-def test_edge_root_matches_brute_force_scan():
+def test_edge_solution_matches_brute_force_scan():
+    # An edge solve's weight is a root of the equal-height function of its
+    # two cuts, the third cut stays below, and no weight on a fine grid of
+    # that edge has a higher dual value.
     rng = np.random.default_rng(3)
     checked = 0
+    grid = np.linspace(0.0, 1.0, 2001)
     for _ in range(200):
         center, a, S, rho, beta, n_box = random_triple(rng)
-        points = vertex_points(center, a, S, rho, beta, n_box)
-        s = edge_root(points, S, 0, 1, rho, beta, n_box)
-        if s is None:
+        sol = solve_prox(center, a, S, rho, beta, n_box)
+        if sol.case_used != "edge":
             continue
         checked += 1
-
-        def phi(t):
-            theta = np.array([t, 1.0 - t, 0.0])
-            z = project_box(center - (S.T @ theta) / rho, beta, n_box)
-            vals = a + S @ z
-            return float(vals[0] - vals[1])
-
+        i, j = sol.diagnostics["support"]
+        s = float(sol.theta[i])
+        vals = a + S @ sol.z
         assert 0.0 < s < 1.0
-        assert phi(s) == pytest.approx(0.0, abs=1e-9)
+        assert vals[i] - vals[j] == pytest.approx(0.0, abs=1e-9)
+        assert vals[3 - i - j] <= vals[i] + 1e-9
+        best = -np.inf
+        for t in grid:
+            theta = np.zeros(3)
+            theta[i], theta[j] = t, 1.0 - t
+            best = max(best, dual_value(theta, center, a, S, rho, beta, n_box))
+        assert dual_value(sol.theta, center, a, S, rho, beta, n_box) >= best - 1e-12
     assert checked > 30
 
 
@@ -125,57 +143,45 @@ def test_edge_height_difference_is_nonincreasing():
         assert diffs.max() <= 1e-12
 
 
-def test_sweep_root_with_tied_breakpoints_is_a_root():
-    # Eighteen box coordinates, all free at s = 0, reach a bound at the same
-    # s = 0.4: twelve clamp at zero, six at beta, with different slopes.  The tie makes
-    # zero-length segments, and the returned s is still a root of phi.
-    rho, beta, n_box, rate = 2.0, 0.1, 18, 0.5
+def test_tied_breakpoints_settle_without_the_oracle():
+    # Along the edge of cuts 0 and 1, eighteen box coordinates reach a bound
+    # at the same weight theta_0 = 0.2 (twelve clamp at zero, six at beta),
+    # so the clamp pattern changes in one block there.  The intercept gaps
+    # put the optimum before the tie, on it (gap 0.333), past it and at cut 0's
+    # vertex; each time the Newton solve settles on the oracle's point.
+    rho, beta, n_box = 2.0, 0.1, 18
     dh = np.concatenate([np.full(6, 1.0), np.full(6, 0.5), np.full(6, -0.5), [0.3, -0.2]])
-    w0 = np.concatenate([np.full(6, 0.1), np.full(6, 0.05), np.full(6, 0.05), [0.4, 0.7]])
-
-    def phi(t, phi0):
-        moved = project_box(w0 - t * rate * dh / rho, beta, n_box)
-        return phi0 + float(dh @ (moved - project_box(w0, beta, n_box)))
-
-    at_tie = -phi(0.4, 0.0)
-    after = -phi(1.0, 0.0)
-    assert after - at_tie < 0.1 * at_tie         # the tie removes most of the slope
-    for phi0 in (0.5 * at_tie, at_tie, 0.5 * (at_tie + after), 0.999 * after):
-        s = prox._sweep_root(phi0, dh, w0, rate, rho, beta, n_box,
-                             prox._sweep_direction(dh, beta, n_box))
-        assert 0.0 < s < 1.0
-        assert abs(phi(s, phi0)) <= 1e-14 * (1.0 + abs(phi0))
+    center = np.concatenate([np.full(6, 0.1), np.full(6, 0.05), np.full(6, 0.05),
+                             [0.4, 0.7]]) - 0.5 * dh / rho
+    S = np.stack([0.5 * dh, -0.5 * dh, np.zeros(dh.size)])
+    for gap in (0.05, 0.2, 0.333, 0.36, 0.45):
+        a = np.array([0.5 * gap, -0.5 * gap, -10.0])
+        sol = solve_prox(center, a, S, rho, beta, n_box)
+        ref = qp_support_enumeration(center, a, S, rho, beta, n_box)
+        assert sol.case_used in ("vertex", "edge")
+        assert sol.objective == pytest.approx(ref.objective, abs=1e-12)
+        assert sol.kkt_residual <= 1e-12
 
 
-def test_sweep_root_along_a_reused_direction_is_a_root():
-    # The interior case computes a sweep direction's fixed parts once and
-    # sweeps along it at several rates and starts.  With some coordinates
-    # not moved by dh and some starting exactly on a bound, s must be a root
-    # of phi at every rate (or an end of [0, 1] where phi has no root).
+def test_unmoved_and_on_bound_coordinates_settle_without_the_oracle():
+    # Box coordinates that no slope difference moves, and anchors exactly on
+    # a bound, leave the clamp pattern flat or one-sided at the start: the
+    # solve still settles on the oracle's point.
     rng = np.random.default_rng(21)
     rho, beta, n_box = 2.0, 0.1, 30
-    for _ in range(200):
-        dh = rng.normal(size=n_box + 9)
-        dh[rng.random(n_box + 9) < 0.2] = 0.0
-        w0 = rng.uniform(-0.1, 0.2, size=n_box + 9)
-        w0[:n_box][rng.random(n_box) < 0.2] = 0.0
-        w0[:n_box][rng.random(n_box) < 0.2] = beta
-        direction = prox._sweep_direction(dh, beta, n_box)
-        for rate in (1.0, float(rng.uniform(0.01, 1.0))):
-
-            def phi(t, phi0):
-                moved = project_box(w0 - t * rate * dh / rho, beta, n_box)
-                return phi0 + float(dh @ (moved - project_box(w0, beta, n_box)))
-
-            phi0 = float(rng.uniform(-0.1, 1.0)) * max(-phi(1.0, 0.0), 1e-3)
-            s = prox._sweep_root(phi0, dh, w0, rate, rho, beta, n_box, direction)
-            tol = 1e-12 * (1.0 + abs(phi0))
-            if s == 0.0:
-                assert phi0 < 0.0
-            elif s == 1.0:
-                assert phi(1.0, phi0) >= -tol
-            else:
-                assert abs(phi(s, phi0)) <= tol
+    for _ in range(50):
+        S = rng.normal(size=(3, n_box + 9))
+        still = rng.random(n_box + 9) < 0.2
+        S[1:, still] = S[0, still]
+        center = rng.uniform(-0.1, 0.2, size=n_box + 9)
+        center[:n_box][rng.random(n_box) < 0.2] = 0.0
+        center[:n_box][rng.random(n_box) < 0.2] = beta
+        a = rng.normal(size=3)
+        sol = solve_prox(center, a, S, rho, beta, n_box)
+        ref = qp_support_enumeration(center, a, S, rho, beta, n_box)
+        assert sol.case_used != "fallback"
+        assert sol.objective == pytest.approx(ref.objective, abs=1e-9)
+        assert sol.kkt_residual <= 1e-12
 
 
 def test_interior_newton_symmetric_instance():
@@ -190,6 +196,8 @@ def test_interior_newton_symmetric_instance():
     assert sol.case_used == "interior"
     np.testing.assert_allclose(sol.theta, [1 / 3, 1 / 3, 1 / 3], atol=1e-12)
     np.testing.assert_allclose(sol.z, [0.0, 0.0], atol=1e-12)
+    # With no box the dual is one quadratic: the start and one exact step.
+    assert sol.diagnostics["evals"] == 2
 
 
 def test_interior_newton_recovers_planted_weights():
@@ -214,12 +222,13 @@ def test_interior_newton_recovers_planted_weights():
         np.testing.assert_allclose(sol.z, z_star, atol=1e-7)
         np.testing.assert_allclose(sol.theta, theta_star, atol=1e-6)
         assert sol.kkt_residual <= 1e-8
+        assert sol.diagnostics["evals"] <= 2
 
 
 def test_inexact_interior_solve_falls_back_to_oracle(monkeypatch):
-    # Perturb the exact interior weights, and return the prox point of the
-    # perturbed weights as an inexact solve would: the KKT check must hand
-    # the instance to the enumeration oracle and land on its objective.
+    # Perturb the Newton step's weights, as an inexact solve would: the solve
+    # never settles at a KKT point and must hand the instance to the
+    # enumeration oracle and land on its objective.
     rng = np.random.default_rng(6)
     found = None
     for _ in range(2000):
@@ -229,17 +238,15 @@ def test_inexact_interior_solve_falls_back_to_oracle(monkeypatch):
             break
     assert found is not None
     center, a, S, rho, beta, n_box = found
-    exact = prox.interior_case
+    exact = prox.newton_step
 
-    def perturbed(center, a, S, rho, beta, n_box):
-        _, theta, evals = exact(center, a, S, rho, beta, n_box)
-        theta = theta + np.array([1e-3, -1e-3, 0.0])
-        return project_box(center - (S.T @ theta) / rho, beta, n_box), theta, evals
+    def perturbed(vals, G, theta, rho):
+        return tuple(np.array(exact(vals, G, theta, rho)) + np.array([1e-3, -1e-3, 0.0]))
 
-    monkeypatch.setattr(prox, "interior_case", perturbed)
+    monkeypatch.setattr(prox, "newton_step", perturbed)
     sol = solve_prox(center, a, S, rho, beta, n_box)
     assert sol.case_used == "fallback"
-    assert sol.diagnostics["interior_kkt"] > 1e-10
+    assert sol.diagnostics["newton_kkt"] > 1e-10
     ref = qp_support_enumeration(center, a, S, rho, beta, n_box)
     assert sol.objective == pytest.approx(ref.objective, abs=1e-8)
 
@@ -266,13 +273,11 @@ def test_forced_fallback_reports_its_projection_error(monkeypatch):
         center, a, S, rho, beta, n_box = random_triple(rng)
         if solve_prox(center, a, S, rho, beta, n_box).case_used == "interior":
             break
-    exact = prox.interior_case
+    exact = prox.newton_step
     oracle = prox.qp_support_enumeration
 
-    def perturbed(center, a, S, rho, beta, n_box):
-        _, theta, evals = exact(center, a, S, rho, beta, n_box)
-        theta = theta + np.array([1e-3, -1e-3, 0.0])
-        return project_box(center - (S.T @ theta) / rho, beta, n_box), theta, evals
+    def perturbed(vals, G, theta, rho):
+        return tuple(np.array(exact(vals, G, theta, rho)) + np.array([1e-3, -1e-3, 0.0]))
 
     def shifted(*args):
         ref = oracle(*args)
@@ -280,7 +285,7 @@ def test_forced_fallback_reports_its_projection_error(monkeypatch):
         z[-1] += 1e-3
         return dataclasses.replace(ref, z=z)
 
-    monkeypatch.setattr(prox, "interior_case", perturbed)
+    monkeypatch.setattr(prox, "newton_step", perturbed)
     monkeypatch.setattr(prox, "qp_support_enumeration", shifted)
     sol = solve_prox(center, a, S, rho, beta, n_box)
     assert sol.case_used == "fallback"
@@ -384,3 +389,47 @@ def test_interior_newton_handles_box_clamping():
         if sol.case_used == "interior":
             solved += 1
     assert solved > 5
+
+
+@st.composite
+def prox_instances(draw):
+    """A prox triple at criterion 2's rho 4 and beta 0.1 with one degeneracy."""
+    dim = draw(st.integers(3, 40))
+    n_box = draw(st.sampled_from([0, dim]) | st.integers(0, dim))
+    kind = draw(st.sampled_from(["plain", "duplicate", "collinear", "clamped", "near_edge"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rho, beta = 4.0, 0.1
+    center = rng.normal(size=dim)
+    center[:n_box] = rng.uniform(-0.05, 0.15, size=n_box)
+    S = rng.normal(size=(3, dim))
+    a = rng.normal(size=3)
+    if kind == "duplicate":
+        S[1], a[1] = S[0], a[0]
+    elif kind == "collinear":
+        S[2] = S[0] + rng.uniform(-1.0, 2.0) * (S[1] - S[0])
+    elif kind == "clamped":
+        # Anchors this far outside the box clamp it at every weight.
+        center[:n_box] = rng.choice([-1.0, 1.0], size=n_box) * (1.0 + np.abs(S).max() / rho)
+    elif kind == "near_edge":
+        # Plant a full-support optimum with one weight at 1e-9.
+        theta = rng.dirichlet([1.0, 1.0, 1.0])
+        theta[draw(st.integers(0, 2))] = 1e-9
+        theta /= theta.sum()
+        z = project_box(center - (S.T @ theta) / rho, beta, n_box)
+        a = 0.3 - S @ z
+    return center, a, S, rho, beta, n_box
+
+
+@settings(database=None, derandomize=True, max_examples=300, deadline=None)
+@given(prox_instances())
+def test_solve_prox_matches_the_oracle_on_degenerate_triples(instance):
+    # The oracle picks its support by dual value, so at a near-degenerate
+    # optimum its primal objective can sit above the optimum by its own
+    # duality gap (up to about 1e-7 on planted 1e-9 weights).  The solve must
+    # land within criterion 2's 1e-8 of the oracle's bracket: no worse than
+    # its primal point, no lower than its dual value.
+    sol = solve_prox(*instance)
+    ref = qp_support_enumeration(*instance)
+    lower = dual_value(ref.theta, *instance)
+    assert lower - 1e-8 <= sol.objective <= ref.objective + 1e-8
+    assert sol.kkt_residual <= 1e-8
