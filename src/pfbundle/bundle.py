@@ -76,12 +76,10 @@ class SolverConfig:
     alpha: float | None = _knob(None, "penalty weight (default: limit rule)")
     max_iters: int = _knob(2000, "bundle iteration budget")
     eig_tol: float = _knob(1e-9, "eigenpair residual tolerance")
-    max_krylov: int = _knob(60, "Lanczos basis size")
-    max_restarts: int = _knob(50, "Lanczos restarts before an eigen failure")
     feas_tol: float = _knob(1e-6, "certificate limit-slack tolerance")
     comp_scale: float = _knob(1e-6, "complementarity tolerance relative to ||H||")
     gap_tol: float = _knob(1e-8, "least eigenvalue separation of a certificate")
-    seed: int = _knob(0, "seed of Lanczos's random start and warm-start blend")
+    seed: int = _knob(0, "seed of the random vector blended into Lanczos's start")
 
     def validate(self) -> None:
         # Values may come from JSON, so types are checked too: a field takes
@@ -116,18 +114,8 @@ class SolverConfig:
                 raise ValueError(f"{name} must be nonnegative")
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
-        if self.max_krylov < 1:
-            raise ValueError("max_krylov must be at least 1")
-        if self.max_restarts < 0:
-            raise ValueError("max_restarts must be nonnegative")
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
-
-    @property
-    def eig_options(self) -> dict:
-        """Keyword arguments of leading_eigenpair."""
-        return dict(tol=self.eig_tol, max_krylov=self.max_krylov,
-                    max_restarts=self.max_restarts)
 
 
 @dataclass(frozen=True)
@@ -307,7 +295,7 @@ def init_state(problem: PenaltyObjective, config: SolverConfig) -> BundleState:
     """
     state = _start_state(problem, config)
     problem = state.problem
-    eig = leading_eigenpair(problem, state.center, state.rng, **config.eig_options)
+    eig = leading_eigenpair(problem, state.center, state.rng, tol=config.eig_tol)
     state.f_center, _ = penalty_value(problem, state.center, eig)
     state.center_eig = eig
     state.last_vector = eig.vector
@@ -336,8 +324,8 @@ def step(state: BundleState) -> IterationRecord:
     model_value = float((a + S @ z).max())
     delta = state.f_center - model_value
 
-    eig = leading_eigenpair(problem, z, state.rng, start=state.last_vector,
-                            **config.eig_options)
+    eig = leading_eigenpair(problem, z, state.rng, tol=config.eig_tol,
+                            start=state.last_vector)
     state.last_vector = eig.vector
     f_z, f_lambda_z = penalty_value(problem, z, eig)
     g = penalty_subgradient(problem, eig)

@@ -25,8 +25,9 @@ pattern builds at its first such call) with positive pivots proves it
 (Sylvester's law of inertia; Parlett, The Symmetric Eigenvalue Problem).
 Lanczos then finds the top eigenpair theta of (sigma I + H)^-1, whose solves
 that factor gives, and lambda = sigma - 1 / theta; convergence is judged on
-H's own residual, one sparse product each.  A warm call shifts just above the
-previous eigenvector's Rayleigh quotient and starts Lanczos from that vector,
+H's own residual, one sparse product each.  A call shifts just above the
+Rayleigh quotient of its start vector (the previous eigenvector, or the
+all-ones vector when there is none) and starts Lanczos from that vector,
 blended with a small seeded random vector.  The dense solve's residual calls
 no BLAS, so nothing waits for scipy's pool.
 """
@@ -357,22 +358,8 @@ def _normalize_phase(v: np.ndarray) -> np.ndarray:
 # 6.67, 6.67 and 6.67, with the same iterations.
 WARM_BLEND = 1e-3
 
-# Lanczos steps between Ritz-estimate checks inside a cycle.  Lanczos runs on
-# (sigma I + H)^-1, where a step's solve costs about as much as its vector
-# work (40 and 35 us at dim 543) and a check (one _top_ritz call) about half
-# as much.  The eigensolves of whole solves replayed at 1, 2, 3 and 4 steps
-# per check (median of 9 alternating replays, 2-core host), solves and time
-# relative to 1, at 1 and at 2 OpenBLAS threads: replicated k=30 (23 calls)
-# 167, 182, 195 and 200 solves, x1.00, 1.00, 1.00 and 1.00, and x1.00, 1.01,
-# 1.00 and 0.97; k=20 infeasible (43 calls) 293, 314, 330 and 364 solves,
-# x1.00, 0.97, 0.99 and 1.01, and x1.00, 0.98, 0.98 and 1.04; deep 500-bus
-# (104 calls) 778, 858, 963 and 860 solves, x1.00, 0.99, 1.07 and 0.98, and
-# (90 calls at 2 threads) x1.00, 1.01, 1.04 and 0.87.  The settings differ by
-# less than the replays do; 1 takes the fewest solves.
-RITZ_CHECK_EVERY = 1
-
-# Inside a cycle with a forward operator, the forward residual estimate must
-# be at most this fraction of tol.  At 1/2, as without one, the
+# Inside a cycle, the forward residual estimate must be at most this fraction
+# of tol.  At 1/2, the bound the plain Lanczos on -H used, the
 # planted-infeasible k=20 feeder takes 43 iterations instead of the 42 that
 # every tighter eig_tol gives (3e-10 down to 1e-12, on this path and on the
 # earlier Lanczos on -H alike); at 1/10 it takes 42, and 293 solves in all
@@ -412,36 +399,40 @@ def _top_ritz(alphas: np.ndarray, betas: np.ndarray, count: int):
 _DGKS_RATIO = 1.0 / np.sqrt(2.0)
 
 
+# Basis size of one Lanczos cycle, and the restarts from its top Ritz vector
+# allowed before EigenFailure.  No measured call restarts: an eigensolve of
+# the replicated k=20 and k=30 feeders takes at most 9 solves, of the deep
+# 500- and 1,000-bus feeders at most 27, and the deep 3,000-bus feeder's
+# first one 41.
+MAX_KRYLOV = 60
+MAX_RESTARTS = 50
+
+
 def lanczos_extreme(
     matvec,
     dim: int,
     rng: np.random.Generator,
+    forward,
+    start: np.ndarray,
     tol: float = 1e-9,
-    max_krylov: int = 60,
-    max_restarts: int = 50,
-    start: np.ndarray | None = None,
-    forward=None,
 ):
-    """Largest eigenpair of a Hermitian operator by restarted Lanczos.
+    """Top eigenpair of the inverse of a Hermitian positive definite operator.
 
-    The first cycle starts from a seeded random unit vector or, given start,
-    from start blended with WARM_BLEND of one, which keeps an eigenvector of
-    a lower eigenvalue from trapping the iteration.  Every RITZ_CHECK_EVERY
-    steps the Ritz estimate |beta_j s_j| of the top Ritz pair is checked, and
-    the cycle ends once it is at most tol / 2.  Full reorthogonalization,
-    repeated by the DGKS rule, keeps the basis clean; each restart continues
-    from the top Ritz vector, and only the explicitly recomputed residual
-    decides convergence.
+    matvec applies the inverse of forward, and Lanczos with full
+    reorthogonalization finds the top eigenpair (theta, v) of matvec; tol
+    bounds forward's residual ||forward(v) - v / theta||.  The first cycle
+    starts from start blended with WARM_BLEND of a seeded random unit
+    vector, which keeps an eigenvector of a lower eigenvalue from trapping
+    the iteration.  Each cycle holds at most MAX_KRYLOV vectors and restarts
+    from its top Ritz vector.
 
-    forward, when given, is the Hermitian positive definite operator that
-    matvec inverts, and tol then bounds forward's residual
-    ||forward(v) - v / theta|| at the top Ritz pair (theta, v) instead.  A
-    Ritz pair whose residual under matvec is r has forward residual
+    A Ritz pair whose residual under matvec is r has forward residual
     ||forward(r)|| / theta, and r = s_j w for the unnormalized next basis
-    vector w.  Inside a cycle that is checked against FORWARD_CHECK tol, by
-    one forward product, once |beta_j s_j| / theta^2 (its value were r along
-    the top eigenvector) is that small; the explicit check costs one forward
-    product in place of one matvec.
+    vector w.  After every step a cycle checks that against FORWARD_CHECK
+    tol, by one forward product, once |beta_j s_j| / theta^2 (its value were
+    r along the top eigenvector) is that small.  The orthogonalization is
+    repeated by the DGKS rule, and only the explicitly recomputed forward
+    residual, one forward product, decides convergence.
 
     A step costs its product with the operator and two matrix-vector
     products with the basis (four when DGKS repeats the pass).  Everything
@@ -455,46 +446,29 @@ def lanczos_extreme(
     basis products, whole k=30 and k=20 feeder solves ran 2.2 to 3 times
     slower at 2 threads; a scipy zaxpy at dim 12,000, where it threads,
     followed by a numpy product took 8.0 ms against 0.19 ms on one thread.
-    Returns an EigenResult whose value2 is the second Ritz value (None
-    after a one-step basis) and whose residual is the one tol bounds;
-    raises EigenFailure if that residual never reaches tol.
+    Returns an EigenResult for theta whose value2 is the second Ritz value
+    (None after a one-step basis), whose residual is the forward one and
+    whose matvecs counts the matvec calls; raises EigenFailure if that
+    residual never reaches tol.
     """
-    m = int(min(dim, max_krylov))
-    counter = [0]
-
-    def apply(vec):
-        counter[0] += 1
-        return matvec(vec)
-
-    def converged_in_cycle(theta, s_last, beta, w):
-        if forward is None:
-            return abs(beta * s_last) <= 0.5 * tol
-        if abs(beta * s_last) > FORWARD_CHECK * tol * theta * theta:
-            return False
-        return abs(s_last) * np.linalg.norm(forward(w)) <= FORWARD_CHECK * tol * theta
-
-    def explicit_residual(vec, theta):
-        if forward is None:
-            return float(np.linalg.norm(apply(vec) - theta * vec))
-        return float(np.linalg.norm(forward(vec) - vec / theta))
-
+    m = min(dim, MAX_KRYLOV)
+    matvecs = 0
     v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    start = np.asarray(start, dtype=complex)
+    v = start / np.linalg.norm(start) + WARM_BLEND * (v / np.linalg.norm(v))
     v = v / np.linalg.norm(v)
-    if start is not None:
-        start = np.asarray(start, dtype=complex)
-        v = start / np.linalg.norm(start) + WARM_BLEND * v
-        v = v / np.linalg.norm(v)
     best_resid = float("inf")
     Q = np.empty((m, dim), dtype=complex)
     scratch = np.empty(dim, dtype=complex)
     alphas = np.empty(m)
     betas = np.empty(m)
-    for _ in range(max_restarts + 1):
+    for _ in range(MAX_RESTARTS + 1):
         Q[0] = v
         used = 0
         for j in range(m):
             q = Q[j]
-            w = apply(q)
+            w = matvec(q)
+            matvecs += 1
             alpha = np.vdot(q, w).real
             alphas[j] = alpha
             w -= np.multiply(q, alpha, out=scratch)
@@ -513,10 +487,11 @@ def lanczos_extreme(
             betas[j] = beta
             if beta < 1e-14 * max(1.0, abs(alpha)):
                 break
-            if used % RITZ_CHECK_EVERY == 0:
-                evals, s = _top_ritz(alphas[:used], betas, 1)
-                if converged_in_cycle(evals[-1], s[-1], beta, w):
-                    break
+            evals, s = _top_ritz(alphas[:used], betas, 1)
+            theta, s_last = evals[-1], s[-1]
+            if (abs(beta * s_last) <= FORWARD_CHECK * tol * theta * theta
+                    and abs(s_last) * np.linalg.norm(forward(w)) <= FORWARD_CHECK * tol * theta):
+                break
             if used < m:
                 np.multiply(w, 1.0 / beta, out=Q[used])
         evals, s = _top_ritz(alphas[:used], betas, 2)
@@ -524,14 +499,14 @@ def lanczos_extreme(
         ritz2 = float(evals[-2]) if used > 1 else None
         vec = s @ Q[:used]
         vec = vec / np.linalg.norm(vec)
-        resid = explicit_residual(vec, ritz)
+        resid = float(np.linalg.norm(forward(vec) - vec / ritz))
         if resid <= tol:
             return EigenResult(value=ritz, vector=_normalize_phase(vec), residual=resid,
-                               value2=ritz2, matvecs=counter[0])
+                               value2=ritz2, matvecs=matvecs)
         best_resid = min(best_resid, resid)
         v = vec
     raise EigenFailure(
-        f"no convergence after {max_restarts} restarts:"
+        f"no convergence after {MAX_RESTARTS} restarts:"
         f" best residual {best_resid:.3e} (tol {tol:.1e}, dim {dim})"
     )
 
@@ -702,20 +677,11 @@ def shifted_factor(plan: FactorPlan, h_data: np.ndarray, sigma: float):
     return lu
 
 
-# A warm shift starts this fraction of 1 + |mu| above the warm vector's
-# Rayleigh quotient mu, and the margin grows by SHIFT_RAISE until the factor
-# is positive definite.
+# A shift starts this fraction of 1 + |mu| above the start vector's Rayleigh
+# quotient mu, and the margin grows by SHIFT_RAISE until the factor is
+# positive definite.
 SHIFT_MARGIN = 0.01
 SHIFT_RAISE = 4.0
-
-# Inverse-iteration solves with the cold call's first positive definite
-# factor, which make its warm vector.  At the start point of planted
-# synth_radial(10, seed=3) feeders replicated 20 and 30 times (sigma = 0
-# passes), 1, 2, 3, 4 and 6 solves left 4, 4, 3.4, 3 and 2 factors in all,
-# and 6 to 12 solves 2 (the bisection to 1% they replace took 7).  On the
-# deep 3,000-bus feeder the first call then takes 21 Lanczos solves (72 at
-# 3 cold solves, 30 with the bisection).
-COLD_SOLVES = 6
 
 
 def _gershgorin_top(H: sp.csr_matrix, diag: np.ndarray) -> float:
@@ -729,39 +695,8 @@ def _rayleigh(H: sp.csr_matrix, vec: np.ndarray) -> float:
     return -float(np.vdot(vec, H @ vec).real / np.vdot(vec, vec).real)
 
 
-def _cold_shift(plan: FactorPlan, H: sp.csr_matrix, rng: np.random.Generator):
-    """(sigma, factor, warm vector) for a call with no warm vector.
-
-    sigma = 0 is tried first: it passes whenever H is positive definite, as
-    C is at the start point of a shunt-loaded feeder; otherwise Gershgorin's
-    bound plus the margin must pass.  COLD_SOLVES solves with that factor,
-    inverse iteration from a seeded random vector, turn it toward the top of
-    -H's spectrum, and the shift continues as _warm_shift from the result.
-    That factor is kept when its shift is already no higher.
-    """
-    sigma = 0.0
-    lu = shifted_factor(plan, H.data, sigma)
-    if lu is None:
-        top = _gershgorin_top(H, H.diagonal().real)
-        sigma = top + SHIFT_MARGIN * (1.0 + abs(top))
-        lu = shifted_factor(plan, H.data, sigma)
-        if lu is None:
-            raise EigenFailure(f"no positive definite factor at the Gershgorin shift {sigma:.3e}")
-    dim = plan.order.size
-    vec = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-    for _ in range(COLD_SOLVES):
-        vec = lu.solve(vec)
-        vec /= np.linalg.norm(vec)
-    start = np.empty(dim, dtype=complex)
-    start[plan.order] = vec
-    mu = _rayleigh(H, start)
-    if mu + SHIFT_MARGIN * (1.0 + abs(mu)) >= sigma:
-        return sigma, lu, start
-    return (*_warm_shift(plan, H, start), start)
-
-
 def _warm_shift(plan: FactorPlan, H: sp.csr_matrix, start: np.ndarray):
-    """(sigma, factor) for a call warm-started from start.
+    """(sigma, factor) for a call started from start.
 
     sigma starts at mu + SHIFT_MARGIN (1 + |mu|), with mu = _rayleigh(H, start),
     and the margin grows SHIFT_RAISE-fold until the factor is positive
@@ -789,36 +724,31 @@ def leading_eigenpair(
     x: np.ndarray,
     rng: np.random.Generator,
     tol: float = 1e-9,
-    max_krylov: int = 60,
-    max_restarts: int = 50,
     start: np.ndarray | None = None,
 ) -> EigenResult:
     """lambda_max(-H(x)) with eigenvector; the matrix size picks the path.
 
     Up to DENSE_MAX_DIM, H's values are scattered into a dense -H for
     dense_extreme, with no sparse matrix built, and start is not used.  Above
-    it the sparse H is assembled and a shift sigma > lambda_max(-H) is
-    bracketed by inertia alone (_warm_shift from start when one is given,
-    _cold_shift otherwise).  The positive definite factor of sigma I + H
-    that proves it also gives the solves, and Lanczos finds the top
-    eigenpair (theta, v) of (sigma I + H)^-1, warm-started from start or from
-    the cold call's warm vector.  Then
+    it the sparse H is assembled and _warm_shift brackets a shift
+    sigma > lambda_max(-H) by inertia alone, from start or, with none, from
+    the all-ones vector.  The positive definite factor of sigma I + H that
+    proves it also gives the solves, and Lanczos finds the top eigenpair
+    (theta, v) of (sigma I + H)^-1, started from the same vector.  Then
     lambda = sigma - 1 / theta, and the residual tol bounds is that of the
     forward operator sigma I + H, ||(sigma I + H) v - v / theta|| =
     ||H v + lambda v||, -H's own.  value2 is sigma - 1 / theta_2; matvecs
-    counts the solves.  An EigenFailure propagates.
+    counts the solves, and the factor makes no others.  An EigenFailure
+    propagates.
     """
     if problem.dim <= DENSE_MAX_DIM:
         return dense_extreme(problem.pattern.negated_dense(dual_data(problem, x)))
     H = dual_matrix(problem, x)
     plan = problem.pattern.factor_plan
-    if start is None:
-        sigma, lu, start = _cold_shift(plan, H, rng)
-    else:
-        start = np.asarray(start, dtype=complex)
-        sigma, lu = _warm_shift(plan, H, start)
-    order = plan.order
     dim = problem.dim
+    start = np.ones(dim, dtype=complex) if start is None else np.asarray(start, dtype=complex)
+    sigma, lu = _warm_shift(plan, H, start)
+    order = plan.order
 
     def solve(vec):
         out = np.empty(dim, dtype=complex)
@@ -830,10 +760,7 @@ def leading_eigenpair(
         out += sigma * vec
         return out
 
-    inverse = lanczos_extreme(
-        solve, dim, rng, tol=tol, max_krylov=max_krylov, max_restarts=max_restarts,
-        start=start, forward=forward,
-    )
+    inverse = lanczos_extreme(solve, dim, rng, forward=forward, start=start, tol=tol)
     theta2 = inverse.value2
     return EigenResult(
         value=sigma - 1.0 / inverse.value,

@@ -77,6 +77,17 @@ def assert_same_csr(actual, expect):
         assert_bitwise(getattr(actual, name), getattr(expect, name))
 
 
+def shift_invert(A, sigma):
+    """lanczos_extreme's (matvec, forward) for a Hermitian A and sigma above its top.
+
+    matvec solves with sigma I - A and forward multiplies by it, so the top
+    Ritz value theta maps back to A's top eigenvalue as sigma - 1 / theta.
+    """
+    B = sigma * np.eye(A.shape[0]) - A
+    B_inv = np.linalg.inv(B)
+    return (lambda v: B_inv @ v), (lambda v: B @ v)
+
+
 def node_paths(node, prefix=()):
     """Paths to every node below the root: dict keys and list indices."""
     children = node.items() if isinstance(node, dict) else (

@@ -95,10 +95,6 @@ def test_solver_config_validation():
         SolverConfig(alpha=-1.0).validate()
     with pytest.raises(ValueError, match="max_iters"):
         SolverConfig(max_iters=0).validate()
-    with pytest.raises(ValueError, match="max_krylov"):
-        SolverConfig(max_krylov=0).validate()
-    with pytest.raises(ValueError, match="max_restarts"):
-        SolverConfig(max_restarts=-1).validate()
     with pytest.raises(ValueError, match="eig_tol must be positive"):
         SolverConfig(eig_tol=0.0).validate()
     with pytest.raises(ValueError, match="eig_tol must be positive"):

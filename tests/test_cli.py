@@ -91,13 +91,13 @@ def test_assess_budget_exhaustion_returns_one(feasible_case, capsys):
 
 
 def test_assess_eigen_failure_writes_report_and_returns_one(tmp_path, capsys):
-    # A Krylov budget this small cannot reach the tolerance at the start point.
+    # No residual reaches a tolerance this far below roundoff, so the
+    # eigensolve at the start point fails after its last restart.
     net_path = str(tmp_path / "c120.json")
     main(["generate", "radial", net_path, "--buses", "120", "--planted", "feasible"])
     report_path = tmp_path / "report.json"
     code = main(["assess", net_path, "--injection", str(tmp_path / "c120.u.json"),
-                 "--max-krylov", "5", "--max-restarts", "0", "--eig-tol", "1e-15",
-                 "--out", str(report_path)])
+                 "--eig-tol", "1e-300", "--out", str(report_path)])
     err = capsys.readouterr().err
     assert code == EXIT_ERROR
 
@@ -188,20 +188,38 @@ def test_assess_config_file_and_unknown_keys(feasible_case, tmp_path, capsys):
     assert "unknown config keys" in err
 
 
+def test_from_report_rejects_the_removed_lanczos_knobs(feasible_case, tmp_path, capsys):
+    # max_krylov and max_restarts were config fields; the Lanczos basis size
+    # and restart count are now fixed, so a report that carries them cannot
+    # be reproduced and is refused with both names.
+    net_path, u_path, _ = feasible_case
+    report_path = tmp_path / "r.json"
+    code = main(["assess", net_path, "--injection", u_path, "--out", str(report_path)])
+    capsys.readouterr()
+    assert code == EXIT_FEASIBLE
+    doc = json.loads(report_path.read_text())
+    doc["config"].update(max_krylov=60, max_restarts=50)
+    report_path.write_text(json.dumps(doc))
+    code = main(["assess", net_path, "--injection", u_path, "--from-report", str(report_path)])
+    err = capsys.readouterr().err
+    assert code == EXIT_ERROR == 1
+    assert "unknown config keys ['max_krylov', 'max_restarts']" in err
+
+
 @pytest.mark.parametrize("source, doc, message", [
     ("--from-report", {"config": {"epsilon": 1e-7}}, "unknown config keys"),
     ("--config", {"eps": "abc"}, "eps must be a number"),
     ("--from-report", {"config": {"max_iters": "10"}}, "max_iters must be an integer"),
     ("--from-report", [1, 2], "report config must be a JSON object"),
     ("--config", {"max_iters": 10**400}, "max_iters must be finite"),
-    ("--config", {"max_restarts": 10**400}, "max_restarts must be finite"),
+    ("--from-report", {"config": {"max_iters": 10**400}}, "max_iters must be finite"),
     ("--config", {"seed": -1}, "seed must be nonnegative"),
     ("--config", {"eig_tol": 0}, "eig_tol must be positive"),
     ("--from-report", {"config": {"feas_tol": -1e-6}}, "feas_tol must be nonnegative"),
     ("--config", {"comp_scale": -1e-6}, "comp_scale must be nonnegative"),
     ("--config", {"gap_tol": -1.0}, "gap_tol must be nonnegative"),
 ], ids=["report-extra-key", "config-string-float", "report-string-int", "report-list",
-        "config-huge-iters", "config-huge-restarts", "config-negative-seed",
+        "config-huge-iters", "report-huge-iters", "config-negative-seed",
         "config-zero-eig-tol", "report-negative-feas-tol", "config-negative-comp-scale",
         "config-negative-gap-tol"])
 def test_assess_rejects_malformed_config_sources(

@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from pfbundle import (
     ThreePhaseNetwork,
     build_problem,
     plant_feasible,
+    plant_infeasible,
     replicate_feeder,
     synth_radial,
 )
@@ -37,7 +39,7 @@ from pfbundle.operators import (
 )
 from pfbundle.oracle import dense_dual_matrix, dense_lambda_max, dense_penalty_value
 
-from conftest import TEN_BUS_PARAMS, assert_bitwise, block_map
+from conftest import TEN_BUS_PARAMS, assert_bitwise, block_map, shift_invert
 
 
 def random_hermitian(rng, dim):
@@ -306,8 +308,10 @@ def test_apply_constraint_rank1_against_definition():
 def test_lanczos_on_diagonal_operator():
     diag = np.array([-1.0, 2.0, 2.0, 0.5, -3.0, 1.9])
     rng = np.random.default_rng(13)
-    eig = lanczos_extreme(lambda v: diag * v, diag.size, rng)
-    assert eig.value == pytest.approx(2.0, abs=1e-10)
+    sigma = 2.5
+    eig = lanczos_extreme(lambda v: v / (sigma - diag), diag.size, rng,
+                          forward=lambda v: (sigma - diag) * v, start=np.ones(diag.size))
+    assert sigma - 1.0 / eig.value == pytest.approx(2.0, abs=1e-10)
     assert eig.residual <= 1e-9
     assert eig.matvecs > 0
     # The eigenvector lives on the two tied coordinates.
@@ -319,11 +323,14 @@ def test_lanczos_matches_dense_on_random_hermitian():
     rng = np.random.default_rng(14)
     for dim in (5, 24, 80):
         A = random_hermitian(rng, dim)
-        eig = lanczos_extreme(lambda v: A @ v, dim, rng)
         lam, _ = dense_lambda_max(A)
-        assert abs(eig.value - lam) <= 1e-9 * (1.0 + abs(lam))
+        sigma = lam + 0.1 * (1.0 + abs(lam))
+        matvec, forward = shift_invert(A, sigma)
+        eig = lanczos_extreme(matvec, dim, rng, forward=forward, start=np.ones(dim))
+        value = sigma - 1.0 / eig.value
+        assert abs(value - lam) <= 1e-9 * (1.0 + abs(lam))
         assert eig.residual <= 1e-9
-        assert float(np.linalg.norm(A @ eig.vector - eig.value * eig.vector)) <= 1e-8
+        assert float(np.linalg.norm(A @ eig.vector - value * eig.vector)) <= 1e-8
 
 
 def test_warm_start_from_a_lower_eigenvector_finds_lambda_max():
@@ -337,16 +344,20 @@ def test_warm_start_from_a_lower_eigenvector_finds_lambda_max():
             evals[-1] = evals[-2] + 1e-3
         A = (V * evals) @ V.conj().T
         A = 0.5 * (A + A.conj().T)
-        eig = lanczos_extreme(lambda v: A @ v, dim, rng, start=V[:, -2])
-        assert abs(eig.value - evals[-1]) <= 1e-9 * (1.0 + abs(evals[-1])), (trial, dim)
+        sigma = evals[-1] + 0.01 * (1.0 + abs(evals[-1]))
+        matvec, forward = shift_invert(A, sigma)
+        eig = lanczos_extreme(matvec, dim, rng, forward=forward, start=V[:, -2])
+        value = sigma - 1.0 / eig.value
+        assert abs(value - evals[-1]) <= 1e-9 * (1.0 + abs(evals[-1])), (trial, dim)
         assert eig.residual <= 1e-9
 
 
 def test_lanczos_raises_on_impossible_tolerance():
     rng = np.random.default_rng(15)
     A = random_hermitian(rng, 12)
-    with pytest.raises(EigenFailure, match="no convergence"):
-        lanczos_extreme(lambda v: A @ v, 12, rng, tol=0.0, max_restarts=1)
+    matvec, forward = shift_invert(A, np.linalg.eigvalsh(A)[-1] + 1.0)
+    with pytest.raises(EigenFailure, match=f"after {operators.MAX_RESTARTS} restarts"):
+        lanczos_extreme(matvec, 12, rng, forward=forward, start=np.ones(12), tol=0.0)
 
 
 def test_top_ritz_matches_scipy_eigh_tridiagonal_bitwise():
@@ -496,9 +507,8 @@ def test_factor_path_equals_lanczos_on_the_shifted_inverse_bitwise(replica_above
                                                                     monkeypatch):
     # Above DENSE_MAX_DIM, leading_eigenpair is lanczos_extreme on the solves
     # with sigma I + H, forward operator sigma I + H, mapped back: lambda =
-    # sigma - 1 / theta, value2 likewise.  A cold call starts it from its
-    # warm vector: COLD_SOLVES normalized solves with its first positive
-    # definite factor, from the seeded random vector.
+    # sigma - 1 / theta, value2 likewise.  A call without a start vector
+    # starts from the all-ones one.
     problem, x = replica_above_dense
     H = dual_matrix(problem, x)
     plan = problem.pattern.factor_plan
@@ -506,7 +516,6 @@ def test_factor_path_equals_lanczos_on_the_shifted_inverse_bitwise(replica_above
     shifts = record_shifts(monkeypatch)
     start = np.random.default_rng(30).normal(size=dim) + 0j
     for warm in (None, start):
-        first = len(shifts)
         eig = leading_eigenpair(problem, x, np.random.default_rng(31), start=warm)
         sigma = shifts[-1]
         lu = operators.shifted_factor(plan, H.data, sigma)
@@ -516,24 +525,52 @@ def test_factor_path_equals_lanczos_on_the_shifted_inverse_bitwise(replica_above
             out[order] = lu.solve(v[order])
             return out
 
-        rng = np.random.default_rng(31)
-        lanczos_start = warm
-        if warm is None:
-            cold = operators.shifted_factor(plan, H.data, shifts[first])
-            vec = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-            for _ in range(operators.COLD_SOLVES):
-                vec = cold.solve(vec)
-                vec /= np.linalg.norm(vec)
-            lanczos_start = np.empty(dim, dtype=complex)
-            lanczos_start[order] = vec
-        direct = lanczos_extreme(solve, dim, rng, start=lanczos_start,
-                                 forward=lambda v: H @ v + sigma * v)
+        direct = lanczos_extreme(solve, dim, np.random.default_rng(31),
+                                 forward=lambda v: H @ v + sigma * v,
+                                 start=np.ones(dim) if warm is None else warm)
         assert (eig.value, eig.residual, eig.value2, eig.matvecs) == (
             sigma - 1.0 / direct.value, direct.residual, sigma - 1.0 / direct.value2,
             direct.matvecs)
         assert_bitwise(eig.vector, direct.vector)
         assert eig.residual == pytest.approx(
             np.linalg.norm(H @ eig.vector + eig.value * eig.vector), rel=1e-6)
+
+
+@pytest.mark.parametrize("copies, plant", [(20, plant_infeasible), (30, plant_feasible)],
+                         ids=["k20-infeasible", "k30-feasible"])
+def test_a_call_without_start_starts_from_all_ones_in_one_factor(copies, plant, monkeypatch):
+    # The first eigensolve of a run has no previous eigenvector: the shift
+    # and Lanczos start from the all-ones vector.  At the start points of
+    # the replicated feeders the first shift passes, and every solve with
+    # that factor is one of Lanczos's, counted in matvecs.
+    net, limits = synth_radial(10, seed=3, params=TEN_BUS_PARAMS)
+    net, _ = replicate_feeder(net, limits, copies)
+    inst = plant(net)
+    problem = build_problem(net, inst.limits, inst.u)
+    x = problem.start_point()
+    factor = operators.shifted_factor
+    factors, solves = [], []
+
+    def counted(plan, h_data, sigma):
+        factors.append(sigma)
+        lu = factor(plan, h_data, sigma)
+        if lu is None:
+            return None
+
+        def solve(vec):
+            solves.append(1)
+            return lu.solve(vec)
+
+        return SimpleNamespace(solve=solve)
+
+    monkeypatch.setattr(operators, "shifted_factor", counted)
+    eig = leading_eigenpair(problem, x, np.random.default_rng(0))
+    assert len(factors) == 1
+    assert eig.matvecs == len(solves) > 0
+    ones = leading_eigenpair(problem, x, np.random.default_rng(0), start=np.ones(problem.dim))
+    assert (eig.value, eig.residual, eig.value2, eig.matvecs) == (
+        ones.value, ones.residual, ones.value2, ones.matvecs)
+    assert_bitwise(eig.vector, ones.vector)
 
 
 def test_factor_path_operator_inverts_the_shifted_matrix(replica_above_dense, monkeypatch):
@@ -696,9 +733,9 @@ def test_first_eigensolve_on_a_deep_3000_bus_feeder_converges():
     assert eig.residual == pytest.approx(
         np.linalg.norm(H @ eig.vector + eig.value * eig.vector), rel=1e-6)
     assert eig.value2 < eig.value < 0.0
-    # The cold shift separates the top of the cluster: 21 solves at writing
-    # (30 when it was bisected), where sigma = 0 alone leaves
-    # theta_2 / theta_1 near 0.995.
+    # The shift above the all-ones vector's Rayleigh quotient separates the
+    # top of the cluster: one factor and 41 solves at writing, where sigma = 0
+    # alone leaves theta_2 / theta_1 near 0.995.
     assert eig.matvecs <= 60
     step = 1e-6 * (1.0 + abs(eig.value))
     plan = problem.pattern.factor_plan
@@ -716,15 +753,21 @@ def test_lanczos_with_the_second_gram_schmidt_pass_on_every_step(replica_above_d
     problem, x = replica_above_dense
     matrices.append(-dual_matrix(problem, x).toarray())
 
+    tops = [dense_lambda_max(A)[0] for A in matrices]
+    shifts = [lam + 0.1 * (1.0 + abs(lam)) for lam in tops[:-1]]
+
     def run(seed):
-        results = [lanczos_extreme(lambda v: A @ v, A.shape[0], np.random.default_rng(seed))
-                   for A in matrices[:-1]]
+        results = []
+        for A, sigma in zip(matrices, shifts):
+            matvec, forward = shift_invert(A, sigma)
+            eig = lanczos_extreme(matvec, A.shape[0], np.random.default_rng(seed),
+                                  forward=forward, start=np.ones(A.shape[0]))
+            results.append(dataclasses.replace(eig, value=sigma - 1.0 / eig.value))
         return results + [leading_eigenpair(problem, x, np.random.default_rng(seed))]
 
     single = run(35)
     monkeypatch.setattr(operators, "_DGKS_RATIO", 2.0)
-    for A, default, eig in zip(matrices, single, run(35)):
-        lam, _ = dense_lambda_max(A)
+    for A, lam, default, eig in zip(matrices, tops, single, run(35)):
         assert abs(eig.value - lam) <= 1e-9 * (1.0 + abs(lam)), A.shape
         assert eig.residual <= 1e-9
         assert float(np.linalg.norm(A @ eig.vector - eig.value * eig.vector)) <= 1e-8
