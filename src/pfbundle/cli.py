@@ -31,6 +31,7 @@ from .network import (
     load_injection,
     load_network,
     load_tie_block,
+    read_document,
     replicate_feeder,
     save_network,
     synth_radial,
@@ -42,27 +43,29 @@ EXIT_ERROR = 1
 EXIT_NOT_FEASIBLE = 2
 
 
-def _add_config_flags(parser: argparse.ArgumentParser) -> None:
-    """One override flag per SolverConfig field, typed by its default."""
-    g = parser.add_argument_group("solver overrides")
-    for f in dataclasses.fields(SolverConfig):
-        g.add_argument(
+def _add_field_flags(group, cls, defaults: bool) -> None:
+    """One flag per field of dataclass cls, typed by its default.
+
+    A flag defaults to its field's default, or to None when defaults is
+    false, so that only the flags given override.
+    """
+    for f in dataclasses.fields(cls):
+        group.add_argument(
             "--" + f.name.replace("_", "-"),
             dest=f.name,
             type=float if f.default is None else type(f.default),
-            help=f.metadata["help"],
+            default=f.default if defaults else None,
+            help=f.metadata.get("help"),
         )
 
 
 def _read_config(path, in_report: bool) -> dict:
     """SolverConfig values from a config file, or from a report's "config"."""
-    with open(path) as fh:
-        doc = json.load(fh)
+    doc = read_document(path, "config" if in_report else None)
     if in_report:
-        doc = doc.get("config") if isinstance(doc, dict) else None
-    if not isinstance(doc, dict):
-        what = "report config" if in_report else "config"
-        raise NetworkFormatError(f"{path}: {what} must be a JSON object")
+        doc = doc["config"]
+        if not isinstance(doc, dict):
+            raise NetworkFormatError(f"{path}: report config must be a JSON object")
     unknown = set(doc) - {f.name for f in dataclasses.fields(SolverConfig)}
     if unknown:
         raise NetworkFormatError(f"{path}: unknown config keys {sorted(unknown)}")
@@ -153,46 +156,42 @@ def cmd_assess(args: argparse.Namespace) -> int:
     return EXIT_NOT_FEASIBLE
 
 
-def cmd_generate(args: argparse.Namespace) -> int:
-    if args.kind == "radial":
-        params = RadialParams(
-            series_min=args.series_min,
-            series_max=args.series_max,
-            coupling=args.coupling,
-            shunt=args.shunt,
-        )
-        network, limits = synth_radial(args.buses, seed=args.seed, params=params)
-        u = np.zeros(3 * network.n_buses)
-        note = ""
-        if args.planted == "feasible":
-            inst = plant_feasible(network)
-            limits, u = inst.limits, inst.u
-            note = f" (planted optimum value {inst.f_star:.12g})"
-        elif args.planted == "infeasible":
-            inst = plant_infeasible(network)
-            limits, u = inst.limits, inst.u
-            note = " (planted limit conflict at the slack bus)"
-        save_network(args.out, network, limits)
-        injection_out = args.injection_out
-        if injection_out is None and args.planted != "none":
-            stem = args.out[:-5] if args.out.endswith(".json") else args.out
-            injection_out = stem + ".u.json"
-        if injection_out is not None:
-            with open(injection_out, "w") as fh:
-                json.dump({"u": [float(v) for v in u]}, fh, indent=1)
-                fh.write("\n")
-            print(f"wrote {args.out} and {injection_out}{note}")
-        else:
-            print(f"wrote {args.out}{note}")
-        return EXIT_FEASIBLE
-    if args.kind == "replicate":
-        network, limits = load_network(args.base)
-        tie = None if args.tie_json is None else load_tie_block(args.tie_json)
-        out_net, out_lim = replicate_feeder(network, limits, args.copies, tie_block=tie)
-        save_network(args.out, out_net, out_lim)
-        print(f"wrote {args.out} ({out_net.n_buses} buses)")
-        return EXIT_FEASIBLE
-    raise NetworkFormatError(f"unknown generate kind {args.kind!r}")
+def cmd_generate_radial(args: argparse.Namespace) -> int:
+    params = RadialParams(**{f.name: getattr(args, f.name)
+                             for f in dataclasses.fields(RadialParams)})
+    network, limits = synth_radial(args.buses, seed=args.seed, params=params)
+    u = np.zeros(3 * network.n_buses)
+    note = ""
+    if args.planted == "feasible":
+        inst = plant_feasible(network)
+        limits, u = inst.limits, inst.u
+        note = f" (planted optimum value {inst.f_star:.12g})"
+    elif args.planted == "infeasible":
+        inst = plant_infeasible(network)
+        limits, u = inst.limits, inst.u
+        note = " (planted limit conflict at the slack bus)"
+    save_network(args.out, network, limits)
+    injection_out = args.injection_out
+    if injection_out is None and args.planted != "none":
+        stem = args.out[:-5] if args.out.endswith(".json") else args.out
+        injection_out = stem + ".u.json"
+    if injection_out is not None:
+        with open(injection_out, "w") as fh:
+            json.dump({"u": [float(v) for v in u]}, fh, indent=1)
+            fh.write("\n")
+        print(f"wrote {args.out} and {injection_out}{note}")
+    else:
+        print(f"wrote {args.out}{note}")
+    return EXIT_FEASIBLE
+
+
+def cmd_generate_replicate(args: argparse.Namespace) -> int:
+    network, limits = load_network(args.base)
+    tie = None if args.tie_json is None else load_tie_block(args.tie_json)
+    out_net, out_lim = replicate_feeder(network, limits, args.copies, tie_block=tie)
+    save_network(args.out, out_net, out_lim)
+    print(f"wrote {args.out} ({out_net.n_buses} buses)")
+    return EXIT_FEASIBLE
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -211,7 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--from-report", dest="from_report",
                    help="reuse the configuration stored in a previous report")
     p.add_argument("--out", help="write the JSON report here ('-' for stdout)")
-    _add_config_flags(p)
+    _add_field_flags(p.add_argument_group("solver overrides"), SolverConfig, defaults=False)
     p.set_defaults(func=cmd_assess)
 
     p = sub.add_parser("generate", help="write synthetic network documents")
@@ -225,18 +224,15 @@ def build_parser() -> argparse.ArgumentParser:
                     help="center the limits on a known operating point")
     pr.add_argument("--injection-out", dest="injection_out",
                     help="write the matching injection JSON here")
-    radial = RadialParams()
-    for name in ("series_min", "series_max", "coupling", "shunt"):
-        pr.add_argument("--" + name.replace("_", "-"), dest=name, type=float,
-                        default=getattr(radial, name))
-    pr.set_defaults(func=cmd_generate)
+    _add_field_flags(pr, RadialParams, defaults=True)
+    pr.set_defaults(func=cmd_generate_radial)
     pp = kinds.add_parser("replicate", help="tile copies of a feeder on one slack")
     pp.add_argument("base", help="base network JSON path")
     pp.add_argument("out", help="output network JSON path")
     pp.add_argument("--copies", type=int, required=True)
     pp.add_argument("--tie-json", dest="tie_json",
                     help="JSON {\"y\": [[re, im] x 9]} Hermitian tie admittance")
-    pp.set_defaults(func=cmd_generate)
+    pp.set_defaults(func=cmd_generate_replicate)
 
     return parser
 

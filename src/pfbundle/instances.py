@@ -10,7 +10,7 @@ instance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -22,6 +22,14 @@ import scipy.sparse.linalg as spla
 from scipy.sparse._sparsetools import csc_matvec
 
 from .network import OperatingLimits, ThreePhaseNetwork, _csc_arrays, assemble_admittance
+
+# Planted margins: how far inside its band every row sits at the reference
+# profile (active and reactive power, squared voltage magnitude).
+P_MARGIN = 2.0
+Q_MARGIN = 1.5
+V_MARGIN = 0.35
+# The planted-infeasible cap on squared voltage magnitude, below the slack's 1.
+V_CAP = 0.5
 
 
 @dataclass(frozen=True, eq=False)
@@ -88,20 +96,13 @@ def _profile(network: ThreePhaseNetwork, C: sp.csr_matrix) -> np.ndarray:
     return np.concatenate([v1, np.atleast_1d(tail)])
 
 
-def plant_feasible(
-    network: ThreePhaseNetwork,
-    p_margin: float = 2.0,
-    q_margin: float = 1.5,
-    v_margin: float = 0.35,
-) -> PlantedInstance:
+def plant_feasible(network: ThreePhaseNetwork) -> PlantedInstance:
     """Bands centered on the loss-minimizing profile with strict margins.
 
     Every limit row is strictly slack at the reference profile, so the
     recovered operating point should report zero limit violation, and the
     optimal value is the negated dissipation of the profile.
     """
-    if min(p_margin, q_margin, v_margin) <= 0:
-        raise ValueError("margins must be positive")
     Y = assemble_admittance(network)
     C = _hermitian_part(Y)
     v = _profile(network, C)
@@ -113,45 +114,25 @@ def plant_feasible(
     # Active-power bounds are offsets around the set point; reactive and
     # magnitude bounds are absolute, so those are centered on the profile.
     limits = OperatingLimits(
-        p_upper=np.full(dim, p_margin),
-        p_lower=np.full(dim, -p_margin),
-        q_upper=q + q_margin,
-        q_lower=q - q_margin,
-        v_upper=d + v_margin,
-        v_lower=np.clip(d - v_margin, 0.0, None),
+        p_upper=np.full(dim, P_MARGIN),
+        p_lower=np.full(dim, -P_MARGIN),
+        q_upper=q + Q_MARGIN,
+        q_lower=q - Q_MARGIN,
+        v_upper=d + V_MARGIN,
+        v_lower=np.clip(d - V_MARGIN, 0.0, None),
     )
     f_star = -float(np.real(np.vdot(v, C @ v)))
     return PlantedInstance(voltage=v, u=u, limits=limits, f_star=f_star, feasible=True)
 
 
-def plant_infeasible(
-    network: ThreePhaseNetwork,
-    v_cap: float = 0.5,
-    p_margin: float = 2.0,
-    q_margin: float = 1.5,
-) -> PlantedInstance:
+def plant_infeasible(network: ThreePhaseNetwork) -> PlantedInstance:
     """Magnitude caps below the squared slack voltage: provably no solution.
 
-    The slack block is fixed at unit squared magnitude per phase, so a cap
-    below one is violated by every candidate matrix and the certified slack
-    stays bounded away from zero.
+    The slack block is fixed at unit squared magnitude per phase, so the cap
+    V_CAP below one is violated by every candidate matrix and the certified
+    slack stays bounded away from zero.  The power bands are plant_feasible's.
     """
-    if not 0.0 < v_cap < 1.0:
-        raise ValueError("v_cap must lie in (0, 1) to cut off the slack bus")
-    base = plant_feasible(network, p_margin=p_margin, q_margin=q_margin)
+    base = plant_feasible(network)
     dim = 3 * network.n_buses
-    limits = OperatingLimits(
-        p_upper=base.limits.p_upper,
-        p_lower=base.limits.p_lower,
-        q_upper=base.limits.q_upper,
-        q_lower=base.limits.q_lower,
-        v_upper=np.full(dim, float(v_cap)),
-        v_lower=np.zeros(dim),
-    )
-    return PlantedInstance(
-        voltage=base.voltage,
-        u=base.u,
-        limits=limits,
-        f_star=float("nan"),
-        feasible=False,
-    )
+    limits = replace(base.limits, v_upper=np.full(dim, V_CAP), v_lower=np.zeros(dim))
+    return replace(base, limits=limits, f_star=float("nan"), feasible=False)

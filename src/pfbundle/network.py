@@ -63,7 +63,7 @@ class OperatingLimits:
             object.__setattr__(self, key, vec)
 
     def __reduce__(self):
-        return (type(self), tuple(self.as_dict().values()))
+        return (type(self), _init_values(self))
 
     def validate(self, n_buses: int) -> None:
         """Raise NetworkFormatError naming the first defect; a pass is remembered."""
@@ -92,6 +92,11 @@ class OperatingLimits:
 
     def as_dict(self) -> dict:
         return {key: getattr(self, key) for key in _LIMIT_KEYS}
+
+
+def _init_values(obj) -> tuple:
+    """The values of a dataclass's init fields, in order: what rebuilds it."""
+    return tuple(getattr(obj, f.name) for f in fields(obj) if f.init)
 
 
 _LIMIT_KEYS = tuple(f.name for f in fields(OperatingLimits) if f.init)
@@ -134,8 +139,7 @@ class ThreePhaseNetwork:
         object.__setattr__(self, "slack_voltage", slack)
 
     def __reduce__(self):
-        return (type(self), (self.n_buses, self.keys, self.blocks, self.slack_voltage,
-                             self.topology))
+        return (type(self), _init_values(self))
 
     def validate(self) -> None:
         """Raise NetworkFormatError naming the first defect; a pass is remembered.
@@ -368,18 +372,15 @@ def network_from_dict(doc: dict) -> tuple:
     entries = doc.get("blocks", [])
     if not isinstance(entries, list):
         raise NetworkFormatError("'blocks' must be a list")
-    keys, pairs, seen = [], [], set()
+    keys, pairs = [], []
     for entry in entries:
         if not isinstance(entry, dict) or "i" not in entry or "j" not in entry:
             raise NetworkFormatError(f"malformed block entry: {entry!r}")
         i = _number(entry["i"], "block index i", integer=True) - 1
         j = _number(entry["j"], "block index j", integer=True) - 1
         name = f"block ({i + 1}, {j + 1})"
-        if (i, j) in seen:
-            raise NetworkFormatError(f"duplicate {name}")
         if max(abs(i), abs(j)) >= 2**63:        # beyond int64: no key array holds it
             raise NetworkFormatError(f"{name} is out of range")
-        seen.add((i, j))
         keys.append((i, j))
         pairs.append(entry.get("y", []))
         _check_pairs(pairs[-1], 9, name)
@@ -412,25 +413,40 @@ def save_network(path, network: ThreePhaseNetwork, limits: OperatingLimits) -> N
         fh.write("\n")
 
 
-def load_network(path) -> tuple:
-    """Read a network document, returning (ThreePhaseNetwork, OperatingLimits)."""
-    try:
-        with open(path) as fh:
+def read_document(path, key=None) -> dict:
+    """The JSON object in the file at path, holding key when one is given.
+
+    Every defect raises NetworkFormatError with the path first: bytes that
+    are not UTF-8, text that is not JSON, a top level that is not an
+    object, or a missing key.
+    """
+    with open(path, encoding="utf-8") as fh:
+        try:
             doc = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise NetworkFormatError(f"{path}: not valid JSON: {exc}") from exc
+        except ValueError as exc:   # bad UTF-8, bad JSON, or an integer too long to read
+            raise NetworkFormatError(f"{path}: not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise NetworkFormatError(f"{path}: top level must be an object")
-    return network_from_dict(doc)
+    if key is not None and key not in doc:
+        raise NetworkFormatError(f"{path}: expected an object with key '{key}'")
+    return doc
+
+
+def load_network(path) -> tuple:
+    """Read a network document, returning (ThreePhaseNetwork, OperatingLimits).
+
+    Every error names the file.
+    """
+    doc = read_document(path)
+    try:
+        return network_from_dict(doc)
+    except NetworkFormatError as exc:
+        raise NetworkFormatError(f"{path}: {exc}") from None
 
 
 def load_injection(path, n_buses: int) -> np.ndarray:
     """Read an injection set point {"u": [...]} of length 3*n_buses."""
-    with open(path) as fh:
-        doc = json.load(fh)
-    if not isinstance(doc, dict) or "u" not in doc:
-        raise NetworkFormatError(f"{path}: expected an object with key 'u'")
-    u = _real_vector(doc["u"], f"{path}: 'u'")
+    u = _real_vector(read_document(path, "u")["u"], f"{path}: 'u'")
     if u.shape != (3 * n_buses,):
         raise NetworkFormatError(
             f"{path}: injection has length {u.size}, expected {3 * n_buses}"
@@ -440,12 +456,9 @@ def load_injection(path, n_buses: int) -> np.ndarray:
 
 def load_tie_block(path) -> np.ndarray:
     """Read a 3x3 tie admittance {"y": [9 [re, im] pairs]}, row-major."""
-    with open(path) as fh:
-        doc = json.load(fh)
-    if not isinstance(doc, dict) or "y" not in doc:
-        raise NetworkFormatError(f"{path}: expected an object with key 'y'")
-    _check_pairs(doc["y"], 9, f"{path}: 'y'")
-    return _complex_array(doc["y"]).reshape(3, 3)
+    y = read_document(path, "y")["y"]
+    _check_pairs(y, 9, f"{path}: 'y'")
+    return _complex_array(y).reshape(3, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -465,10 +478,12 @@ class RadialParams:
     series_max: float = 5.0
     coupling: float = 0.15
     shunt: float = 0.4
-    p_band: float = 1.5
-    q_band: float = 1.5
-    v_upper: float = 1.44
-    v_lower: float = 0.49
+
+
+# The radial generator's limits on every phase of every bus: power bands of
+# +-1.5 and |V| between 0.7 and 1.2.
+RADIAL_LIMITS = {"p_upper": 1.5, "p_lower": -1.5, "q_upper": 1.5, "q_lower": -1.5,
+                 "v_upper": 1.44, "v_lower": 0.49}
 
 
 def _random_hermitian(rng: np.random.Generator, scale: float) -> np.ndarray:
@@ -507,9 +522,8 @@ def synth_radial(
             rng, 0.1 * params.shunt
         )
         keys.append((b, b))
-    bands = (params.p_band, -params.p_band, params.q_band, -params.q_band,
-             params.v_upper, params.v_lower)
-    limits = OperatingLimits(*(np.full(3 * n_buses, band) for band in bands))
+    limits = OperatingLimits(**{key: np.full(3 * n_buses, band)
+                                for key, band in RADIAL_LIMITS.items()})
     network = ThreePhaseNetwork(
         n_buses=n_buses, keys=keys, blocks=blocks + list(diag),
         slack_voltage=DEFAULT_SLACK_VOLTAGE, topology="radial",

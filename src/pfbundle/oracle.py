@@ -130,35 +130,33 @@ def qp_support_enumeration(
 
     Works on the concave dual over the weight simplex: every support is
     enumerated, equal-height conditions are solved by bisection (nested for
-    the full support), and the best dual value wins.  Derivative-free and
-    independent of the production case logic.
+    the full support), and the candidate whose box-feasible point has the
+    least primal objective wins: at a near-degenerate optimum, dual values
+    of different supports tie to rounding while their points do not.
+    Derivative-free and independent of the production case logic.
     """
     a = np.asarray(intercepts, dtype=float)
     S = np.asarray(slopes, dtype=float)
 
     def state(theta):
-        h = S.T @ theta
-        w = center - h / rho
-        z = _clip_box(w, beta, n_box)
-        vals = a + S @ z
-        diff = z - center
-        q = float(theta @ a + h @ z + 0.5 * rho * (diff @ diff))
-        return z, vals, q
+        z = _clip_box(center - (S.T @ theta) / rho, beta, n_box)
+        return z, a + S @ z
 
     candidates = []
 
-    def add(theta, support):
+    def add(theta):
         theta = np.clip(theta, 0.0, 1.0)
         total = theta.sum()
         if total > 0:
             theta = theta / total
-        _, _, q = state(theta)
-        candidates.append((q, theta, support))
+        z, vals = state(theta)
+        diff = z - center
+        candidates.append((float(vals.max() + 0.5 * rho * (diff @ diff)), theta, z))
 
     for i in range(3):
         theta = np.zeros(3)
         theta[i] = 1.0
-        add(theta, (i,))
+        add(theta)
 
     def edge_theta(i, j, s):
         theta = np.zeros(3)
@@ -167,7 +165,7 @@ def qp_support_enumeration(
         return theta
 
     def edge_gap(i, j, s):
-        _, vals, _ = state(edge_theta(i, j, s))
+        _, vals = state(edge_theta(i, j, s))
         return vals[i] - vals[j]
 
     for i, j in ((0, 1), (0, 2), (1, 2)):
@@ -182,13 +180,13 @@ def qp_support_enumeration(
                 lo = mid
             else:
                 hi = mid
-        add(edge_theta(i, j, 0.5 * (lo + hi)), (i, j))
+        add(edge_theta(i, j, 0.5 * (lo + hi)))
 
     def full_theta(lam, mu):
         return np.array([mu * lam, mu * (1.0 - lam), 1.0 - mu])
 
     def pair_gap(lam, mu):
-        _, vals, _ = state(full_theta(lam, mu))
+        _, vals = state(full_theta(lam, mu))
         return vals[0] - vals[1]
 
     def inner_lam(mu):
@@ -207,7 +205,7 @@ def qp_support_enumeration(
 
     def slice_slope(mu):
         lam = inner_lam(mu)
-        _, vals, _ = state(full_theta(lam, mu))
+        _, vals = state(full_theta(lam, mu))
         return lam * (vals[0] - vals[2]) + (1.0 - lam) * (vals[1] - vals[2]), lam
 
     d0, _ = slice_slope(0.0)
@@ -227,14 +225,11 @@ def qp_support_enumeration(
                 hi = mid
         mu_star = 0.5 * (lo + hi)
         lam_star = inner_lam(mu_star)
-    add(full_theta(lam_star, mu_star), (0, 1, 2))
+    add(full_theta(lam_star, mu_star))
 
-    best_q, best_theta, _ = max(candidates, key=lambda item: item[0])
-    z, vals, _ = state(best_theta)
-    diff = z - center
-    objective = float(vals.max() + 0.5 * rho * (diff @ diff))
-    support = tuple(int(i) for i in range(3) if best_theta[i] > 1e-12)
-    return OracleProx(z=z, theta=best_theta, objective=objective, support=support)
+    objective, theta, z = min(candidates, key=lambda item: item[0])
+    support = tuple(int(i) for i in range(3) if theta[i] > 1e-12)
+    return OracleProx(z=z, theta=theta, objective=objective, support=support)
 
 
 # ---------------------------------------------------------------------------

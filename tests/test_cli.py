@@ -210,7 +210,8 @@ def test_from_report_rejects_the_removed_lanczos_knobs(feasible_case, tmp_path, 
     ("--from-report", {"config": {"epsilon": 1e-7}}, "unknown config keys"),
     ("--config", {"eps": "abc"}, "eps must be a number"),
     ("--from-report", {"config": {"max_iters": "10"}}, "max_iters must be an integer"),
-    ("--from-report", [1, 2], "report config must be a JSON object"),
+    ("--from-report", [1, 2], "source.json: top level must be an object"),
+    ("--from-report", {"config": [1, 2]}, "source.json: report config must be a JSON object"),
     ("--config", {"max_iters": 10**400}, "max_iters must be finite"),
     ("--from-report", {"config": {"max_iters": 10**400}}, "max_iters must be finite"),
     ("--config", {"seed": -1}, "seed must be nonnegative"),
@@ -219,6 +220,7 @@ def test_from_report_rejects_the_removed_lanczos_knobs(feasible_case, tmp_path, 
     ("--config", {"comp_scale": -1e-6}, "comp_scale must be nonnegative"),
     ("--config", {"gap_tol": -1.0}, "gap_tol must be nonnegative"),
 ], ids=["report-extra-key", "config-string-float", "report-string-int", "report-list",
+        "report-config-list",
         "config-huge-iters", "report-huge-iters", "config-negative-seed",
         "config-zero-eig-tol", "report-negative-feas-tol", "config-negative-comp-scale",
         "config-negative-gap-tol"])
@@ -381,6 +383,34 @@ def test_cli_survives_mutated_documents(cli_documents, data):
     assert main(argv) in (EXIT_FEASIBLE, EXIT_ERROR, EXIT_NOT_FEASIBLE)
 
 
+# The key each input file must hold.  A config file needs none, so its key
+# fault is a key it does not know.
+_REQUIRED_KEY = {"network": "n_buses", "injection": "u", "tie": "y", "config": None,
+                 "report": "config"}
+
+
+@pytest.mark.parametrize("fault", ["not-json", "not-utf8", "not-object", "key"])
+@pytest.mark.parametrize("kind", sorted(_REQUIRED_KEY))
+def test_every_input_file_error_names_the_file(cli_documents, capsys, kind, fault):
+    root, documents = cli_documents
+    doc, argv, _ = documents[kind]
+    path = root / f"{kind}.{fault}.json"
+    if fault == "not-json":
+        path.write_text("{'u': [1.0]}")
+    elif fault == "not-utf8":
+        path.write_bytes(b'{"topology": "\xff"}')
+    elif fault == "not-object":
+        path.write_text("[]")
+    elif _REQUIRED_KEY[kind] is None:
+        path.write_text(json.dumps({**doc, "epsilon": 1e-7}))
+    else:
+        path.write_text(json.dumps({k: v for k, v in doc.items() if k != _REQUIRED_KEY[kind]}))
+    code = main([str(path) if arg is None else arg for arg in argv])
+    err = capsys.readouterr().err
+    assert code == EXIT_ERROR
+    assert err.startswith("error:") and str(path) in err
+
+
 # Where the library names a generate argument in its error line.
 _GENERATE_ARG_NAMES = {"--buses": "buses", "--seed": "seed", "--copies": "replication count"}
 
@@ -421,6 +451,25 @@ def test_every_config_field_is_an_override_flag(field):
     args = build_parser().parse_args(["assess", "n.json", flag, str(value)])
     resolved = getattr(resolve_config(args), field.name)
     assert resolved == value and type(resolved) is type(value)
+
+
+@pytest.mark.parametrize("field", dataclasses.fields(RadialParams), ids=lambda f: f.name)
+def test_every_radial_field_is_a_generate_flag(field, tmp_path, capsys, monkeypatch):
+    # Each field is a flag that defaults to the field's default and reaches
+    # the generator.
+    seen = []
+
+    def synth(*args, params, **kwargs):
+        seen.append(params)
+        return synth_radial(*args, params=params, **kwargs)
+
+    monkeypatch.setattr(cli, "synth_radial", synth)
+    argv = ["generate", "radial", str(tmp_path / "a.json"), "--buses", "3"]
+    assert getattr(build_parser().parse_args(argv), field.name) == field.default
+    flag = "--" + field.name.replace("_", "-")
+    assert main(argv + [flag, "3.0"]) == EXIT_FEASIBLE
+    capsys.readouterr()
+    assert seen == [dataclasses.replace(RadialParams(), **{field.name: 3.0})]
 
 
 def test_assess_oracle_check_checks_the_configured_objective(

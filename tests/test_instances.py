@@ -96,11 +96,6 @@ def test_plant_feasible_value_is_negative_dissipation(two_bus):
     np.testing.assert_allclose(inst.u, (v * np.conj(Y @ v)).real, atol=1e-12)
 
 
-def test_plant_feasible_rejects_bad_margins(two_bus):
-    with pytest.raises(ValueError, match="margins"):
-        plant_feasible(two_bus, p_margin=0.0)
-
-
 def test_plant_infeasible_cuts_off_the_slack_bus(two_bus):
     inst = plant_infeasible(two_bus)
     assert inst.feasible is False
@@ -112,8 +107,6 @@ def test_plant_infeasible_cuts_off_the_slack_bus(two_bus):
     slack_rows = m[4 * dim : 4 * dim + 3]  # -v_upper on the slack phases
     d1 = np.abs(inst.voltage[:3]) ** 2
     assert (d1 + slack_rows).min() >= 0.5 - 1e-12
-    with pytest.raises(ValueError, match="v_cap"):
-        plant_infeasible(two_bus, v_cap=1.5)
 
 
 def test_plant_infeasible_keeps_power_bands(two_bus):

@@ -29,6 +29,7 @@ from pfbundle.instances import loss_min_profile
 from pfbundle.network import (
     DEFAULT_SLACK_VOLTAGE,
     MAX_BUSES,
+    RADIAL_LIMITS,
     assemble_admittance,
     load_injection,
     network_from_dict,
@@ -684,8 +685,11 @@ def test_radial_params_defaults_are_frozen():
     p = RadialParams()
     assert (p.series_min, p.series_max) == (2.0, 5.0)
     assert (p.coupling, p.shunt) == (0.15, 0.4)
-    assert (p.p_band, p.q_band) == (1.5, 1.5)
-    assert (p.v_upper, p.v_lower) == (1.44, 0.49)
+    assert RADIAL_LIMITS == {"p_upper": 1.5, "p_lower": -1.5, "q_upper": 1.5,
+                             "q_lower": -1.5, "v_upper": 1.44, "v_lower": 0.49}
+    _, limits = synth_radial(3, seed=0)
+    for key, band in RADIAL_LIMITS.items():
+        np.testing.assert_array_equal(getattr(limits, key), np.full(9, band))
 
 
 def test_two_bus_builder_matches_frozen_admittance():

@@ -423,13 +423,35 @@ def prox_instances(draw):
 @settings(database=None, derandomize=True, max_examples=300, deadline=None)
 @given(prox_instances())
 def test_solve_prox_matches_the_oracle_on_degenerate_triples(instance):
-    # The oracle picks its support by dual value, so at a near-degenerate
-    # optimum its primal objective can sit above the optimum by its own
-    # duality gap (up to about 1e-7 on planted 1e-9 weights).  The solve must
-    # land within criterion 2's 1e-8 of the oracle's bracket: no worse than
-    # its primal point, no lower than its dual value.
+    # The solve must land within criterion 2's 1e-8 of the oracle's bracket:
+    # no worse than its primal point, no lower than its dual value.
     sol = solve_prox(*instance)
     ref = qp_support_enumeration(*instance)
     lower = dual_value(ref.theta, *instance)
     assert lower - 1e-8 <= sol.objective <= ref.objective + 1e-8
     assert sol.kkt_residual <= 1e-8
+
+
+def test_solve_prox_objective_equals_the_oracle_at_near_degenerate_optima():
+    # 400 triples at rho 4 with a planted full-support optimum whose smallest
+    # weight is 1e-9.  There the dual values of the edge and full supports
+    # tie to about 1e-18 while their primal objectives differ by up to 1e-7, so
+    # the oracle must pick its candidate by primal objective for the two
+    # objectives to agree this closely.
+    rho, beta = 4.0, 0.1
+    gaps = []
+    for seed in range(400):
+        rng = np.random.default_rng(seed)
+        dim = int(rng.integers(3, 41))
+        n_box = int(rng.integers(0, dim + 1))
+        center = rng.normal(size=dim)
+        center[:n_box] = rng.uniform(-0.05, 0.15, size=n_box)
+        S = rng.normal(size=(3, dim))
+        theta = rng.dirichlet([1.0, 1.0, 1.0])
+        theta[rng.integers(0, 3)] = 1e-9
+        theta /= theta.sum()
+        a = 0.3 - S @ project_box(center - (S.T @ theta) / rho, beta, n_box)
+        instance = (center, a, S, rho, beta, n_box)
+        sol = solve_prox(*instance)
+        gaps.append(abs(sol.objective - qp_support_enumeration(*instance).objective))
+    assert max(gaps) <= 1e-10
