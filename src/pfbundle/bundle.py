@@ -64,22 +64,17 @@ def _strict(value):
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Tunable knobs of the bundle loop and the certificate thresholds.
+    """The settings a run may change; the rest are the constants below.
 
     Each field is also a CLI override flag, its help text in the metadata.
     """
 
     rho: float = _knob(4.0, "start value of the prox weight")
-    eta: float = _knob(0.1, "descent-test fraction in (0, 1)")
     eps: float = _knob(1e-5, "model-gap stopping tolerance")
     beta: float = _knob(0.1, "multiplier box upper bound")
     alpha: float | None = _knob(None, "penalty weight (default: limit rule)")
     max_iters: int = _knob(2000, "bundle iteration budget")
     eig_tol: float = _knob(1e-9, "eigenpair residual tolerance")
-    feas_tol: float = _knob(1e-6, "certificate limit-slack tolerance")
-    comp_scale: float = _knob(1e-6, "complementarity tolerance relative to ||H||")
-    gap_tol: float = _knob(1e-8, "least eigenvalue separation of a certificate")
-    seed: int = _knob(0, "seed of the random vector blended into Lanczos's start")
 
     def validate(self) -> None:
         # Values may come from JSON, so types are checked too: a field takes
@@ -99,8 +94,6 @@ class SolverConfig:
                 raise ValueError(f"{f.name} must be finite")
         if self.rho <= 0:
             raise ValueError("rho must be positive")
-        if not 0.0 < self.eta < 1.0:
-            raise ValueError("eta must lie in (0, 1)")
         if self.eps <= 0:
             raise ValueError("eps must be positive")
         if self.beta <= 0:
@@ -109,13 +102,18 @@ class SolverConfig:
             raise ValueError("alpha must be positive")
         if self.eig_tol <= 0:
             raise ValueError("eig_tol must be positive")
-        for name in ("feas_tol", "comp_scale", "gap_tol"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be nonnegative")
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
-        if self.seed < 0:
-            raise ValueError("seed must be nonnegative")
+
+
+# Fixed for every run: the descent-test fraction; a certificate's bounds on
+# the limit slack, on the complementarity residual relative to ||H||_F and on
+# H's least eigenvalue separation; the seed of the Lanczos start's blend.
+ETA = 0.1
+FEAS_TOL = 1e-6
+COMP_SCALE = 1e-6
+GAP_TOL = 1e-8
+BLEND_SEED = 0
 
 
 @dataclass(frozen=True)
@@ -182,7 +180,7 @@ def _start_state(problem: PenaltyObjective, config: SolverConfig) -> BundleState
     return BundleState(
         problem=problem,
         config=config,
-        rng=np.random.default_rng(config.seed),
+        rng=np.random.default_rng(BLEND_SEED),
         center=problem.start_point(),
         f_center=float("nan"),
         a=np.zeros(3),
@@ -331,7 +329,7 @@ def step(state: BundleState) -> IterationRecord:
     g = penalty_subgradient(problem, eig)
 
     center, f_old = state.center, state.f_center
-    serious = f_z <= f_old - config.eta * delta
+    serious = f_z <= f_old - ETA * delta
     step_norm = float(np.linalg.norm(z - center))
     if serious:
         state.center = np.array(z, copy=True)
@@ -412,7 +410,6 @@ def recover_primal(
     problem: PenaltyObjective,
     x: np.ndarray,
     eig: EigenResult,
-    config: SolverConfig,
     f_value: float | None = None,
 ) -> PrimalCertificate:
     """Rescale the bottom eigenvector of H(x) into a voltage candidate.
@@ -422,8 +419,9 @@ def recover_primal(
     eigenvector's slack block is aligned with the reference voltage by a
     least-squares complex scalar; the scaled vector induces a rank-one matrix
     whose limit violations, complementarity residual against H, and spectral
-    separation drive the verdict.  When f_value is given the certificate also
-    reports the scaled duality gap between -f_value and the primal objective.
+    separation, held to FEAS_TOL, COMP_SCALE ||H||_F and GAP_TOL, drive the
+    verdict.  When f_value is given the certificate also reports the scaled
+    duality gap between -f_value and the primal objective.
     """
     H = dual_matrix(problem, x)
     v0 = eig.vector
@@ -451,7 +449,7 @@ def recover_primal(
     hv = H @ voltage
     comp_res = float(np.linalg.norm(hv) * np.linalg.norm(voltage))
     h_norm = float(np.sqrt(np.vdot(H.data, H.data).real)) if H.nnz else 0.0
-    comp_tol = config.comp_scale * h_norm
+    comp_tol = COMP_SCALE * h_norm
 
     primal_obj = problem.beta * slack_total + float(
         np.vdot(voltage, problem.C @ voltage).real
@@ -461,10 +459,10 @@ def recover_primal(
         duality_gap = abs(f_value + primal_obj) / (1.0 + abs(primal_obj))
 
     ok = (
-        slack_total <= config.feas_tol
+        slack_total <= FEAS_TOL
         and comp_res <= comp_tol
         and np.isfinite(gap)
-        and gap >= config.gap_tol
+        and gap >= GAP_TOL
     )
     return PrimalCertificate(
         recovered=True,
@@ -547,9 +545,8 @@ def solve(problem: PenaltyObjective, config: SolverConfig | None = None) -> Solv
             f" after {state.iteration} iterations"
         )
 
-    certificate = recover_primal(
-        problem, state.center, state.center_eig, config, f_value=state.f_center
-    )
+    certificate = recover_primal(problem, state.center, state.center_eig,
+                                 f_value=state.f_center)
     if certificate.recovered and certificate.voltage is not None:
         trace_w = float(np.vdot(certificate.voltage, certificate.voltage).real)
         if problem.alpha <= trace_w:

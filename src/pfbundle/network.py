@@ -12,6 +12,7 @@ construction; the file loader checks documents entry by entry before that.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -479,6 +480,20 @@ class RadialParams:
     coupling: float = 0.15
     shunt: float = 0.4
 
+    def validate(self) -> None:
+        """Raise NetworkFormatError naming the first field out of range."""
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not math.isfinite(value):
+                raise NetworkFormatError(f"{f.name} must be finite, got {value!r}")
+        if not 0 < self.series_min <= self.series_max:
+            raise NetworkFormatError("need 0 < series_min <= series_max, got"
+                                     f" {self.series_min!r} and {self.series_max!r}")
+        if self.shunt <= 0:
+            raise NetworkFormatError(f"shunt must be positive, got {self.shunt!r}")
+        if self.coupling < 0:
+            raise NetworkFormatError(f"coupling must be nonnegative, got {self.coupling!r}")
+
 
 # The radial generator's limits on every phase of every bus: power bands of
 # +-1.5 and |V| between 0.7 and 1.2.
@@ -504,6 +519,7 @@ def synth_radial(
         raise NetworkFormatError(f"synth_radial needs at least 2 buses, got {n_buses}")
     if seed < 0:
         raise NetworkFormatError(f"seed must be nonnegative, got {seed}")
+    params.validate()
     rng = np.random.default_rng(seed)
     keys, blocks = [], []
     diag = np.zeros((n_buses, 3, 3), dtype=complex)

@@ -5,6 +5,7 @@ import tempfile
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis.configuration import set_hypothesis_home_dir
 
 # Hypothesis caches constants on disk while collecting, even when no test uses
@@ -32,7 +33,22 @@ from pfbundle import (
     replicate_feeder,
     synth_radial,
 )
-from pfbundle.operators import DENSE_MAX_DIM
+from pfbundle.operators import DENSE_MAX_DIM, PenaltyObjective, _adjoint_data
+
+
+def constraint_adjoint_matrix(problem: PenaltyObjective, y: np.ndarray) -> sp.csr_matrix:
+    """Hermitian matrix representing the adjoint of the capacity map at y."""
+    return problem.pattern.matrix(_adjoint_data(problem, y))
+
+
+def slack_block_matrix(gamma: np.ndarray, n_buses: int) -> sp.csr_matrix:
+    """Embed a Hermitian 3x3 block at the slack-bus corner of a 3N x 3N matrix."""
+    gamma = np.asarray(gamma, dtype=complex)
+    rows, cols = np.meshgrid(np.arange(3), np.arange(3), indexing="ij")
+    return sp.coo_matrix(
+        (gamma.ravel(), (rows.ravel(), cols.ravel())),
+        shape=(3 * n_buses, 3 * n_buses),
+    ).tocsr()
 
 
 def criterion_2_triples(count=1000):

@@ -127,12 +127,12 @@ def test_assess_report_and_reproduction(feasible_case, tmp_path, capsys):
     net_path, u_path, _ = feasible_case
     report_path = str(tmp_path / "report.json")
     code = main(["assess", net_path, "--injection", u_path,
-                 "--eps", "1e-8", "--seed", "5", "--out", report_path])
+                 "--eps", "1e-8", "--max-iters", "1500", "--out", report_path])
     capsys.readouterr()
     assert code == EXIT_FEASIBLE
     doc = json.loads(Path(report_path).read_text())
     assert doc["config"]["eps"] == 1e-8
-    assert doc["config"]["seed"] == 5
+    assert doc["config"]["max_iters"] == 1500
     assert doc["network_file"] == net_path
     # The manifest's key set is pinned; the resolved config is the top-level
     # "config" alone.
@@ -171,7 +171,7 @@ def test_assess_stdout_report(feasible_case, capsys):
 def test_assess_config_file_and_unknown_keys(feasible_case, tmp_path, capsys):
     net_path, u_path, _ = feasible_case
     cfg = tmp_path / "solver.json"
-    cfg.write_text(json.dumps({"eps": 1e-7, "seed": 9}))
+    cfg.write_text(json.dumps({"eps": 1e-7, "max_iters": 900}))
     report_path = str(tmp_path / "r.json")
     code = main(["assess", net_path, "--injection", u_path,
                  "--config", str(cfg), "--out", report_path])
@@ -179,7 +179,7 @@ def test_assess_config_file_and_unknown_keys(feasible_case, tmp_path, capsys):
     assert code == EXIT_FEASIBLE
     doc = json.loads(Path(report_path).read_text())
     assert doc["config"]["eps"] == 1e-7
-    assert doc["config"]["seed"] == 9
+    assert doc["config"]["max_iters"] == 900
 
     cfg.write_text(json.dumps({"epsilon": 1e-7}))
     code = main(["assess", net_path, "--injection", u_path, "--config", str(cfg)])
@@ -189,21 +189,29 @@ def test_assess_config_file_and_unknown_keys(feasible_case, tmp_path, capsys):
 
 
 def test_from_report_rejects_the_removed_lanczos_knobs(feasible_case, tmp_path, capsys):
-    # max_krylov and max_restarts were config fields; the Lanczos basis size
-    # and restart count are now fixed, so a report that carries them cannot
-    # be reproduced and is refused with both names.
+    # max_krylov and max_restarts (the Lanczos basis size and restart count)
+    # and eta, feas_tol, comp_scale, gap_tol and seed (the descent fraction,
+    # the certificate thresholds and the blend seed) were config fields and
+    # are now constants, so a config file or a report that carries any of
+    # them cannot be reproduced and is refused with every such name.
     net_path, u_path, _ = feasible_case
     report_path = tmp_path / "r.json"
     code = main(["assess", net_path, "--injection", u_path, "--out", str(report_path)])
     capsys.readouterr()
     assert code == EXIT_FEASIBLE
     doc = json.loads(report_path.read_text())
-    doc["config"].update(max_krylov=60, max_restarts=50)
+    removed = {"max_krylov": 60, "max_restarts": 50, "eta": 0.1, "feas_tol": 1e-6,
+               "comp_scale": 1e-6, "gap_tol": 1e-8, "seed": 0}
+    assert not removed.keys() & doc["config"].keys()
+    config_path = tmp_path / "c.json"
+    config_path.write_text(json.dumps({**doc["config"], **removed}))
+    doc["config"].update(removed)
     report_path.write_text(json.dumps(doc))
-    code = main(["assess", net_path, "--injection", u_path, "--from-report", str(report_path)])
-    err = capsys.readouterr().err
-    assert code == EXIT_ERROR == 1
-    assert "unknown config keys ['max_krylov', 'max_restarts']" in err
+    for source, path in (("--from-report", report_path), ("--config", config_path)):
+        code = main(["assess", net_path, "--injection", u_path, source, str(path)])
+        err = capsys.readouterr().err
+        assert code == EXIT_ERROR == 1
+        assert f"unknown config keys {sorted(removed)}" in err
 
 
 @pytest.mark.parametrize("source, doc, message", [
@@ -214,11 +222,11 @@ def test_from_report_rejects_the_removed_lanczos_knobs(feasible_case, tmp_path, 
     ("--from-report", {"config": [1, 2]}, "source.json: report config must be a JSON object"),
     ("--config", {"max_iters": 10**400}, "max_iters must be finite"),
     ("--from-report", {"config": {"max_iters": 10**400}}, "max_iters must be finite"),
-    ("--config", {"seed": -1}, "seed must be nonnegative"),
+    ("--config", {"seed": -1}, "unknown config keys ['seed']"),
     ("--config", {"eig_tol": 0}, "eig_tol must be positive"),
-    ("--from-report", {"config": {"feas_tol": -1e-6}}, "feas_tol must be nonnegative"),
-    ("--config", {"comp_scale": -1e-6}, "comp_scale must be nonnegative"),
-    ("--config", {"gap_tol": -1.0}, "gap_tol must be nonnegative"),
+    ("--from-report", {"config": {"feas_tol": -1e-6}}, "unknown config keys ['feas_tol']"),
+    ("--config", {"comp_scale": -1e-6}, "unknown config keys ['comp_scale']"),
+    ("--config", {"gap_tol": -1.0}, "unknown config keys ['gap_tol']"),
 ], ids=["report-extra-key", "config-string-float", "report-string-int", "report-list",
         "report-config-list",
         "config-huge-iters", "report-huge-iters", "config-negative-seed",
@@ -470,6 +478,28 @@ def test_every_radial_field_is_a_generate_flag(field, tmp_path, capsys, monkeypa
     assert main(argv + [flag, "3.0"]) == EXIT_FEASIBLE
     capsys.readouterr()
     assert seen == [dataclasses.replace(RadialParams(), **{field.name: 3.0})]
+
+
+@pytest.mark.parametrize("flag, value, name", [
+    ("--series-max", "0.75", "series_max"),
+    ("--series-min", "nan", "series_min"),
+    ("--series-max", "inf", "series_max"),
+    ("--coupling", "-inf", "coupling"),
+    ("--series-min", "0", "series_min"),
+    ("--shunt", "0", "shunt"),
+    ("--shunt", "-0.1", "shunt"),
+    ("--coupling", "-0.1", "coupling"),
+])
+def test_generate_radial_rejects_bad_params_by_name(tmp_path, capsys, flag, value, name):
+    # A series range that is empty or not positive, a shunt that is not
+    # positive, a negative coupling or a non-finite value exits 1 with one
+    # error line naming the field, and writes nothing.
+    out = tmp_path / "a.json"
+    code = main(["generate", "radial", str(out), "--buses", "3", f"{flag}={value}"])
+    err = capsys.readouterr().err
+    assert code == EXIT_ERROR
+    assert err.startswith("error:") and err.count("\n") == 1 and name in err
+    assert not out.exists()
 
 
 def test_assess_oracle_check_checks_the_configured_objective(

@@ -564,6 +564,31 @@ def test_synth_radial_admittance_is_positive_definite():
     assert evals[0] > 0.0
 
 
+@pytest.mark.parametrize("changes, message", [
+    ({"series_min": float("nan")}, "series_min must be finite"),
+    ({"series_max": float("inf")}, "series_max must be finite"),
+    ({"coupling": float("-inf")}, "coupling must be finite"),
+    ({"shunt": float("nan")}, "shunt must be finite"),
+    ({"series_min": 0.0, "series_max": 1.0}, "series_min <= series_max, got 0.0 and 1.0"),
+    ({"series_min": 2.0, "series_max": 1.0}, "series_min <= series_max, got 2.0 and 1.0"),
+    ({"shunt": 0.0}, "shunt must be positive"),
+    ({"coupling": -0.1}, "coupling must be nonnegative"),
+], ids=["series-min-nan", "series-max-inf", "coupling-minus-inf", "shunt-nan",
+        "series-min-zero", "series-range-empty", "shunt-zero", "coupling-negative"])
+def test_synth_radial_rejects_params_by_name(changes, message):
+    params = dataclasses.replace(RadialParams(), **changes)
+    with pytest.raises(NetworkFormatError, match=message):
+        synth_radial(4, seed=1, params=params)
+
+
+def test_synth_radial_accepts_params_at_their_edges():
+    # One series value and no coupling still give a positive definite C.
+    net, _ = synth_radial(6, seed=1, params=RadialParams(series_min=1.0, series_max=1.0,
+                                                          coupling=0.0))
+    Y = assemble_admittance(net).toarray()
+    assert np.linalg.eigvalsh(0.5 * (Y + Y.conj().T))[0] > 0.0
+
+
 def test_synth_radial_rejects_single_bus():
     with pytest.raises(NetworkFormatError, match="at least 2"):
         synth_radial(1)

@@ -25,7 +25,6 @@ from pfbundle.operators import (
     DENSE_MAX_DIM,
     EigenFailure,
     apply_constraint_rank1,
-    constraint_adjoint_matrix,
     dense_extreme,
     dual_matrix,
     lanczos_extreme,
@@ -33,13 +32,19 @@ from pfbundle.operators import (
     limit_offset_vector,
     penalty_subgradient,
     penalty_value,
-    slack_block_matrix,
     smat3,
     svec3,
 )
 from pfbundle.oracle import dense_dual_matrix, dense_lambda_max, dense_penalty_value
 
-from conftest import TEN_BUS_PARAMS, assert_bitwise, block_map, shift_invert
+from conftest import (
+    TEN_BUS_PARAMS,
+    assert_bitwise,
+    block_map,
+    constraint_adjoint_matrix,
+    shift_invert,
+    slack_block_matrix,
+)
 
 
 def random_hermitian(rng, dim):
@@ -792,7 +797,7 @@ def test_penalty_value_positive_part():
 
     # At the origin H = C, which is positive definite for these feeders, so
     # the eigenvalue term is clipped and f equals the linear part exactly.
-    x0 = np.zeros(problem.n_flat)
+    x0 = np.zeros(problem.n_box + 9)
     eig = leading_eigenpair(problem, x0, rng)
     f, f_lambda = penalty_value(problem, x0, eig)
     assert eig.value < 0.0
@@ -843,7 +848,7 @@ def test_subgradient_staleness_check():
     x = random_point(rng, problem)
     eig = leading_eigenpair(problem, x, rng)
     g = penalty_subgradient(problem, eig)
-    assert g.shape == (problem.n_flat,)
+    assert g.shape == (problem.n_box + 9,)
 
     def residual(point):
         v = eig.vector
