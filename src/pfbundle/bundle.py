@@ -67,6 +67,7 @@ class SolverConfig:
     """The settings a run may change; the rest are the constants below.
 
     Each field is also a CLI override flag, its help text in the metadata.
+    Construction raises ValueError naming the first field out of range.
     """
 
     rho: float = _knob(4.0, "start value of the prox weight")
@@ -76,7 +77,7 @@ class SolverConfig:
     max_iters: int = _knob(2000, "bundle iteration budget")
     eig_tol: float = _knob(1e-9, "eigenpair residual tolerance")
 
-    def validate(self) -> None:
+    def __post_init__(self):
         # Values may come from JSON, so types are checked too: a field takes
         # the type of its default (alpha a number or None), never a bool.
         # Reports write non-finite floats as null, which --from-report could
@@ -171,10 +172,9 @@ class BundleState:
 def _start_state(problem: PenaltyObjective, config: SolverConfig) -> BundleState:
     """The run at the box midpoint, before any eigenpair.
 
-    Checks config, sets the run's beta and alpha (None keeps the limit rule)
-    on the problem, and makes all three cuts the linear part.
+    Sets the run's beta and alpha (None keeps the limit rule) on the
+    problem, and makes all three cuts the linear part.
     """
-    config.validate()
     alpha = problem.alpha if config.alpha is None else float(config.alpha)
     problem = replace(problem, alpha=alpha, beta=float(config.beta))
     return BundleState(

@@ -21,7 +21,7 @@ import scipy.sparse.linalg as spla
 # the test suite with it.
 from scipy.sparse._sparsetools import csc_matvec
 
-from .network import OperatingLimits, ThreePhaseNetwork, _csc_arrays, assemble_admittance
+from .network import OperatingLimits, ThreePhaseNetwork, _csc_arrays
 
 # Planted margins: how far inside its band every row sits at the reference
 # profile (active and reactive power, squared voltage magnitude).
@@ -51,7 +51,7 @@ def loss_min_profile(network: ThreePhaseNetwork) -> np.ndarray:
     the trailing block to be positive definite, which holds for any network
     with shunt loading on every bus.
     """
-    return _profile(network, _hermitian_part(assemble_admittance(network)))
+    return _profile(network, _hermitian_part(network.admittance))
 
 
 def _hermitian_part(Y: sp.csr_matrix) -> sp.csr_matrix:
@@ -103,7 +103,7 @@ def plant_feasible(network: ThreePhaseNetwork) -> PlantedInstance:
     recovered operating point should report zero limit violation, and the
     optimal value is the negated dissipation of the profile.
     """
-    Y = assemble_admittance(network)
+    Y = network.admittance
     C = _hermitian_part(Y)
     v = _profile(network, C)
     s = v * np.conj(Y @ v)

@@ -5,8 +5,10 @@ A network is a block-sparse bus admittance matrix held as two arrays: a
 and a (B, 3, 3) array of their complex blocks, plus a fixed complex voltage
 at the slack bus (always bus 1).  Operating limits are six real vectors of
 length 3*n_buses giving per-phase bands on active power, reactive power, and
-squared voltage magnitude.  Both are converted to read-only arrays once, at
-construction; the file loader checks documents entry by entry before that.
+squared voltage magnitude.  Both are converted to read-only arrays and
+checked once, at construction, so every network and every set of limits that
+exists is valid; the file loader checks documents entry by entry before that.
+A band's length is compared with the bus count where limits meet a network.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, fields
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -44,10 +47,12 @@ class OperatingLimits:
     Active-power bands are offsets around the injection set point; reactive
     bands and squared-voltage-magnitude bands are absolute.
 
-    Limits are read-only: construction copies each band into a read-only
-    float64 vector, or raises NetworkFormatError naming the band, and
-    validate() remembers each bus count it passed and checks the bands once
-    per count.  Limits compare and hash by identity.
+    Limits are read-only and valid: construction copies each band into a
+    read-only float64 vector and checks that the six are finite, of one
+    length, lower below upper and v_lower nonnegative, or raises
+    NetworkFormatError naming the first defect.  Whoever pairs limits with a
+    network compares the length with the bus count (check_limits_length).
+    Limits compare and hash by identity.
     """
 
     p_upper: np.ndarray
@@ -56,51 +61,45 @@ class OperatingLimits:
     q_lower: np.ndarray
     v_upper: np.ndarray
     v_lower: np.ndarray
-    _passed: frozenset = field(default=frozenset(), init=False, repr=False)
 
     def __post_init__(self):
         for key in _LIMIT_KEYS:
             vec = _frozen_array(getattr(self, key), np.float64, (), f"limit '{key}'")
             object.__setattr__(self, key, vec)
-
-    def __reduce__(self):
-        return (type(self), _init_values(self))
-
-    def validate(self, n_buses: int) -> None:
-        """Raise NetworkFormatError naming the first defect; a pass is remembered."""
-        if n_buses in self._passed:
-            return
-        problem = self._first_problem(n_buses)
-        if problem is not None:
-            raise NetworkFormatError(problem)
-        object.__setattr__(self, "_passed", self._passed | {n_buses})
-
-    def _first_problem(self, n_buses: int) -> str | None:
-        """The message for the first defect of the bands at n_buses, or None."""
-        m = 3 * n_buses
+        m = len(self.p_upper)
         for key in _LIMIT_KEYS:
             vec = getattr(self, key)
             if vec.shape != (m,):
-                return f"limit '{key}' has shape {vec.shape}, expected ({m},)"
+                raise NetworkFormatError(f"limit '{key}' has shape {vec.shape}, expected ({m},)")
             if not np.all(np.isfinite(vec)):
-                return f"limit '{key}' contains non-finite entries"
+                raise NetworkFormatError(f"limit '{key}' contains non-finite entries")
         for band in "pqv":
             if np.any(getattr(self, f"{band}_lower") > getattr(self, f"{band}_upper")):
-                return f"{band}_lower exceeds {band}_upper on some phase"
+                raise NetworkFormatError(f"{band}_lower exceeds {band}_upper on some phase")
         if np.any(self.v_lower < 0.0):
-            return "v_lower must be nonnegative"
-        return None
+            raise NetworkFormatError("v_lower must be nonnegative")
+
+    def __reduce__(self):
+        return (type(self), _init_values(self))
 
     def as_dict(self) -> dict:
         return {key: getattr(self, key) for key in _LIMIT_KEYS}
 
 
 def _init_values(obj) -> tuple:
-    """The values of a dataclass's init fields, in order: what rebuilds it."""
-    return tuple(getattr(obj, f.name) for f in fields(obj) if f.init)
+    """The values of a dataclass's fields, in order: what rebuilds it."""
+    return tuple(getattr(obj, f.name) for f in fields(obj))
 
 
-_LIMIT_KEYS = tuple(f.name for f in fields(OperatingLimits) if f.init)
+_LIMIT_KEYS = tuple(f.name for f in fields(OperatingLimits))
+
+
+def check_limits_length(limits: OperatingLimits, n_buses: int) -> None:
+    """Raise NetworkFormatError unless the bands have length 3 * n_buses."""
+    if limits.p_upper.shape != (3 * n_buses,):
+        raise NetworkFormatError(
+            f"limit 'p_upper' has shape {limits.p_upper.shape}, expected ({3 * n_buses},)"
+        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -113,12 +112,13 @@ class ThreePhaseNetwork:
     block of (j, i) is the conjugate transpose of the block of (i, j);
     diagonal blocks are unconstrained.
 
-    A network is read-only: construction copies keys, blocks and
-    slack_voltage into read-only arrays, or raises NetworkFormatError naming
-    keys or blocks when they are not integer pairs and 3x3 numbers, so
-    validate() and assemble_admittance() do their work once per network.
-    To edit a network, build a new one from edited copies of its arrays.  A
-    network compares and hashes by identity.
+    A network is read-only and valid: construction copies keys, blocks and
+    slack_voltage into read-only arrays and checks them, or raises
+    NetworkFormatError naming the first defect.  Blocks are judged in
+    insertion order, each by its range, duplicate, finiteness and mirror
+    checks in that order; the error names the first block that fails one and
+    the first check it fails.  To edit a network, build a new one from edited
+    copies of its arrays.  A network compares and hashes by identity.
     """
 
     n_buses: int
@@ -126,8 +126,6 @@ class ThreePhaseNetwork:
     blocks: np.ndarray = field(repr=False)
     slack_voltage: np.ndarray = field(default_factory=lambda: DEFAULT_SLACK_VOLTAGE)
     topology: str = ""
-    _checked: bool = field(default=False, init=False, repr=False)
-    _admittance: sp.csr_matrix | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         keys = _frozen_array(self.keys, np.int64, (2,), "block keys")
@@ -138,31 +136,28 @@ class ThreePhaseNetwork:
         object.__setattr__(self, "keys", keys)
         object.__setattr__(self, "blocks", blocks)
         object.__setattr__(self, "slack_voltage", slack)
-
-    def __reduce__(self):
-        return (type(self), _init_values(self))
-
-    def validate(self) -> None:
-        """Raise NetworkFormatError naming the first defect; a pass is remembered.
-
-        Blocks are judged in insertion order, each by its range, duplicate,
-        finiteness and mirror checks in that order; the error names the first
-        block that fails one and the first check it fails.
-        """
-        if self._checked:
-            return
         if self.n_buses < 1:
             raise NetworkFormatError(f"n_buses must be >= 1, got {self.n_buses}")
         if self.n_buses > MAX_BUSES:
             raise NetworkFormatError(f"n_buses {self.n_buses} is out of range (max {MAX_BUSES})")
-        if self.slack_voltage.shape != (3,):
+        if slack.shape != (3,):
             raise NetworkFormatError("slack_voltage must have exactly 3 phases")
-        if not np.all(np.isfinite(self.slack_voltage)):
+        if not np.all(np.isfinite(slack)):
             raise NetworkFormatError("slack_voltage contains non-finite entries")
         problem = self._first_block_problem()
         if problem is not None:
             raise NetworkFormatError(problem)
-        object.__setattr__(self, "_checked", True)
+
+    def __reduce__(self):
+        return (type(self), _init_values(self))
+
+    @cached_property
+    def admittance(self) -> sp.csr_matrix:
+        """The blocks stacked into a read-only sparse 3N x 3N matrix, built once."""
+        Y = _assemble(self)
+        for arr in (Y.data, Y.indices, Y.indptr):
+            arr.setflags(write=False)
+        return Y
 
     def _first_block_problem(self) -> str | None:
         """The message for the first offending block, all blocks checked at once."""
@@ -237,30 +232,15 @@ def _frozen_array(value, dtype, shape: tuple, what: str) -> np.ndarray:
     raise NetworkFormatError(f"{what} must be a {expected} array of {np.dtype(dtype)}, got {got}")
 
 
-def assemble_admittance(network: ThreePhaseNetwork) -> sp.csr_matrix:
-    """Stack the 3x3 blocks into a sparse 3N x 3N admittance matrix.
-
-    The network is checked first.  Assembled once per network: every call
-    returns the same read-only matrix.
-    """
-    if network._admittance is None:
-        network.validate()
-        Y = _assemble(network)
-        for arr in (Y.data, Y.indices, Y.indptr):
-            arr.setflags(write=False)
-        object.__setattr__(network, "_admittance", Y)
-    return network._admittance
-
-
 def _assemble(network: ThreePhaseNetwork) -> sp.csr_matrix:
     """Y's canonical CSR arrays, written straight from the blocks sorted by key.
 
     Scalar row 3 r + p lists row p of each block of block row r, by block
     column: with the blocks sorted by key, entry (p, c) of the one that is
     b-th in its block row, which holds count blocks from sorted position
-    first on, lands at 9 first + 3 count p + 3 b + c.  A checked network's
-    keys are distinct and in range, so the arrays are canonical (explicit
-    zeros kept), and the matrix says so: no later call sorts them in place.
+    first on, lands at 9 first + 3 count p + 3 b + c.  A network's keys are
+    distinct and in range, so the arrays are canonical (explicit zeros
+    kept), and the matrix says so: no later call sorts them in place.
     """
     n = network.n_buses
     keys, stack = network.keys, network.blocks
@@ -401,8 +381,7 @@ def network_from_dict(doc: dict) -> tuple:
         topology=str(doc.get("topology", "")),
     )
     limits = OperatingLimits(**vecs)
-    network.validate()
-    limits.validate(n_buses)
+    check_limits_length(limits, n_buses)
     return network, limits
 
 
@@ -470,9 +449,10 @@ def load_tie_block(path) -> np.ndarray:
 class RadialParams:
     """Knobs for the synthetic radial generator.
 
-    Series blocks are Hermitian positive definite with identity part drawn
-    from [series_min, series_max]; each bus carries a small Hermitian shunt so
-    the assembled admittance is strictly positive definite.
+    Series blocks are Hermitian with identity part drawn from [series_min,
+    series_max] and a random Hermitian part scaled by coupling; each bus
+    carries a small Hermitian shunt.  Construction raises NetworkFormatError
+    naming the first field out of range.
     """
 
     series_min: float = 2.0
@@ -480,8 +460,7 @@ class RadialParams:
     coupling: float = 0.15
     shunt: float = 0.4
 
-    def validate(self) -> None:
-        """Raise NetworkFormatError naming the first field out of range."""
+    def __post_init__(self):
         for f in fields(self):
             value = getattr(self, f.name)
             if not math.isfinite(value):
@@ -512,14 +491,15 @@ def synth_radial(
     """Deterministic random radial feeder with limits that admit u = 0.
 
     Bus 1 is the root and slack.  The tree has n_buses - 1 lines; each line
-    carries a Hermitian positive definite series block, diagonal blocks sum
-    incident series blocks plus a shunt, so diagonals are block dominant.
+    carries a Hermitian series block, and diagonal blocks sum incident series
+    blocks plus a Hermitian shunt.  A series or shunt block drawn not positive
+    definite raises NetworkFormatError naming its line or bus, so the
+    admittance a feeder gets is strictly positive definite.
     """
     if n_buses < 2:
         raise NetworkFormatError(f"synth_radial needs at least 2 buses, got {n_buses}")
     if seed < 0:
         raise NetworkFormatError(f"seed must be nonnegative, got {seed}")
-    params.validate()
     rng = np.random.default_rng(seed)
     keys, blocks = [], []
     diag = np.zeros((n_buses, 3, 3), dtype=complex)
@@ -533,19 +513,31 @@ def synth_radial(
         blocks += [-series, -series.conj().T]
         diag[parent] += series
         diag[child] += series.conj().T
-    for b in range(n_buses):
-        diag[b] += params.shunt * np.eye(3, dtype=complex) + _random_hermitian(
-            rng, 0.1 * params.shunt
+    shunts = np.array([params.shunt * np.eye(3, dtype=complex)
+                       + _random_hermitian(rng, 0.1 * params.shunt) for _ in range(n_buses)])
+    series_least = np.linalg.eigvalsh(-np.array(blocks[0::2]))[:, 0]
+    if np.any(series_least <= 0):
+        line = int(np.argmax(series_least <= 0))
+        i, j = keys[2 * line]
+        raise NetworkFormatError(
+            f"coupling {params.coupling!r} draws a series block that is not positive"
+            f" definite on line ({i + 1}, {j + 1}) (least eigenvalue {series_least[line]:.3g})"
         )
-        keys.append((b, b))
+    shunt_least = np.linalg.eigvalsh(shunts)[:, 0]
+    if np.any(shunt_least <= 0):
+        bus = int(np.argmax(shunt_least <= 0))
+        raise NetworkFormatError(
+            f"shunt draws a block that is not positive definite at bus {bus + 1}"
+            f" (least eigenvalue {shunt_least[bus]:.3g})"
+        )
+    diag += shunts
+    keys += [(b, b) for b in range(n_buses)]
     limits = OperatingLimits(**{key: np.full(3 * n_buses, band)
                                 for key, band in RADIAL_LIMITS.items()})
     network = ThreePhaseNetwork(
         n_buses=n_buses, keys=keys, blocks=blocks + list(diag),
         slack_voltage=DEFAULT_SLACK_VOLTAGE, topology="radial",
     )
-    network.validate()
-    limits.validate(n_buses)
     return network, limits
 
 
@@ -572,6 +564,9 @@ def replicate_feeder(
     nb = network.n_buses
     if nb < 2:
         raise NetworkFormatError("base feeder needs at least 2 buses")
+    n_out = int(k) * (nb - 1) + 1
+    if n_out > MAX_BUSES:
+        raise NetworkFormatError(f"replication count {k} gives {n_out} buses (max {MAX_BUSES})")
     if tie_block is not None:
         tie_block = np.asarray(tie_block, dtype=complex)
         if tie_block.shape != (3, 3):
@@ -582,14 +577,13 @@ def replicate_feeder(
         if np.abs(tie_block - tie_block.conj().T).max() > 1e-12 * scale:
             raise NetworkFormatError("tie_block must be Hermitian")
 
-    network.validate()
     keys, vals = network.keys, network.blocks
     i, j = keys[:, 0], keys[:, 1]
     missing = np.setdiff1d(np.arange(nb), i[i == j])
     if missing.size:
         raise NetworkFormatError(f"base feeder has no diagonal block at bus {missing[0] + 1}")
+    check_limits_length(limits, nb)
     if k == 1 and tie_block is None:
-        limits.validate(nb)
         return network, limits
 
     root_out = (i == 0) & (j != 0)
@@ -624,8 +618,8 @@ def replicate_feeder(
     shift = (np.arange(k) * (nb - 1))[:, None]
     out_i = np.where(copy_i == 0, 0, copy_i + shift).ravel()
     out_j = np.where(copy_j == 0, 0, copy_j + shift).ravel()
-    # A sum that overflows leaves inf in the slack block, for validate() to
-    # name below, rather than a numpy warning first.
+    # A sum that overflows leaves inf in the slack block, for the network's
+    # construction to name below, rather than a numpy warning first.
     with np.errstate(over="ignore"):
         if tie_block is None:
             slack_diag = root_diag + (k - 1) * root_series_sum
@@ -638,19 +632,10 @@ def replicate_feeder(
         for key, vec in limits.as_dict().items()
     })
     out = ThreePhaseNetwork(
-        n_buses=k * (nb - 1) + 1,
+        n_buses=n_out,
         keys=np.append(np.stack([out_i, out_j], axis=1), [[0, 0]], axis=0),
         blocks=np.append(np.tile(copy_vals, (k, 1, 1)), slack_diag[None], axis=0),
         slack_voltage=network.slack_voltage,
         topology=f"replicated-x{k}" if k > 1 else network.topology,
     )
-    # The tiling of a checked base is valid by construction: its keys are the
-    # base's, shifted per copy, so distinct, in range and mirrored, and its
-    # blocks are the base's, their conjugate transposes and the Hermitian tie.
-    # Only the size and the summed slack block are new; when they pass, the
-    # network is marked checked, and otherwise validate() names the defect.
-    if out.n_buses <= MAX_BUSES and np.isfinite(copy_vals).all() and np.isfinite(slack_diag).all():
-        object.__setattr__(out, "_checked", True)
-    out.validate()
-    tiled.validate(out.n_buses)
     return out, tiled

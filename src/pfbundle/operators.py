@@ -49,7 +49,7 @@ from scipy.linalg.lapack import dstebz, dstein, zheevr
 # test suite with it.
 from scipy.sparse.linalg._dsolve._superlu import gstrf
 
-from .network import OperatingLimits, ThreePhaseNetwork, _csc_arrays, assemble_admittance
+from .network import OperatingLimits, ThreePhaseNetwork, _csc_arrays, check_limits_length
 
 _SQRT2 = np.sqrt(2.0)
 # Row and column indices of the 3x3 upper triangle, in svec3 order.
@@ -225,16 +225,17 @@ def build_problem(
 ) -> PenaltyObjective:
     """Assemble problem data; alpha is twice the summed upper voltage band.
 
-    The problem shares the network's read-only admittance matrix.
+    Network and limits were checked at construction; here the bands' length
+    is compared with the bus count, and the injection is checked.  The
+    problem shares the network's read-only admittance matrix.
     """
-    network.validate()
-    limits.validate(network.n_buses)
+    check_limits_length(limits, network.n_buses)
     u = np.asarray(u, dtype=float)
     if u.shape != (3 * network.n_buses,):
         raise ValueError(f"injection has shape {u.shape}, expected ({3 * network.n_buses},)")
     if not np.all(np.isfinite(u)):
         raise ValueError("injection contains non-finite entries")
-    Y = assemble_admittance(network)
+    Y = network.admittance
     pattern = dual_pattern(Y)
     yh_data = pattern.yh_data
     C = pattern.matrix(0.5 * (np.conj(yh_data[pattern.transpose]) + yh_data))

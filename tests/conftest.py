@@ -143,9 +143,7 @@ def build_two_bus():
         (0, 1): -series,
         (1, 0): -series.conj().T,
     }
-    net = ThreePhaseNetwork(2, list(blocks), list(blocks.values()), topology="two-bus line")
-    net.validate()
-    return net
+    return ThreePhaseNetwork(2, list(blocks), list(blocks.values()), topology="two-bus line")
 
 
 TEN_BUS_PARAMS = RadialParams(series_min=0.5, series_max=1.25, shunt=0.1)
@@ -174,9 +172,7 @@ def build_meshed():
         blocks[(b, b)] = blocks[(b, b)] + series.conj().T
     keys = list(blocks)
     np.random.default_rng(5).shuffle(keys)
-    net = ThreePhaseNetwork(8, keys, [blocks[key] for key in keys])
-    net.validate()
-    return net
+    return ThreePhaseNetwork(8, keys, [blocks[key] for key in keys])
 
 
 @pytest.fixture(scope="session")

@@ -58,9 +58,7 @@ def network_with_flat_matrix(H):
         (1, 0): H[3:6, 0:3].copy(),
         (1, 1): H[3:6, 3:6].copy(),
     }
-    net = ThreePhaseNetwork(2, list(blocks), list(blocks.values()), topology="constructed")
-    net.validate()
-    return net
+    return ThreePhaseNetwork(2, list(blocks), list(blocks.values()), topology="constructed")
 
 
 def psd_with_null_vector(v_unit, rng, eigenvalues=(1.0, 2.0, 3.0, 4.0, 5.0)):
@@ -82,38 +80,38 @@ def psd_with_null_vector(v_unit, rng, eigenvalues=(1.0, 2.0, 3.0, 4.0, 5.0)):
 
 def test_solver_config_validation():
     with pytest.raises(ValueError, match="rho"):
-        SolverConfig(rho=0.0).validate()
+        SolverConfig(rho=0.0)
     with pytest.raises(ValueError, match="eps"):
-        SolverConfig(eps=0.0).validate()
+        SolverConfig(eps=0.0)
     with pytest.raises(ValueError, match="beta"):
-        SolverConfig(beta=-1.0).validate()
+        SolverConfig(beta=-1.0)
     with pytest.raises(ValueError, match="beta"):
-        SolverConfig(beta=0.0).validate()
+        SolverConfig(beta=0.0)
     with pytest.raises(ValueError, match="alpha"):
-        SolverConfig(alpha=-1.0).validate()
+        SolverConfig(alpha=-1.0)
     with pytest.raises(ValueError, match="max_iters"):
-        SolverConfig(max_iters=0).validate()
+        SolverConfig(max_iters=0)
     with pytest.raises(ValueError, match="eig_tol must be positive"):
-        SolverConfig(eig_tol=0.0).validate()
+        SolverConfig(eig_tol=0.0)
     with pytest.raises(ValueError, match="eig_tol must be positive"):
-        SolverConfig(eig_tol=-1e-9).validate()
+        SolverConfig(eig_tol=-1e-9)
     with pytest.raises(ValueError, match="eps must be a number"):
-        SolverConfig(eps="abc").validate()
+        SolverConfig(eps="abc")
     with pytest.raises(ValueError, match="max_iters must be an integer"):
-        SolverConfig(max_iters="10").validate()
+        SolverConfig(max_iters="10")
     with pytest.raises(ValueError, match="max_iters must be an integer"):
-        SolverConfig(max_iters=10.0).validate()
+        SolverConfig(max_iters=10.0)
     with pytest.raises(ValueError, match="max_iters must be an integer"):
-        SolverConfig(max_iters=True).validate()
+        SolverConfig(max_iters=True)
     with pytest.raises(ValueError, match="rho must be a number"):
-        SolverConfig(rho=False).validate()
+        SolverConfig(rho=False)
     with pytest.raises(ValueError, match="alpha must be a number"):
-        SolverConfig(alpha="1").validate()
-    SolverConfig(alpha=3, rho=4, max_iters=np.int64(2)).validate()
+        SolverConfig(alpha="1")
+    SolverConfig(alpha=3, rho=4, max_iters=np.int64(2))
     with pytest.raises(ValueError, match="eig_tol must be finite"):
-        SolverConfig(eig_tol=float("inf")).validate()
+        SolverConfig(eig_tol=float("inf"))
     with pytest.raises(ValueError, match="rho must be finite"):
-        SolverConfig(rho=float("nan")).validate()
+        SolverConfig(rho=float("nan"))
     cfg = SolverConfig()
     assert (cfg.rho, cfg.eps, cfg.beta) == (4.0, 1e-5, 0.1)
     assert [f.name for f in dataclasses.fields(cfg)] == [

@@ -244,6 +244,17 @@ def test_assess_rejects_malformed_config_sources(
     assert err.startswith("error:") and message in err
 
 
+def test_assess_config_error_writes_no_report(feasible_case, tmp_path, capsys):
+    # A config is checked when it is built, before the report file is opened.
+    net_path, u_path, _ = feasible_case
+    out = tmp_path / "r.json"
+    code = main(["assess", net_path, "--injection", u_path, "--rho", "-1", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == EXIT_ERROR
+    assert err.startswith("error:") and "rho" in err
+    assert not out.exists()
+
+
 def test_assess_flags_override_config_file(feasible_case, tmp_path, capsys):
     net_path, u_path, _ = feasible_case
     cfg = tmp_path / "solver.json"
@@ -464,7 +475,7 @@ def test_every_config_field_is_an_override_flag(field):
 @pytest.mark.parametrize("field", dataclasses.fields(RadialParams), ids=lambda f: f.name)
 def test_every_radial_field_is_a_generate_flag(field, tmp_path, capsys, monkeypatch):
     # Each field is a flag that defaults to the field's default and reaches
-    # the generator.
+    # the generator.  A coupling of 3.0 would draw indefinite series blocks.
     seen = []
 
     def synth(*args, params, **kwargs):
@@ -475,9 +486,10 @@ def test_every_radial_field_is_a_generate_flag(field, tmp_path, capsys, monkeypa
     argv = ["generate", "radial", str(tmp_path / "a.json"), "--buses", "3"]
     assert getattr(build_parser().parse_args(argv), field.name) == field.default
     flag = "--" + field.name.replace("_", "-")
-    assert main(argv + [flag, "3.0"]) == EXIT_FEASIBLE
+    value = 0.25 if field.name == "coupling" else 3.0
+    assert main(argv + [flag, str(value)]) == EXIT_FEASIBLE
     capsys.readouterr()
-    assert seen == [dataclasses.replace(RadialParams(), **{field.name: 3.0})]
+    assert seen == [dataclasses.replace(RadialParams(), **{field.name: value})]
 
 
 @pytest.mark.parametrize("flag, value, name", [
@@ -489,11 +501,13 @@ def test_every_radial_field_is_a_generate_flag(field, tmp_path, capsys, monkeypa
     ("--shunt", "0", "shunt"),
     ("--shunt", "-0.1", "shunt"),
     ("--coupling", "-0.1", "coupling"),
+    ("--coupling", "3", "coupling"),
 ])
 def test_generate_radial_rejects_bad_params_by_name(tmp_path, capsys, flag, value, name):
     # A series range that is empty or not positive, a shunt that is not
-    # positive, a negative coupling or a non-finite value exits 1 with one
-    # error line naming the field, and writes nothing.
+    # positive, a negative coupling, a coupling that draws an indefinite
+    # series block or a non-finite value exits 1 with one error line naming
+    # the field, and writes nothing.
     out = tmp_path / "a.json"
     code = main(["generate", "radial", str(out), "--buses", "3", f"{flag}={value}"])
     err = capsys.readouterr().err
@@ -543,7 +557,7 @@ def test_generate_radial_writes_loadable_documents(tmp_path, capsys):
     assert "wrote" in msg
     net, limits = load_network(out)
     assert net.n_buses == 6
-    limits.validate(6)
+    assert limits.p_upper.shape == (18,)
     # No planted point requested: no injection file.
     assert not (tmp_path / "feeder.u.json").exists()
     # The knob defaults are RadialParams's.

@@ -13,7 +13,6 @@ from pfbundle import (
     synth_radial,
 )
 from pfbundle.instances import _hermitian_part, _profile, loss_min_profile
-from pfbundle.network import assemble_admittance
 from pfbundle.operators import apply_constraint_rank1, limit_offset_vector
 
 from conftest import (
@@ -40,7 +39,7 @@ SET_UP_NETWORKS = {
 @pytest.mark.parametrize("build", SET_UP_NETWORKS.values(), ids=SET_UP_NETWORKS.keys())
 def test_hermitian_part_and_profile_match_the_scipy_constructions(build):
     net = build()
-    Y = assemble_admittance(net)
+    Y = net.admittance
     C = _hermitian_part(Y)
     expect = (0.5 * (Y + Y.conj().T)).tocsr()
     assert_same_csr(C, expect)
@@ -51,7 +50,7 @@ def test_hermitian_part_and_profile_match_the_scipy_constructions(build):
 
 def test_hermitian_part_drops_exact_zero_sums():
     net = SET_UP_NETWORKS["uncoupled-lines"]()
-    Y = assemble_admittance(net)
+    Y = net.admittance
     C = _hermitian_part(Y)
     assert C.nnz < Y.nnz and np.all(C.data != 0)
 
@@ -59,7 +58,7 @@ def test_hermitian_part_drops_exact_zero_sums():
 def test_loss_min_profile_solves_the_tail_system(ten_bus):
     v = loss_min_profile(ten_bus)
     np.testing.assert_array_equal(v[:3], ten_bus.slack_voltage)
-    Y = assemble_admittance(ten_bus).toarray()
+    Y = ten_bus.admittance.toarray()
     C = 0.5 * (Y + Y.conj().T)
     resid = C[3:, 3:] @ v[3:] + C[3:, :3] @ v[:3]
     assert np.abs(resid).max() <= 1e-11
@@ -88,7 +87,7 @@ def test_plant_feasible_margins_are_uniform(two_bus):
 
 def test_plant_feasible_value_is_negative_dissipation(two_bus):
     inst = plant_feasible(two_bus)
-    Y = assemble_admittance(two_bus).toarray()
+    Y = two_bus.admittance.toarray()
     C = 0.5 * (Y + Y.conj().T)
     v = inst.voltage
     assert inst.f_star == pytest.approx(-float(np.vdot(v, C @ v).real), abs=1e-12)

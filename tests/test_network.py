@@ -30,7 +30,6 @@ from pfbundle.network import (
     DEFAULT_SLACK_VOLTAGE,
     MAX_BUSES,
     RADIAL_LIMITS,
-    assemble_admittance,
     load_injection,
     network_from_dict,
     network_to_dict,
@@ -65,7 +64,6 @@ def test_default_slack_voltage_is_balanced():
 
 
 def test_validate_accepts_hand_built_network(two_bus):
-    two_bus.validate()
     assert two_bus.n_buses == 2
     assert line_pairs(two_bus) == [(0, 1)]
 
@@ -73,17 +71,15 @@ def test_validate_accepts_hand_built_network(two_bus):
 def test_validate_rejects_missing_mirror_block(two_bus):
     blocks = block_map(two_bus)
     del blocks[(1, 0)]
-    net = ThreePhaseNetwork(2, list(blocks), list(blocks.values()))
     with pytest.raises(NetworkFormatError, match="sparsity pattern"):
-        net.validate()
+        ThreePhaseNetwork(2, list(blocks), list(blocks.values()))
 
 
 def test_validate_rejects_non_hermitian_pair(two_bus):
     blocks = two_bus.blocks.copy()
     blocks[two_bus.keys.tolist().index([1, 0])] += 1e-6
-    net = ThreePhaseNetwork(2, two_bus.keys, blocks)
     with pytest.raises(NetworkFormatError, match="conjugate transpose"):
-        net.validate()
+        ThreePhaseNetwork(2, two_bus.keys, blocks)
 
 
 def test_validate_rejects_bad_block_shape():
@@ -93,39 +89,34 @@ def test_validate_rejects_bad_block_shape():
 
 
 def test_validate_rejects_out_of_range_indices():
-    net = ThreePhaseNetwork(1, [(0, 1), (1, 0)], [np.eye(3, dtype=complex)] * 2)
     with pytest.raises(NetworkFormatError, match="out of range"):
-        net.validate()
+        ThreePhaseNetwork(1, [(0, 1), (1, 0)], [np.eye(3, dtype=complex)] * 2)
 
 
 def test_validate_rejects_duplicate_keys():
     # Arrays can repeat a key, which a mapping never could; the later one is named.
     eye = np.eye(3, dtype=complex)
-    net = ThreePhaseNetwork(2, [(0, 0), (1, 1), (0, 1), (1, 0), (1, 1)], [eye] * 5)
     with pytest.raises(NetworkFormatError, match=r"^duplicate block \(2, 2\)$"):
-        net.validate()
+        ThreePhaseNetwork(2, [(0, 0), (1, 1), (0, 1), (1, 0), (1, 1)], [eye] * 5)
 
 
 def test_validate_rejects_non_finite_entries():
     blk = np.eye(3, dtype=complex)
     blk[0, 0] = np.nan
-    net = ThreePhaseNetwork(1, [(0, 0)], [blk])
     with pytest.raises(NetworkFormatError, match="non-finite"):
-        net.validate()
+        ThreePhaseNetwork(1, [(0, 0)], [blk])
 
 
 def test_validate_rejects_bad_slack_shape():
-    net = ThreePhaseNetwork(1, [(0, 0)], [np.eye(3, dtype=complex)],
-                            slack_voltage=np.ones(4, dtype=complex))
     with pytest.raises(NetworkFormatError, match="3 phases"):
-        net.validate()
+        ThreePhaseNetwork(1, [(0, 0)], [np.eye(3, dtype=complex)],
+                          slack_voltage=np.ones(4, dtype=complex))
 
 
 @pytest.mark.parametrize("n_buses", [MAX_BUSES + 1, 2**63, 10**30])
 def test_validate_rejects_n_buses_beyond_int32_indices(n_buses):
-    net = ThreePhaseNetwork(n_buses, [(0, 0)], [np.eye(3, dtype=complex)])
     with pytest.raises(NetworkFormatError, match=f"n_buses {n_buses} is out of range"):
-        net.validate()
+        ThreePhaseNetwork(n_buses, [(0, 0)], [np.eye(3, dtype=complex)])
 
 
 def test_network_is_read_only(two_bus):
@@ -138,7 +129,6 @@ def test_network_is_read_only(two_bus):
     blocks = two_bus.blocks.copy()
     blocks[0] += 1.0
     edited = ThreePhaseNetwork(two_bus.n_buses, two_bus.keys, blocks, two_bus.slack_voltage)
-    edited.validate()
     assert edited.blocks[0, 0, 0] == two_bus.blocks[0, 0, 0] + 1.0
     # A pickled copy keeps the insertion order and the read-only arrays.
     copy = pickle.loads(pickle.dumps(two_bus))
@@ -153,7 +143,6 @@ def test_construction_copies_the_arrays_given():
     keys, blk = np.zeros((1, 2), dtype=np.int64), np.eye(3, dtype=complex)
     slack = DEFAULT_SLACK_VOLTAGE.copy()
     net = ThreePhaseNetwork(1, keys, blk[None], slack_voltage=slack)
-    net.validate()
     keys[0, 0] = 5
     blk[0, 0] = np.nan
     slack[0] = 2.0
@@ -163,9 +152,7 @@ def test_construction_copies_the_arrays_given():
     two_bus = build_two_bus()
     net = ThreePhaseNetwork(2, two_bus.keys.tolist(), two_bus.blocks.tolist())
     assert (net.keys.dtype, net.blocks.dtype) == (np.int64, np.complex128)
-    np.testing.assert_array_equal(
-        assemble_admittance(net).toarray(), assemble_admittance(two_bus).toarray()
-    )
+    np.testing.assert_array_equal(net.admittance.toarray(), two_bus.admittance.toarray())
     assert replicate_feeder(net, uniform_limits(2), 2)[0].n_buses == 3
     eye = ThreePhaseNetwork(1, np.zeros((1, 2), dtype=np.uint8), [np.eye(3, dtype=int)])
     assert eye.blocks.dtype == np.complex128 and eye.blocks[0, 1, 1] == 1.0
@@ -182,25 +169,19 @@ def test_construction_copies_the_arrays_given():
 ], ids=["ragged", "none", "object-entries", "float-key", "triple-key", "huge-index",
         "count-mismatch"])
 def test_construction_never_raises_and_validate_names_the_defect(keys, blocks, message):
-    # Construction names a malformed array itself, so validate() never sees one.
+    # Construction names a malformed array before it judges the blocks.
     with pytest.raises(NetworkFormatError, match=message):
         ThreePhaseNetwork(1, keys, blocks)
 
 
 def test_set_up_chain_checks_and_assembles_each_network_once(tmp_path, monkeypatch):
     checks, assemblies = collections.Counter(), collections.Counter()
-    limit_checks = collections.Counter()
     check = ThreePhaseNetwork._first_block_problem
-    check_limits = OperatingLimits._first_problem
     assemble = network_module._assemble
 
     def counted_check(net):
         checks[id(net)] += 1
         return check(net)
-
-    def counted_limit_check(limits, n_buses):
-        limit_checks[id(limits)] += 1
-        return check_limits(limits, n_buses)
 
     def counted_assemble(net):
         assemblies[id(net)] += 1
@@ -209,9 +190,8 @@ def test_set_up_chain_checks_and_assembles_each_network_once(tmp_path, monkeypat
     path = tmp_path / "feeder.json"
     save_network(path, *synth_radial(6, seed=1))
     monkeypatch.setattr(ThreePhaseNetwork, "_first_block_problem", counted_check)
-    monkeypatch.setattr(OperatingLimits, "_first_problem", counted_limit_check)
     monkeypatch.setattr(network_module, "_assemble", counted_assemble)
-    networks, bands = [], []    # kept alive so no object id is reused
+    networks = []    # kept alive so no object id is reused
     for copies, plant in ((1, plant_feasible), (3, plant_infeasible)):
         net, limits = load_network(path)
         big, big_limits = replicate_feeder(net, limits, copies)
@@ -220,16 +200,14 @@ def test_set_up_chain_checks_and_assembles_each_network_once(tmp_path, monkeypat
         problem = build_problem(big, planted.limits, planted.u)
         loss_min_profile(big)
         networks += [net, big]
-        bands += [limits, big_limits, planted.limits]
-        assert problem.Y is assemble_admittance(big)
+        assert problem.Y is big.admittance
         with pytest.raises(ValueError, match="read-only"):
             problem.Y.data[0] = 0.0
-    # The single copy is the loaded network: one check and one assembly,
-    # counted under both of its entries.  The three-copy tiling of a checked
-    # base is marked checked without a block pass.
-    assert [checks[id(n)] for n in networks] == [1, 1, 1, 0]
+    # Each network is checked once, at construction, the three-copy tiling
+    # too.  The single copy is the loaded network: one check and one
+    # assembly, counted under both of its entries.
+    assert [checks[id(n)] for n in networks] == [1, 1, 1, 1]
     assert [assemblies[id(n)] for n in networks] == [1, 1, 0, 1]
-    assert [limit_checks[id(b)] for b in bands] == [1, 1, 1, 1, 1, 1]
 
 
 def _coo_assembly(net):
@@ -261,7 +239,7 @@ def _without_diagonal_block():
 ], ids=["meshed", "tied-replica", "missing-diagonal", "no-blocks"])
 def test_assembly_writes_the_coo_to_csr_arrays(build):
     net = build()
-    Y = assemble_admittance(net)
+    Y = net.admittance
     assert_same_csr(Y, _coo_assembly(net))
     assert Y.has_canonical_format
 
@@ -352,38 +330,48 @@ def test_loader_names_the_first_entry_that_is_not_a_number(two_bus):
 
 def test_limits_validate_rejects_crossed_bands():
     lim = uniform_limits(1)
-    crossed = OperatingLimits(
-        p_upper=lim.p_upper,
-        p_lower=lim.p_upper + 1.0,
-        q_upper=lim.q_upper,
-        q_lower=lim.q_lower,
-        v_upper=lim.v_upper,
-        v_lower=lim.v_lower,
-    )
     with pytest.raises(NetworkFormatError, match="p_lower exceeds"):
-        crossed.validate(1)
+        OperatingLimits(
+            p_upper=lim.p_upper,
+            p_lower=lim.p_upper + 1.0,
+            q_upper=lim.q_upper,
+            q_lower=lim.q_lower,
+            v_upper=lim.v_upper,
+            v_lower=lim.v_lower,
+        )
 
 
 def test_limits_validate_rejects_negative_magnitude_floor():
     lim = uniform_limits(1)
-    bad = OperatingLimits(
-        p_upper=lim.p_upper,
-        p_lower=lim.p_lower,
-        q_upper=lim.q_upper,
-        q_lower=lim.q_lower,
-        v_upper=lim.v_upper,
-        v_lower=np.full(3, -0.1),
-    )
     with pytest.raises(NetworkFormatError, match="nonnegative"):
-        bad.validate(1)
+        OperatingLimits(
+            p_upper=lim.p_upper,
+            p_lower=lim.p_lower,
+            q_upper=lim.q_upper,
+            q_lower=lim.q_lower,
+            v_upper=lim.v_upper,
+            v_lower=np.full(3, -0.1),
+        )
 
 
-def test_limits_validate_rejects_wrong_length():
-    with pytest.raises(NetworkFormatError, match="shape"):
-        uniform_limits(2).validate(3)
+def test_limits_validate_rejects_wrong_length(two_bus):
+    # Bands of unequal length never make limits; limits know no bus count,
+    # so each place that pairs them with a network compares the length.
+    bands = uniform_limits(2).as_dict()
+    with pytest.raises(NetworkFormatError,
+                       match=r"^limit 'q_upper' has shape \(3,\), expected \(6,\)$"):
+        OperatingLimits(**dict(bands, q_upper=np.ones(3)))
+    three = uniform_limits(3)
+    message = r"^limit 'p_upper' has shape \(9,\), expected \(6,\)$"
+    with pytest.raises(NetworkFormatError, match=message):
+        network_from_dict(network_to_dict(two_bus, three))
+    with pytest.raises(NetworkFormatError, match=message):
+        replicate_feeder(two_bus, three, 2)
+    with pytest.raises(NetworkFormatError, match=message):
+        build_problem(two_bus, three, np.zeros(6))
 
 
-def test_limits_are_read_only_and_checked_once_per_bus_count(monkeypatch):
+def test_limits_are_read_only_and_checked_once_per_bus_count():
     given = {key: vec.copy() for key, vec in uniform_limits(2).as_dict().items()}
     lim = OperatingLimits(**given)
     given["v_lower"][0] = -1.0      # the limits hold a copy: they stay valid
@@ -392,26 +380,15 @@ def test_limits_are_read_only_and_checked_once_per_bus_count(monkeypatch):
             vec[0] = 0.0
     with pytest.raises(dataclasses.FrozenInstanceError):
         lim.v_lower = given["v_lower"]
-    calls = []
-    check = OperatingLimits._first_problem
-    monkeypatch.setattr(OperatingLimits, "_first_problem",
-                        lambda self, n: calls.append(n) or check(self, n))
-    lim.validate(2)
-    lim.validate(2)
-    with pytest.raises(NetworkFormatError, match="shape"):
-        lim.validate(3)
-    lim.validate(2)
-    assert calls == [2, 3]
-    # A copy made by pickling is a new object, checked afresh.
+    # A copy made by pickling is a new object, built (and checked) afresh.
     copy = pickle.loads(pickle.dumps(lim))
-    copy.validate(2)
-    assert calls == [2, 3, 2]
+    assert copy is not lim
     with pytest.raises(ValueError, match="read-only"):
         copy.p_upper[0] = 0.0
 
 
 def test_assemble_admittance_places_blocks(two_bus):
-    Y = assemble_admittance(two_bus).toarray()
+    Y = two_bus.admittance.toarray()
     assert Y.shape == (6, 6)
     for (i, j), blk in block_map(two_bus).items():
         np.testing.assert_array_equal(Y[3 * i:3 * i + 3, 3 * j:3 * j + 3], blk)
@@ -548,7 +525,6 @@ def test_synth_radial_is_deterministic():
 def test_synth_radial_builds_a_tree():
     for seed in range(5):
         net, _ = synth_radial(12, seed=seed)
-        net.validate()
         pairs = line_pairs(net)
         assert len(pairs) == 11
         # Every non-root bus hangs below a strictly smaller parent: a tree.
@@ -558,7 +534,7 @@ def test_synth_radial_builds_a_tree():
 
 def test_synth_radial_admittance_is_positive_definite():
     net, _ = synth_radial(9, seed=4)
-    Y = assemble_admittance(net).toarray()
+    Y = net.admittance.toarray()
     C = 0.5 * (Y + Y.conj().T)
     evals = np.linalg.eigvalsh(C)
     assert evals[0] > 0.0
@@ -576,16 +552,28 @@ def test_synth_radial_admittance_is_positive_definite():
 ], ids=["series-min-nan", "series-max-inf", "coupling-minus-inf", "shunt-nan",
         "series-min-zero", "series-range-empty", "shunt-zero", "coupling-negative"])
 def test_synth_radial_rejects_params_by_name(changes, message):
-    params = dataclasses.replace(RadialParams(), **changes)
     with pytest.raises(NetworkFormatError, match=message):
-        synth_radial(4, seed=1, params=params)
+        RadialParams(**changes)
+
+
+def test_synth_radial_rejects_blocks_that_are_not_positive_definite(monkeypatch):
+    with pytest.raises(NetworkFormatError, match=r"^coupling 3\.0 draws a series block that is"
+                       r" not positive definite on line \(1, 2\) \(least eigenvalue -18\.7\)$"):
+        synth_radial(10, seed=0, params=RadialParams(coupling=3.0))
+    # A shunt drawn far below zero is named by its bus; with no coupling the
+    # series blocks stay multiples of the identity.
+    monkeypatch.setattr(network_module, "_random_hermitian",
+                        lambda rng, scale: -20.0 * scale * np.eye(3))
+    with pytest.raises(NetworkFormatError, match=r"^shunt draws a block that is not positive"
+                       r" definite at bus 1 \(least eigenvalue -0\.4\)$"):
+        synth_radial(4, seed=0, params=RadialParams(coupling=0.0))
 
 
 def test_synth_radial_accepts_params_at_their_edges():
     # One series value and no coupling still give a positive definite C.
     net, _ = synth_radial(6, seed=1, params=RadialParams(series_min=1.0, series_max=1.0,
                                                           coupling=0.0))
-    Y = assemble_admittance(net).toarray()
+    Y = net.admittance.toarray()
     assert np.linalg.eigvalsh(0.5 * (Y + Y.conj().T))[0] > 0.0
 
 
@@ -617,7 +605,6 @@ def test_replicate_counts_and_limit_tiling():
     net, lim = synth_radial(5, seed=7)
     k = 3
     out_net, out_lim = replicate_feeder(net, lim, k)
-    out_net.validate()
     assert out_net.n_buses == k * (net.n_buses - 1) + 1
     m = 3 * net.n_buses
     for key, vec in lim.as_dict().items():
@@ -645,7 +632,6 @@ def test_replicate_tie_block_swaps_root_couplings():
     tie = np.diag([0.3, 0.4, 0.5]).astype(complex)
     k = 2
     out_net, _ = replicate_feeder(net, lim, k, tie_block=tie)
-    out_net.validate()
     blocks, out_blocks = block_map(net), block_map(out_net)
     root_lines = [(i, j) for (i, j) in blocks if i == 0 and j != 0]
     nb = net.n_buses
@@ -662,29 +648,22 @@ def test_replicate_tie_block_swaps_root_couplings():
     np.testing.assert_allclose(out_blocks[(0, 0)], expect, atol=1e-14)
 
 
-@pytest.mark.parametrize("k", [2, 5, 30])
-@pytest.mark.parametrize("tied", [False, True], ids=["no-tie", "tie"])
-def test_replicate_marks_a_tiling_that_a_fresh_check_passes(k, tied):
-    # replicate_feeder skips the full check of its tiling; a network built
-    # afresh from the same arrays must pass it.
-    net, lim = synth_radial(10, seed=3)
-    tie = (0.6 * np.eye(3) + 0.1j * (np.triu(np.ones((3, 3)), 1) - np.tril(np.ones((3, 3)), -1))
-           if tied else None)
-    out, _ = replicate_feeder(net, lim, k, tie_block=tie)
-    assert out._checked
-    fresh = ThreePhaseNetwork(out.n_buses, out.keys, out.blocks, out.slack_voltage)
-    assert not fresh._checked
-    fresh.validate()
-    assert fresh._checked
-
-
 def test_replicate_still_names_a_slack_block_that_overflows():
-    # A finite tie summed over many lines can overflow the slack block; that
-    # tiling is not marked checked, and the full check names the block, with
-    # no numpy overflow warning (an error in this suite) before it.
+    # A finite tie summed over many lines can overflow the slack block; the
+    # tiling's construction names the block, with no numpy overflow warning
+    # (an error in this suite) before it.
     net, lim = synth_radial(10, seed=3)
     with pytest.raises(NetworkFormatError, match=r"block \(1, 1\) has non-finite entries"):
         replicate_feeder(net, lim, 3, tie_block=1e308 * np.eye(3))
+
+
+def test_replicate_judges_the_size_before_tiling(monkeypatch):
+    # The bus count is judged from k before any k-sized array is built.
+    monkeypatch.setattr(network_module, "MAX_BUSES", 20)
+    net, lim = synth_radial(10, seed=3)
+    with pytest.raises(NetworkFormatError, match=r"^replication count 3 gives 28 buses \(max 20\)$"):
+        replicate_feeder(net, lim, 3)
+    assert replicate_feeder(net, lim, 2)[0].n_buses == 19
 
 
 def test_replicate_rejects_bad_arguments():
@@ -719,7 +698,7 @@ def test_radial_params_defaults_are_frozen():
 
 def test_two_bus_builder_matches_frozen_admittance():
     net = build_two_bus()
-    Y = assemble_admittance(net).toarray()
+    Y = net.admittance.toarray()
     C = 0.5 * (Y + Y.conj().T)
     evals = np.linalg.eigvalsh(C)
     assert evals[0] > 0.05

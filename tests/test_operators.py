@@ -20,7 +20,6 @@ from pfbundle import (
     synth_radial,
 )
 from pfbundle import operators
-from pfbundle.network import assemble_admittance
 from pfbundle.operators import (
     DENSE_MAX_DIM,
     EigenFailure,
@@ -287,7 +286,7 @@ def test_dual_pattern_equals_the_unique_key_construction_bitwise():
         replicate_feeder(feeder, feeder_limits, 30)[0],
     )
     for net in networks:
-        Y = assemble_admittance(net)
+        Y = net.admittance
         pattern = vars(operators.dual_pattern(Y))
         expect = dual_pattern_by_unique_keys(Y)
         assert pattern.keys() == expect.keys()
