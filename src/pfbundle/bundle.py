@@ -4,16 +4,17 @@ Each iteration solves the prox subproblem over a fixed, a current, and an
 aggregate cut, evaluates the penalized dual at the candidate with a single
 extreme-eigenpair call, applies the descent test to move the stability
 center, adapts the prox weight to the step (proximity control), and rebuilds
-the current and aggregate cuts at the candidate.  The prox metric is block
-diagonal: weight rho on the multiplier box and rho t^2 on the free Hermitian
-tail, with t adapted at serious steps to the center's displacement.  Since the
-tail is unconstrained, that metric is the plain prox in the variables
-(y, t Gamma): the center's tail is multiplied by t and the cut slopes' tails
-divided by it before the subproblem, and the solution's tail divided back, so
-the center, the cuts and the report stay in true coordinates.  After the loop
-the center's eigenvector, kept from the evaluation that made it the center, is
-rescaled against the slack-bus voltage to propose a rank-one operating point,
-and the certificate checks (limit slack, eigenvalue complementarity, spectral
+the current and aggregate cuts at the candidate.  The prox metric is
+diagonal: weight rho w_i on box coordinate i, with w the clipped root mean
+square of the run's eigen-cut slopes, and rho t^2 on the free Hermitian
+tail, with t adapted at serious steps to the center's displacement.  With
+d = (sqrt(w), t) that metric is the plain prox in the variables d x: the
+center is multiplied by d, the cut slopes divided by it and the box bound
+beta becomes beta d, and the solution is divided back, so the center, the
+cuts and the report stay in true coordinates.  After the loop the center's
+eigenvector, kept from the evaluation that made it the center, is rescaled
+against the slack-bus voltage to propose a rank-one operating point, and the
+certificate checks (limit slack, eigenvalue complementarity, spectral
 separation) decide the verdict.
 """
 
@@ -136,6 +137,8 @@ class IterationRecord:
     step_norm: float
     rho: float
     gamma_scale: float
+    box_scale_min: float
+    box_scale_max: float
 
 
 @dataclass
@@ -146,9 +149,11 @@ class BundleState:
     the fixed, the current and the aggregate cut.  last_vector is the latest
     evaluation's eigenvector, the next eigensolve's warm start.  rho is the
     prox weight of the next step, adapted from config.rho by proximity
-    control; last_delta is the previous step's model gap.  gamma_scale is
-    the scale t of the next step's metric: weight rho on the box part, rho
-    t^2 on the free Hermitian tail.
+    control; last_delta is the previous step's model gap.  The next step's
+    metric is weight rho w_i on box coordinate i and rho t^2 on the free
+    Hermitian tail: gamma_scale is t, slope_sq the running sum of the new
+    cuts' squared box slopes that w comes from, metric the scale vector
+    d = (sqrt(w), t) and box_scale the least and the largest w.
     """
 
     problem: PenaltyObjective
@@ -160,6 +165,9 @@ class BundleState:
     S: np.ndarray
     rho: float
     gamma_scale: float = 1.0
+    slope_sq: np.ndarray | None = None
+    metric: np.ndarray | None = None
+    box_scale: tuple = (1.0, 1.0)
     center_eig: EigenResult | None = None
     last_delta: float = float("inf")
     last_vector: np.ndarray | None = None
@@ -186,6 +194,8 @@ def _start_state(problem: PenaltyObjective, config: SolverConfig) -> BundleState
         a=np.zeros(3),
         S=np.tile(problem.fixed_slope, (3, 1)),
         rho=float(config.rho),
+        slope_sq=np.zeros(problem.n_box),
+        metric=np.ones(problem.n_box + 9),
     )
 
 
@@ -196,13 +206,15 @@ def _start_state(problem: PenaltyObjective, config: SolverConfig) -> BundleState
 # 2 rho (1 - ratio), by at most RHO_MAX_FACTOR; after a null step whose cut is
 # off by more than delta at the center, it rises to 2 rho (1 - ratio), by at
 # most RHO_MAX_FACTOR.  It stays within RHO_RANGE of config.rho either way.
-# Measured at the default start (4) on planted synth_radial(10, seed=3)
-# feeders: replicated 10, 30 and 50 times they take 15, 25 and 19 iterations
-# (41, 124 and 218 with a fixed weight), and the benchmark's 80 ten-bus cases
-# (base seeds 0-39, planted feasible and infeasible) take 820 in all (852).
-# Without the slow-progress condition those ten-bus runs lower the weight
-# after their fast early steps and then take null steps: 1,286 in all.  At a
-# threshold of 0.8 they take 852 again but k=30 takes 35.
+# Measured at the default start (4) on planted-feasible synth_radial(10,
+# seed=3) feeders: replicated 10, 30 and 50 times they take 15, 19 and 19
+# iterations (42, 36 and 45 with a fixed weight), and the benchmark's 80
+# ten-bus cases (base seeds 0-39, planted feasible and infeasible) take 784
+# in all (755).  Without the slow-progress condition those ten-bus runs lower
+# the weight after their fast early steps and then take null steps: 1,305 in
+# all.  The threshold 0.5 was chosen under one weight on the box, where 0.8
+# took k = 30 to 35; under today's metric 0.8 takes it to 18 and the ten-bus
+# cases to 755, so the threshold is due a re-tune.
 RHO_GOOD_RATIO = 0.5
 RHO_SLOW_PROGRESS = 0.5
 RHO_MAX_FACTOR = 4.0
@@ -225,7 +237,7 @@ def next_rho(rho: float, rho0: float, ratio: float, delta: float,
 
 
 # Prox metric (a variable-metric bundle, Lemaréchal & Sagastizábal, Math.
-# Prog. 1997): weight rho on the 18N box coordinates and rho t^2 on the 9 free
+# Prog. 1997): weight rho w_i on box coordinate i and rho t^2 on the 9 free
 # Hermitian ones.  At the dual optimum the box part sits at the box corners,
 # so |y* - y0| = (beta / 2) sqrt(18 N) grows like sqrt(N) (0.67 at N = 10,
 # 3.5 at N = 271), while |Gamma* - Gamma0| grows like N (0.65 to 16.5 planted
@@ -235,13 +247,13 @@ def next_rho(rho: float, rho0: float, ratio: float, delta: float,
 # [t / GAMMA_SCALE_LOWER, GAMMA_SCALE_RAISE t], t moves to the ratio, by at
 # most GAMMA_SCALE_MAX_FACTOR, within [GAMMA_SCALE_MIN, GAMMA_SCALE_CAP].
 # Measured on planted synth_radial(10, seed=3) feeders replicated k times:
-# infeasible k = 15, 20 and 30 take 28, 42 and 68 iterations (52, 147 and 242
-# with t = 1), feasible k = 30 takes 22 (25); the benchmark's 80 ten-bus
-# cases never move t off 1.  A fixed t = 0.2 takes k = 20 infeasible to 41
-# but the ten-bus total from 820 to 2,575, hence the adaptation and the cap.
-# A lower edge of t / 2 also moved the hand-built two-bus case, whose ratio
-# settles at 0.35-0.40, and took its eps = 1e-12 run from 9 iterations to 22
-# and its corner-block error from 4.4e-9 to 2.2e-6.  The floor keeps a tail
+# infeasible k = 15, 20 and 30 take 25, 30 and 29 iterations (44, 67 and 111
+# with t = 1), feasible k = 30 takes 19 (21); the benchmark's 80 ten-bus
+# cases never move t off 1.  A fixed t = 0.2 takes k = 20 infeasible to 21 but
+# the ten-bus total from 784 to 2,306, hence the adaptation and the cap.
+# A lower edge of t / 2 also moves the hand-built two-bus case, whose ratio
+# settles at 0.35-0.40, and takes its eps = 1e-12 run from 8 iterations to 20
+# and its corner-block error from 1.5e-9 to 9.7e-7.  The floor keeps a tail
 # that runs off (alpha too small to bound f) finite.
 GAMMA_SCALE_LOWER = 4.0
 GAMMA_SCALE_RAISE = 2.0
@@ -266,21 +278,53 @@ def next_gamma_scale(scale: float, y_shift: float, gamma_shift: float) -> float:
     return min(max(target, scale / GAMMA_SCALE_MAX_FACTOR), GAMMA_SCALE_MAX_FACTOR * scale)
 
 
-def scaled_prox(center, a, S, rho, scale, beta, n_box) -> ProxSolution:
-    """The prox step in the metric rho on the box and rho scale^2 on the tail.
+# The box weights w (the root-mean-square diagonal of Duchi, Hazan & Singer,
+# JMLR 2011): r_i is the root of the sum of squares of the i-th box slope of
+# every new cut so far, and w = r / mean(r), clipped to [1 / BOX_SCALE_CLIP,
+# BOX_SCALE_CLIP].  The box slopes of one cut differ by orders of magnitude,
+# so one weight on all of them spends most iterations on the last decade of
+# the model gap.  Measured with and without w (w = 1) on planted
+# synth_radial(n, seed=3) feeders: replicated 20 times infeasible, 30 and 42
+# iterations; 30 times feasible, 19 and 22; 30 and 50 times infeasible, 29
+# and 38 against 70 and 71; deep n = 181, 500 and 1,000 feasible, 26, 47 and
+# 65 against 58, 104 and 155; the benchmark's 80 ten-bus cases, 784 against
+# 820, worst relative f gap 2.5e-6 against 4.0e-7.  Clips of 3, 10, 30 and
+# 100 take k = 30 feasible to 16, 19, 22 and 22 iterations, k = 50 feasible
+# to 27, 19, 24 and 28, and k = 20 infeasible to 28, 30, 26 and 26.
+BOX_SCALE_CLIP = 10.0
 
-    The tail is free, so the metric is the plain prox in the variables
-    (y, scale Gamma): the center's tail is multiplied by scale, the slopes'
-    tails divided by it, and the solution's tail divided back.  The returned
-    z is in true coordinates; its weights, case and KKT residual are the
-    scaled problem's, and the cut values at z are the same in both.
+
+def refresh_metric(state: BundleState, g: np.ndarray) -> None:
+    """Fold the new cut's slope g into the next step's metric, in place.
+
+    The box part of state.metric becomes sqrt(w), the tail t.  While the
+    new cuts' box slopes all vanish, w stays 1.
     """
-    center = center.copy()
-    center[n_box:] *= scale
-    S = S.copy()
-    S[:, n_box:] /= scale
-    prox = solve_prox(center, a, S, rho, beta, n_box)
-    prox.z[n_box:] /= scale
+    n_box = state.problem.n_box
+    d, q = state.metric, state.slope_sq
+    box = g[:n_box]
+    q += box * box
+    r = np.sqrt(q)
+    mean = float(r.mean())
+    if mean > 0.0:
+        r /= mean
+        np.clip(r, 1.0 / BOX_SCALE_CLIP, BOX_SCALE_CLIP, out=r)
+        state.box_scale = (float(r.min()), float(r.max()))
+        np.sqrt(r, out=d[:n_box])
+    d[n_box:] = state.gamma_scale
+
+
+def scaled_prox(center, a, S, rho, d, beta, n_box) -> ProxSolution:
+    """The prox step in the diagonal metric rho d^2.
+
+    That metric is the plain prox in the variables d x, whose box is
+    [0, beta d_i] on the leading n_box coordinates: the center is multiplied
+    by d, the slopes divided by it, and the solution divided back.  The
+    returned z is in true coordinates; its weights, case and KKT residual are
+    the scaled problem's, and the cut values at z are the same in both.
+    """
+    prox = solve_prox(center * d, a, S / d, rho, beta * d[:n_box], n_box)
+    np.divide(prox.z, d, out=prox.z)
     return prox
 
 
@@ -314,9 +358,10 @@ def step(state: BundleState) -> IterationRecord:
     state.iteration += 1
 
     a, S, rho, scale = state.a, state.S, state.rho, state.gamma_scale
+    box_scale_min, box_scale_max = state.box_scale
     n_box = problem.n_box
     t0 = time.perf_counter()
-    prox = scaled_prox(state.center, a, S, rho, scale, problem.beta, n_box)
+    prox = scaled_prox(state.center, a, S, rho, state.metric, problem.beta, n_box)
     prox_seconds = time.perf_counter() - t0
     z = prox.z
     model_value = float((a + S @ z).max())
@@ -352,6 +397,8 @@ def step(state: BundleState) -> IterationRecord:
         step_norm=step_norm,
         rho=rho,
         gamma_scale=scale,
+        box_scale_min=box_scale_min,
+        box_scale_max=box_scale_max,
     )
     state.history.append(record)
 
@@ -369,6 +416,7 @@ def step(state: BundleState) -> IterationRecord:
         y_shift, gamma_shift = z[:n_box] - 0.5 * problem.beta, z[n_box:]
         state.gamma_scale = next_gamma_scale(
             scale, math.sqrt(y_shift @ y_shift), math.sqrt(gamma_shift @ gamma_shift))
+    refresh_metric(state, g)
 
     # Aggregate: the weight-combined cut, whose value at z equals the model
     # optimum up to roundoff; combining minorants keeps it a minorant.  It

@@ -14,7 +14,8 @@ A band's length is compared with the bus count where limits meet a network.
 from __future__ import annotations
 
 import json
-import math
+import numbers
+import sys
 from dataclasses import dataclass, field, fields
 from functools import cached_property
 
@@ -136,6 +137,8 @@ class ThreePhaseNetwork:
         object.__setattr__(self, "keys", keys)
         object.__setattr__(self, "blocks", blocks)
         object.__setattr__(self, "slack_voltage", slack)
+        if isinstance(self.n_buses, bool) or not isinstance(self.n_buses, numbers.Integral):
+            raise NetworkFormatError(f"n_buses must be an integer, got {self.n_buses!r}")
         if self.n_buses < 1:
             raise NetworkFormatError(f"n_buses must be >= 1, got {self.n_buses}")
         if self.n_buses > MAX_BUSES:
@@ -463,7 +466,9 @@ class RadialParams:
     def __post_init__(self):
         for f in fields(self):
             value = getattr(self, f.name)
-            if not math.isfinite(value):
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise NetworkFormatError(f"{f.name} must be a number, got {value!r}")
+            if not abs(value) <= sys.float_info.max:
                 raise NetworkFormatError(f"{f.name} must be finite, got {value!r}")
         if not 0 < self.series_min <= self.series_max:
             raise NetworkFormatError("need 0 < series_min <= series_max, got"

@@ -111,7 +111,7 @@ class OracleProx:
     support: tuple
 
 
-def _clip_box(w: np.ndarray, beta: float, n_box: int) -> np.ndarray:
+def _clip_box(w: np.ndarray, beta: float | np.ndarray, n_box: int) -> np.ndarray:
     out = w.copy()
     np.clip(out[:n_box], 0.0, beta, out=out[:n_box])
     return out
@@ -122,7 +122,7 @@ def qp_support_enumeration(
     intercepts: np.ndarray,
     slopes: np.ndarray,
     rho: float,
-    beta: float,
+    beta: float | np.ndarray,
     n_box: int,
     bisect_iters: int = 60,
 ) -> OracleProx:
@@ -133,7 +133,9 @@ def qp_support_enumeration(
     the full support), and the candidate whose box-feasible point has the
     least primal objective wins: at a near-degenerate optimum, dual values
     of different supports tie to rounding while their points do not.
-    Derivative-free and independent of the production case logic.
+    Derivative-free and independent of the production case logic.  The box
+    is [0, beta] on the leading n_box coordinates, beta a scalar or an
+    (n_box,) array of per-coordinate bounds.
     """
     a = np.asarray(intercepts, dtype=float)
     S = np.asarray(slopes, dtype=float)

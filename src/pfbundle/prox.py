@@ -1,8 +1,9 @@
 """Proximal step over a three-cut model: active-set Newton on the cut weights.
 
 The subproblem minimizes the max of three affine cuts plus a quadratic
-anchored at the current center c, over a box on the multiplier part (the
-Hermitian tail is unconstrained).  Its dual over the weight simplex,
+anchored at the current center c, over a box [0, beta] on the multiplier
+part, beta one bound for all coordinates or one per coordinate (the Hermitian
+tail is unconstrained).  Its dual over the weight simplex,
 
     psi(theta) = theta . (a + S z) + rho / 2 |z - c|^2,  z = P(c - S^T theta / rho),
 
@@ -58,8 +59,11 @@ class ProxSolution:
     diagnostics: dict = field(default_factory=dict)
 
 
-def project_box(flat: np.ndarray, beta: float, n_box: int) -> np.ndarray:
-    """Clip the multiplier part into [0, beta]; the Hermitian tail is free."""
+def project_box(flat: np.ndarray, beta: float | np.ndarray, n_box: int) -> np.ndarray:
+    """Clip the multiplier part into [0, beta]; the Hermitian tail is free.
+
+    beta is a scalar or an (n_box,) array of per-coordinate bounds.
+    """
     out = np.array(flat, dtype=float, copy=True)
     np.clip(out[:n_box], 0.0, beta, out=out[:n_box])
     return out
@@ -124,7 +128,8 @@ def _evaluate(theta, center, a, S, rho, beta, n_box):
     """(pattern, z, cut values at z, psi) at weights theta.
 
     z = P(w), w = center - S^T theta / rho, and pattern codes each box
-    coordinate of w as 0 on or below the box, 1 inside it, 2 on or above it.
+    coordinate of w as 0 on or below the box, 1 inside it, 2 on or above it;
+    beta is a scalar or an (n_box,) array, as in project_box.
     """
     z = center - (S.T @ theta) / rho
     box = z[:n_box]
@@ -140,7 +145,7 @@ def solve_prox(
     a: np.ndarray,
     S: np.ndarray,
     rho: float,
-    beta: float,
+    beta: float | np.ndarray,
     n_box: int,
 ) -> ProxSolution:
     """Solve the three-cut proximal subproblem exactly.
@@ -151,7 +156,8 @@ def solve_prox(
         S: (3, n) cut slopes, one row per cut (ties keep the start, then the
             lower row).
         rho: prox weight.
-        beta: multiplier box upper bound.
+        beta: multiplier box upper bound, a positive scalar or an (n_box,)
+            array of per-coordinate bounds; the oracle fallback gets the same.
         n_box: number of leading box-constrained coordinates.
 
     Starts at the aggregate cut's weights e2, whose prox point is the previous

@@ -21,7 +21,7 @@ from pfbundle import (
     solve,
     synth_radial,
 )
-from pfbundle import bundle
+from pfbundle import bundle, prox
 from pfbundle.bundle import init_state, recover_primal, step
 from pfbundle.operators import (
     DENSE_MAX_DIM,
@@ -324,10 +324,17 @@ def test_solve_reports_are_serializable_and_consistent(two_bus, two_bus_planted)
     assert set(doc["history"][0]) == {
         "iteration", "f_center", "f_candidate", "model_value", "delta", "serious",
         "case_used", "kkt_residual", "lambda_neg", "eig_matvecs", "prox_seconds",
-        "prox_evals", "step_norm", "rho", "gamma_scale",
+        "prox_evals", "step_norm", "rho", "gamma_scale", "box_scale_min",
+        "box_scale_max",
     }
     assert doc["history"][0]["rho"] == report.config.rho
     assert doc["history"][0]["gamma_scale"] == 1.0
+    # The box weights are 1 until the first new cut, then spread.
+    first = doc["history"][0]
+    assert first["box_scale_min"] == first["box_scale_max"] == 1.0
+    later = doc["history"][1]
+    assert 1.0 / bundle.BOX_SCALE_CLIP <= later["box_scale_min"] < 1.0
+    assert 1.0 < later["box_scale_max"] <= bundle.BOX_SCALE_CLIP
 
 
 def test_iteration_budget_exhaustion_is_reported(two_bus, two_bus_planted):
@@ -486,7 +493,8 @@ def test_converged_is_near_optimal_at_any_start_rho(n_buses, copies, rho):
 
 
 def test_iterations_stay_flat_in_k():
-    # A fixed weight of 4 took 41 and 124 iterations here.
+    # Under one weight on the box, a fixed weight of 4 took 41 and 124
+    # iterations here.
     for copies in (10, 30):
         problem, _ = planted_case(copies=copies)
         report = solve(problem)
@@ -500,6 +508,44 @@ def test_iterations_stay_flat_in_k():
         assert report.converged
         assert report.verdict == "infeasible_or_undecided"
         assert report.iterations <= 80
+
+
+def test_box_weights_take_a_deep_feeder_to_its_optimum_in_fewer_iterations():
+    # One weight on the box took 58 iterations here, at a gap of 6.1e-6.
+    problem, planted = planted_case(n_buses=181)
+    report = solve(problem)
+    assert report.verdict == "feasible"
+    assert report.iterations <= 40
+    assert abs(report.f_best - planted.f_star) / (1.0 + abs(planted.f_star)) <= 1e-5
+    assert all(r.case_used != "fallback" for r in report.history)
+    last = report.history[-1]
+    assert last.box_scale_min == 1.0 / bundle.BOX_SCALE_CLIP
+    assert last.box_scale_max == bundle.BOX_SCALE_CLIP
+
+
+def test_refresh_metric_folds_new_slopes_into_clipped_rms_weights(two_bus, two_bus_planted):
+    problem = build_problem(two_bus, two_bus_planted.limits, two_bus_planted.u)
+    state = init_state(problem, SolverConfig())
+    n_box = problem.n_box
+    d = state.metric
+    assert d.tobytes() == np.ones(n_box + 9).tobytes() and state.box_scale == (1.0, 1.0)
+    # Slopes that vanish on the box keep w = 1; the tail follows t.
+    state.gamma_scale = 0.5
+    bundle.refresh_metric(state, np.concatenate([np.zeros(n_box), np.ones(9)]))
+    assert (d[:n_box] == 1.0).all() and (d[n_box:] == 0.5).all()
+    rng = np.random.default_rng(5)
+    slopes = [rng.normal(size=n_box + 9) * np.exp(rng.uniform(-6.0, 6.0, size=n_box + 9))
+              for _ in range(4)]
+    slopes.append(np.zeros(n_box + 9))
+    slopes[-1][0] = 1e8     # one coordinate far above the mean: the top clip
+    for k, g in enumerate(slopes, start=1):
+        bundle.refresh_metric(state, g)
+        r = np.sqrt(sum(s[:n_box] ** 2 for s in slopes[:k]))
+        w = np.clip(r / r.mean(), 1.0 / bundle.BOX_SCALE_CLIP, bundle.BOX_SCALE_CLIP)
+        np.testing.assert_allclose(d[:n_box] ** 2, w, rtol=1e-12)
+        assert state.box_scale == pytest.approx((w.min(), w.max()), rel=1e-12)
+        assert (d[n_box:] == 0.5).all()
+    assert state.box_scale == (1.0 / bundle.BOX_SCALE_CLIP, bundle.BOX_SCALE_CLIP)
 
 
 def test_gamma_scale_stays_one_on_every_ten_bus_planted_case():
@@ -520,11 +566,12 @@ def test_reports_are_deterministic_at_a_fixed_start_rho():
     assert first == second
 
 
-@pytest.mark.parametrize("rho", [4.0, 0.25])
+@pytest.mark.parametrize("rho", [8.0, 0.25])
 def test_weight_changes_keep_the_descent_test_and_the_cuts_valid(
     ten_bus, ten_bus_infeasible, rho
 ):
-    # On these runs the weight both falls and rises.  Each step must still
+    # On these runs the weight both falls and rises (from the default start
+    # of 4 this case lowers it once and never raises it).  Each step must still
     # pass the descent test it claims, and after each change the three cuts
     # must stay below f, evaluated densely at sampled points.  (The dense
     # oracle builds a basis of all Hermitian matrices, so it stays at dim 30.)
@@ -600,11 +647,20 @@ def test_next_gamma_scale_moves_within_its_bounds():
     assert next_scale(0.1, 1.0, 0.0) == pytest.approx(0.4)
 
 
+def random_metric(rng, n_box):
+    """A scale vector d: sqrt of box weights within the clip, then a tail t."""
+    clip = np.log(bundle.BOX_SCALE_CLIP)
+    w = np.exp(rng.uniform(-clip, clip, size=n_box))
+    scale = float(np.exp(rng.uniform(np.log(0.05), 0.0)))
+    return np.concatenate([np.sqrt(w), np.full(9, scale)])
+
+
 def test_scaled_prox_is_the_weighted_metric_prox_point():
-    # The metric rho on the box and rho t^2 on the free tail is the plain
-    # prox in the variables (y, t Gamma).  The enumeration oracle, run on
-    # that change of variables, gives the same point; and in true coordinates
-    # the point meets the weighted metric's own optimality condition.
+    # The metric rho d_i^2 is the plain prox in the variables d x, whose box
+    # is [0, beta d_i].  The enumeration oracle, run on that change of
+    # variables with the vector bound, gives the same point; and in true
+    # coordinates the point meets the weighted metric's own optimality
+    # condition in the box [0, beta].
     rng = np.random.default_rng(22)
     beta = 0.1
     seen = set()
@@ -616,20 +672,18 @@ def test_scaled_prox_is_the_weighted_metric_prox_point():
                                  rng.normal(size=9)])
         a = rng.normal(size=3)
         S = rng.normal(size=(3, dim))
-        scale = float(np.exp(rng.uniform(np.log(0.05), 0.0)))
-        sol = bundle.scaled_prox(center, a, S, rho, scale, beta, n_box)
+        if trial % 6 == 0:
+            # Cuts parallel to cut 0 and below it: a vertex solution.
+            S[1:] = S[0]
+            a[1:] = a[0] - np.array([1.0, 2.0])
+        d = random_metric(rng, n_box)
+        sol = bundle.scaled_prox(center, a, S, rho, d, beta, n_box)
         seen.add(sol.case_used)
 
-        center_t = center.copy()
-        center_t[n_box:] *= scale
-        S_t = S.copy()
-        S_t[:, n_box:] /= scale
-        ref = qp_support_enumeration(center_t, a, S_t, rho, beta, n_box)
-        z_ref = ref.z.copy()
-        z_ref[n_box:] /= scale
-        np.testing.assert_allclose(sol.z, z_ref, atol=1e-7 / scale)
+        ref = qp_support_enumeration(center * d, a, S / d, rho, beta * d[:n_box], n_box)
+        np.testing.assert_allclose(sol.z * d, ref.z, atol=1e-7)
 
-        metric = np.concatenate([np.ones(n_box), np.full(9, scale * scale)])
+        metric = d * d
         diff = sol.z - center
         weighted = float((a + S @ sol.z).max()) + 0.5 * rho * float(metric @ (diff * diff))
         assert weighted == pytest.approx(ref.objective, abs=1e-8 * (1.0 + abs(ref.objective)))
@@ -638,9 +692,43 @@ def test_scaled_prox_is_the_weighted_metric_prox_point():
         np.testing.assert_allclose(sol.z[n_box:], w[n_box:],
                                    atol=1e-9 * (1.0 + np.abs(w[n_box:]).max()))
     assert seen >= {"vertex", "edge", "interior"}
-    # At scale 1 it is the plain prox, bit for bit.
+    # At d = 1 it is the plain prox, bit for bit.
     plain = solve_prox(center, a, S, rho, beta, n_box)
-    assert bundle.scaled_prox(center, a, S, rho, 1.0, beta, n_box).z.tobytes() == plain.z.tobytes()
+    unit = bundle.scaled_prox(center, a, S, rho, np.ones(dim), beta, n_box)
+    assert unit.z.tobytes() == plain.z.tobytes()
+    assert unit.theta.tobytes() == plain.theta.tobytes()
+
+
+def test_scaled_prox_fallback_takes_the_vector_bound_to_the_oracle(monkeypatch):
+    # A scaled solve that does not settle hands the oracle the rescaled data
+    # with the bound beta d on the box, and returns the oracle's point divided
+    # back: in true coordinates the box stays [0, beta], top bound reached.
+    rng = np.random.default_rng(24)
+    rho, beta, n_box = 4.0, 0.1, 20
+    exact = prox.newton_step
+    for _ in range(200):
+        center = np.concatenate([rng.uniform(-0.05, 0.15, size=n_box), rng.normal(size=9)])
+        a = rng.normal(size=3)
+        S = rng.normal(size=(3, n_box + 9))
+        d = random_metric(rng, n_box)
+        if bundle.scaled_prox(center, a, S, rho, d, beta, n_box).case_used == "interior":
+            break
+    else:
+        pytest.fail("no interior case drawn")
+
+    def perturbed(vals, G, theta, rho):
+        return tuple(np.array(exact(vals, G, theta, rho)) + np.array([1e-3, -1e-3, 0.0]))
+
+    monkeypatch.setattr(prox, "newton_step", perturbed)
+    sol = bundle.scaled_prox(center, a, S, rho, d, beta, n_box)
+    assert sol.case_used == "fallback"
+    ref = qp_support_enumeration(center * d, a, S / d, rho, beta * d[:n_box], n_box)
+    assert sol.z.tobytes() == (ref.z / d).tobytes()
+    box = sol.z[:n_box]
+    assert box.min() >= 0.0 and box.max() <= beta * (1.0 + 1e-15)
+    assert np.isclose(box, beta, rtol=0.0, atol=1e-15).any()
+    # The oracle's own projection of its weights agrees with its point.
+    assert sol.kkt_residual <= 1e-8
 
 
 def test_metric_moves_keep_the_descent_test_and_the_cuts_valid():

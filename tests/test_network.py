@@ -174,6 +174,15 @@ def test_construction_never_raises_and_validate_names_the_defect(keys, blocks, m
         ThreePhaseNetwork(1, keys, blocks)
 
 
+@pytest.mark.parametrize("n_buses", [2.0, True, "2", None], ids=["float", "bool", "str", "none"])
+def test_construction_rejects_a_bus_count_that_is_not_an_integer(n_buses):
+    two_bus = build_two_bus()
+    with pytest.raises(NetworkFormatError, match=r"^n_buses must be an integer, got "):
+        ThreePhaseNetwork(n_buses, two_bus.keys, two_bus.blocks)
+    # A numpy integer is an integer.
+    assert ThreePhaseNetwork(np.int64(2), two_bus.keys, two_bus.blocks).admittance.shape == (6, 6)
+
+
 def test_set_up_chain_checks_and_assembles_each_network_once(tmp_path, monkeypatch):
     checks, assemblies = collections.Counter(), collections.Counter()
     check = ThreePhaseNetwork._first_block_problem
@@ -549,8 +558,13 @@ def test_synth_radial_admittance_is_positive_definite():
     ({"series_min": 2.0, "series_max": 1.0}, "series_min <= series_max, got 2.0 and 1.0"),
     ({"shunt": 0.0}, "shunt must be positive"),
     ({"coupling": -0.1}, "coupling must be nonnegative"),
+    ({"coupling": "x"}, "coupling must be a number, got 'x'"),
+    ({"shunt": True}, "shunt must be a number, got True"),
+    ({"series_max": None}, "series_max must be a number, got None"),
+    ({"series_max": 10**400}, "series_max must be finite"),
 ], ids=["series-min-nan", "series-max-inf", "coupling-minus-inf", "shunt-nan",
-        "series-min-zero", "series-range-empty", "shunt-zero", "coupling-negative"])
+        "series-min-zero", "series-range-empty", "shunt-zero", "coupling-negative",
+        "coupling-str", "shunt-bool", "series-max-none", "series-max-huge-int"])
 def test_synth_radial_rejects_params_by_name(changes, message):
     with pytest.raises(NetworkFormatError, match=message):
         RadialParams(**changes)
