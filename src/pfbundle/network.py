@@ -41,6 +41,16 @@ class NetworkFormatError(ValueError):
 MAX_BUSES = (2**31 - 1) // 3
 
 
+def _check_bus_count(n_buses, least: int) -> None:
+    """Raise NetworkFormatError unless n_buses is an integer in [least, MAX_BUSES]."""
+    if isinstance(n_buses, bool) or not isinstance(n_buses, numbers.Integral):
+        raise NetworkFormatError(f"n_buses must be an integer, got {n_buses!r}")
+    if n_buses < least:
+        raise NetworkFormatError(f"n_buses must be at least {least}, got {n_buses}")
+    if n_buses > MAX_BUSES:
+        raise NetworkFormatError(f"n_buses {n_buses} is out of range (max {MAX_BUSES})")
+
+
 @dataclass(frozen=True, eq=False)
 class OperatingLimits:
     """Per-phase operating bands, each a real vector of length 3*n_buses.
@@ -137,12 +147,7 @@ class ThreePhaseNetwork:
         object.__setattr__(self, "keys", keys)
         object.__setattr__(self, "blocks", blocks)
         object.__setattr__(self, "slack_voltage", slack)
-        if isinstance(self.n_buses, bool) or not isinstance(self.n_buses, numbers.Integral):
-            raise NetworkFormatError(f"n_buses must be an integer, got {self.n_buses!r}")
-        if self.n_buses < 1:
-            raise NetworkFormatError(f"n_buses must be >= 1, got {self.n_buses}")
-        if self.n_buses > MAX_BUSES:
-            raise NetworkFormatError(f"n_buses {self.n_buses} is out of range (max {MAX_BUSES})")
+        _check_bus_count(self.n_buses, 1)
         if slack.shape != (3,):
             raise NetworkFormatError("slack_voltage must have exactly 3 phases")
         if not np.all(np.isfinite(slack)):
@@ -499,10 +504,10 @@ def synth_radial(
     carries a Hermitian series block, and diagonal blocks sum incident series
     blocks plus a Hermitian shunt.  A series or shunt block drawn not positive
     definite raises NetworkFormatError naming its line or bus, so the
-    admittance a feeder gets is strictly positive definite.
+    admittance a feeder gets is strictly positive definite.  So does an
+    n_buses that is not an integer from 2 to MAX_BUSES, before any allocation.
     """
-    if n_buses < 2:
-        raise NetworkFormatError(f"synth_radial needs at least 2 buses, got {n_buses}")
+    _check_bus_count(n_buses, 2)
     if seed < 0:
         raise NetworkFormatError(f"seed must be nonnegative, got {seed}")
     rng = np.random.default_rng(seed)

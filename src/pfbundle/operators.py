@@ -340,7 +340,7 @@ def _normalize_phase(v: np.ndarray) -> np.ndarray:
 # 6.67, 6.67 and 6.67, with the same iterations.
 WARM_BLEND = 1e-3
 
-# Inside a cycle, the forward residual estimate must be at most this fraction
+# After each step, the forward residual estimate must be at most this fraction
 # of tol.  At 1/2, the bound the plain Lanczos on -H used, the
 # planted-infeasible k=20 feeder takes 43 iterations instead of the 42 that
 # every tighter eig_tol gives (3e-10 down to 1e-12, on this path and on the
@@ -381,15 +381,15 @@ def _top_ritz(alphas: np.ndarray, betas: np.ndarray, count: int):
 _DGKS_RATIO = 1.0 / np.sqrt(2.0)
 
 
-# Basis size of one Lanczos cycle, and the restarts from its top Ritz vector
-# allowed before EigenFailure.  No measured production call restarts: an
-# eigensolve of the replicated k=20 and k=30 feeders takes at most 9 solves,
-# of the deep 500- and 1,000-bus feeders at most 27, and the deep 3,000-bus
-# feeder's first one 41.  Acceptance criterion 4's random operators do: 6 of
-# its 200, all with a clustered top at the widest shift (dims 177-275),
-# restart once and take 64-73 solves.
-MAX_KRYLOV = 60
-MAX_RESTARTS = 50
+# Basis size of the one Lanczos cycle; a cycle that ends above tol raises
+# EigenFailure.  Most solves per call in default solves at 1 BLAS thread: 9
+# on the k=20 and k=30 benchmark feeders; 27 on the planted deep feeders
+# (synth_radial(n, seed=3) with DENSE_MAX_DIM's RadialParams) up to 1,000
+# buses, 67 and 77 at 2,000 and 3,000 (each at its sixth call, every other
+# call at most 45); 71 on acceptance criterion 4's operators, 8 of whose 200
+# (clustered tops, dims 177-275) take 62-71, so a basis of 60 would not hold
+# them.  Q is np.empty, so a call touches only the rows it uses.
+MAX_KRYLOV = 100
 
 
 def lanczos_extreme(
@@ -404,19 +404,18 @@ def lanczos_extreme(
 
     matvec applies the inverse of forward, and Lanczos with full
     reorthogonalization finds the top eigenpair (theta, v) of matvec; tol
-    bounds forward's residual ||forward(v) - v / theta||.  The first cycle
+    bounds forward's residual ||forward(v) - v / theta||.  The iteration
     starts from start blended with WARM_BLEND of a seeded random unit
     vector, which keeps an eigenvector of a lower eigenvalue from trapping
-    the iteration.  Each cycle holds at most MAX_KRYLOV vectors and restarts
-    from its top Ritz vector.
+    it, and runs one cycle of at most MAX_KRYLOV steps.
 
     A Ritz pair whose residual under matvec is r has forward residual
     ||forward(r)|| / theta, and r = s_j w for the unnormalized next basis
-    vector w.  After every step a cycle checks that against FORWARD_CHECK
-    tol, by one forward product, once |beta_j s_j| / theta^2 (its value were
-    r along the top eigenvector) is that small.  The orthogonalization is
-    repeated by the DGKS rule, and only the explicitly recomputed forward
-    residual, one forward product, decides convergence.
+    vector w.  After every step the iteration checks that against
+    FORWARD_CHECK tol, by one forward product, once |beta_j s_j| / theta^2
+    (its value were r along the top eigenvector) is that small.  The
+    orthogonalization is repeated by the DGKS rule, and only the explicitly
+    recomputed forward residual, one forward product, decides convergence.
 
     A step costs its product with the operator and two matrix-vector
     products with the basis (four when DGKS repeats the pass).  Everything
@@ -433,66 +432,59 @@ def lanczos_extreme(
     Returns an EigenResult for theta whose value2 is the second Ritz value
     (None after a one-step basis), whose residual is the forward one and
     whose matvecs counts the matvec calls; raises EigenFailure if that
-    residual never reaches tol.
+    residual misses tol when the cycle ends, after at most min(dim,
+    MAX_KRYLOV) matvec calls.
     """
     m = min(dim, MAX_KRYLOV)
-    matvecs = 0
     v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
     start = np.asarray(start, dtype=complex)
     v = start / np.linalg.norm(start) + WARM_BLEND * (v / np.linalg.norm(v))
-    v = v / np.linalg.norm(v)
-    best_resid = float("inf")
     Q = np.empty((m, dim), dtype=complex)
+    Q[0] = v / np.linalg.norm(v)
     scratch = np.empty(dim, dtype=complex)
     alphas = np.empty(m)
     betas = np.empty(m)
-    for _ in range(MAX_RESTARTS + 1):
-        Q[0] = v
-        used = 0
-        for j in range(m):
-            q = Q[j]
-            w = matvec(q)
-            matvecs += 1
-            alpha = np.vdot(q, w).real
-            alphas[j] = alpha
-            w -= np.multiply(q, alpha, out=scratch)
-            if j > 0:
-                w -= np.multiply(Q[j - 1], betas[j - 1], out=scratch)
-            # Reorthogonalize against the whole basis; a second pass only
-            # when the first cancelled most of w (DGKS).
-            basis = Q[: j + 1]
-            before = math.sqrt(np.vdot(w, w).real)
+    for j in range(m):
+        q = Q[j]
+        w = matvec(q)
+        alpha = np.vdot(q, w).real
+        alphas[j] = alpha
+        w -= np.multiply(q, alpha, out=scratch)
+        if j > 0:
+            w -= np.multiply(Q[j - 1], betas[j - 1], out=scratch)
+        # Reorthogonalize against the whole basis; a second pass only when
+        # the first cancelled most of w (DGKS).
+        basis = Q[: j + 1]
+        before = math.sqrt(np.vdot(w, w).real)
+        w -= (basis @ w.conj()).conj() @ basis
+        beta = math.sqrt(np.vdot(w, w).real)
+        if beta < _DGKS_RATIO * before:
             w -= (basis @ w.conj()).conj() @ basis
             beta = math.sqrt(np.vdot(w, w).real)
-            if beta < _DGKS_RATIO * before:
-                w -= (basis @ w.conj()).conj() @ basis
-                beta = math.sqrt(np.vdot(w, w).real)
-            used = j + 1
-            betas[j] = beta
-            if beta < 1e-14 * max(1.0, abs(alpha)):
-                break
-            evals, s = _top_ritz(alphas[:used], betas, 1)
-            theta, s_last = evals[-1], s[-1]
-            if (abs(beta * s_last) <= FORWARD_CHECK * tol * theta * theta
-                    and abs(s_last) * np.linalg.norm(forward(w)) <= FORWARD_CHECK * tol * theta):
-                break
-            if used < m:
-                np.multiply(w, 1.0 / beta, out=Q[used])
-        evals, s = _top_ritz(alphas[:used], betas, 2)
-        ritz = float(evals[-1])
-        ritz2 = float(evals[-2]) if used > 1 else None
-        vec = s @ Q[:used]
-        vec = vec / np.linalg.norm(vec)
-        resid = float(np.linalg.norm(forward(vec) - vec / ritz))
-        if resid <= tol:
-            return EigenResult(value=ritz, vector=_normalize_phase(vec), residual=resid,
-                               value2=ritz2, matvecs=matvecs)
-        best_resid = min(best_resid, resid)
-        v = vec
-    raise EigenFailure(
-        f"no convergence after {MAX_RESTARTS} restarts:"
-        f" best residual {best_resid:.3e} (tol {tol:.1e}, dim {dim})"
-    )
+        used = j + 1
+        betas[j] = beta
+        if beta < 1e-14 * max(1.0, abs(alpha)):
+            break
+        evals, s = _top_ritz(alphas[:used], betas, 1)
+        theta, s_last = evals[-1], s[-1]
+        if (abs(beta * s_last) <= FORWARD_CHECK * tol * theta * theta
+                and abs(s_last) * np.linalg.norm(forward(w)) <= FORWARD_CHECK * tol * theta):
+            break
+        if used < m:
+            np.multiply(w, 1.0 / beta, out=Q[used])
+    evals, s = _top_ritz(alphas[:used], betas, 2)
+    ritz = float(evals[-1])
+    ritz2 = float(evals[-2]) if used > 1 else None
+    vec = s @ Q[:used]
+    vec = vec / np.linalg.norm(vec)
+    resid = float(np.linalg.norm(forward(vec) - vec / ritz))
+    if resid > tol:
+        raise EigenFailure(
+            f"no convergence in {used} Lanczos steps:"
+            f" residual {resid:.3e} (tol {tol:.1e}, dim {dim})"
+        )
+    return EigenResult(value=ritz, vector=_normalize_phase(vec), residual=resid,
+                       value2=ritz2, matvecs=used)
 
 
 # Largest dimension solved densely (the top two eigenpairs of -H by LAPACK's

@@ -92,7 +92,7 @@ def test_assess_budget_exhaustion_returns_one(feasible_case, capsys):
 
 def test_assess_eigen_failure_writes_report_and_returns_one(tmp_path, capsys):
     # No residual reaches a tolerance this far below roundoff, so the
-    # eigensolve at the start point fails after its last restart.
+    # eigensolve at the start point fails when its Lanczos cycle ends.
     net_path = str(tmp_path / "c120.json")
     main(["generate", "radial", net_path, "--buses", "120", "--planted", "feasible"])
     report_path = tmp_path / "report.json"

@@ -4,6 +4,7 @@ import collections
 import dataclasses
 import json
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -594,6 +595,25 @@ def test_synth_radial_accepts_params_at_their_edges():
 def test_synth_radial_rejects_single_bus():
     with pytest.raises(NetworkFormatError, match="at least 2"):
         synth_radial(1)
+
+
+@pytest.mark.parametrize("n_buses, message", [
+    (MAX_BUSES + 1, rf"^n_buses {MAX_BUSES + 1} is out of range \(max {MAX_BUSES}\)$"),
+    (10**30, r"^n_buses 10{30} is out of range"),
+    (2.5, r"^n_buses must be an integer, got 2\.5$"),
+    (3.0, r"^n_buses must be an integer, got 3\.0$"),
+    (True, r"^n_buses must be an integer, got True$"),
+    ("3", r"^n_buses must be an integer, got '3'$"),
+], ids=["max_plus_one", "huge", "fraction", "float", "bool", "str"])
+def test_synth_radial_rejects_a_bad_bus_count_before_allocating(n_buses, message):
+    tracemalloc.start()
+    try:
+        with pytest.raises(NetworkFormatError, match=message):
+            synth_radial(n_buses)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
 
 
 def test_replicate_single_copy_is_identity():

@@ -357,11 +357,44 @@ def test_warm_start_from_a_lower_eigenvector_finds_lambda_max():
 
 
 def test_lanczos_raises_on_impossible_tolerance():
+    # One exhausted cycle raises, after min(dim, MAX_KRYLOV) solves: the
+    # whole space at dim 12, the whole basis at dim 150.
     rng = np.random.default_rng(15)
-    A = random_hermitian(rng, 12)
-    matvec, forward = shift_invert(A, np.linalg.eigvalsh(A)[-1] + 1.0)
-    with pytest.raises(EigenFailure, match=f"after {operators.MAX_RESTARTS} restarts"):
-        lanczos_extreme(matvec, 12, rng, forward=forward, start=np.ones(12), tol=0.0)
+    for dim in (12, 150):
+        A = random_hermitian(rng, dim)
+        solve, forward = shift_invert(A, np.linalg.eigvalsh(A)[-1] + 1.0)
+        calls = []
+
+        def matvec(v):
+            calls.append(1)
+            return solve(v)
+
+        steps = min(dim, operators.MAX_KRYLOV)
+        message = (rf"^no convergence in {steps} Lanczos steps:"
+                   rf" residual \S+ \(tol 0\.0e\+00, dim {dim}\)$")
+        with pytest.raises(EigenFailure, match=message):
+            lanczos_extreme(matvec, dim, rng, forward=forward, start=np.ones(dim), tol=0.0)
+        assert len(calls) == steps
+
+
+def test_lanczos_converges_on_a_clustered_top_in_one_cycle():
+    # Acceptance criterion 4's first operator: the top three eigenvalues
+    # within 2e-4 and the shift 1 + |lambda| above the top.  One cycle holds
+    # the whole call, which needs more than 60 solves.
+    rng = np.random.default_rng(104)
+    dim = int(rng.integers(2, 301))
+    evals, evecs = np.linalg.eigh(random_hermitian(rng, dim))
+    evals[-3:] = evals[-1] - np.array([2e-4, 1e-4, 0.0])
+    A = (evecs * evals) @ evecs.conj().T
+    A = 0.5 * (A + A.conj().T)
+    lam = dense_lambda_max(A)[0]
+    sigma = lam + (1.0 + abs(lam))
+    matvec, forward = shift_invert(A, sigma)
+    eig = lanczos_extreme(matvec, dim, rng, forward=forward, start=np.ones(dim), tol=1e-10)
+    assert dim == 212
+    assert 60 < eig.matvecs <= operators.MAX_KRYLOV
+    assert eig.residual <= 1e-10
+    assert abs(sigma - 1.0 / eig.value - lam) <= 1e-9 * (1.0 + abs(lam))
 
 
 def test_top_ritz_matches_scipy_eigh_tridiagonal_bitwise():
