@@ -143,8 +143,6 @@ def cmd_assess(args: argparse.Namespace) -> int:
         print(f"f_best       {report.f_best:.12g}")
         print(f"model gap    {report.final_delta:.3e}")
         print(f"slack        {cert.slack_total:.3e}")
-        print(f"comp         {cert.comp_res:.3e} (tol {cert.comp_tol:.3e})")
-        print(f"eigen gap    {cert.eigen_gap:.3e}")
         print(f"duality gap  {cert.duality_gap:.3e}")
         for note in report.warnings:
             print(f"warning: {note}", file=sys.stderr)

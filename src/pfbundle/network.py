@@ -505,9 +505,12 @@ def synth_radial(
     blocks plus a Hermitian shunt.  A series or shunt block drawn not positive
     definite raises NetworkFormatError naming its line or bus, so the
     admittance a feeder gets is strictly positive definite.  So does an
-    n_buses that is not an integer from 2 to MAX_BUSES, before any allocation.
+    n_buses that is not an integer from 2 to MAX_BUSES, before any allocation,
+    and a seed that is not a nonnegative integer (a bool is not one).
     """
     _check_bus_count(n_buses, 2)
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral):
+        raise NetworkFormatError(f"seed must be an integer, got {seed!r}")
     if seed < 0:
         raise NetworkFormatError(f"seed must be nonnegative, got {seed}")
     rng = np.random.default_rng(seed)

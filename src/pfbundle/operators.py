@@ -16,8 +16,8 @@ on it through precomputed index maps.  The penalized objective adds
 alpha * max(lambda_max(-H), 0) to the linear dual objective, which removes the
 semidefinite constraint on H at the price of one extreme eigenpair per
 evaluation, returned as an EigenResult by leading_eigenpair.  For small H the
-top two eigenpairs come from a dense LAPACK solve whose values go straight
-into a dense array, with no sparse matrix built.  For large H they come from
+top eigenpair comes from a dense LAPACK solve whose values go straight into
+a dense array, with no sparse matrix built.  For large H it comes from
 spectral-transformation Lanczos (Ericsson & Ruhe, Math. Comp. 1980): a shift
 sigma > lambda_max(-H) is bracketed by inertia alone, since a sparse LDL^H of
 sigma I + H (SuperLU, diagonal pivots, on a fill-reducing order that the
@@ -35,7 +35,7 @@ no BLAS, so nothing waits for scipy's pool.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -308,17 +308,14 @@ class EigenResult:
     """Extreme eigenpair of the negated dual matrix.
 
     value is lambda_max(-H); vector is a unit eigenvector; residual is the
-    explicitly recomputed ||(-H) v - value * v||; value2 is the next
-    eigenvalue (a separation diagnostic): exact on the dense path, the second
-    Ritz value mapped back through the shift on the factor path.  matvecs
-    counts Lanczos operator applications, which on leading_eigenpair's factor
-    path are solves with the factor of sigma I + H (0 on the dense path).
+    explicitly recomputed ||(-H) v - value * v||.  matvecs counts Lanczos
+    operator applications, which on leading_eigenpair's factor path are
+    solves with the factor of sigma I + H (0 on the dense path).
     """
 
     value: float
     vector: np.ndarray = field(repr=False)
     residual: float
-    value2: float | None = None
     matvecs: int = 0
 
 
@@ -349,8 +346,8 @@ WARM_BLEND = 1e-3
 FORWARD_CHECK = 0.1
 
 
-def _top_ritz(alphas: np.ndarray, betas: np.ndarray, count: int):
-    """The top count eigenvalues (ascending) and the top eigenvector of T.
+def _top_ritz(alphas: np.ndarray, betas: np.ndarray):
+    """The top eigenvalue of T and its eigenvector.
 
     LAPACK's bisection (stebz, by index) and inverse iteration (stein) are
     called directly: scipy's eigh_tridiagonal runs the same two and returns
@@ -360,19 +357,15 @@ def _top_ritz(alphas: np.ndarray, betas: np.ndarray, count: int):
     """
     used = alphas.size
     if used == 1:
-        return alphas, np.ones(1)
-    count = min(count, used)
+        return float(alphas[0]), np.ones(1)
     offdiag = betas[: used - 1]
-    m, w, iblock, isplit, info = dstebz(
-        alphas, offdiag, 2, 0.0, 1.0, used - count + 1, used, 0.0, b"B"
-    )
+    m, w, iblock, isplit, info = dstebz(alphas, offdiag, 2, 0.0, 1.0, used, used, 0.0, b"B")
     if info == 0:
         evecs, info = dstein(alphas, offdiag, w[:m], iblock, isplit)
     if info != 0:
         raise EigenFailure(f"tridiagonal eigensolve failed (LAPACK info {info})")
-    # Block order: ascending within each split block of T, not overall.
-    order = np.argsort(w[:m])
-    return w[order], evecs[:, order[-1]]
+    top = int(np.argmax(w[:m]))
+    return float(w[top]), evecs[:, top]
 
 
 # Daniel, Gragg, Kaufman & Stewart (Math. Comp. 1976): one Gram-Schmidt pass
@@ -429,8 +422,7 @@ def lanczos_extreme(
     basis products, whole k=30 and k=20 feeder solves ran 2.2 to 3 times
     slower at 2 threads; a scipy zaxpy at dim 12,000, where it threads,
     followed by a numpy product took 8.0 ms against 0.19 ms on one thread.
-    Returns an EigenResult for theta whose value2 is the second Ritz value
-    (None after a one-step basis), whose residual is the forward one and
+    Returns an EigenResult for theta whose residual is the forward one and
     whose matvecs counts the matvec calls; raises EigenFailure if that
     residual misses tol when the cycle ends, after at most min(dim,
     MAX_KRYLOV) matvec calls.
@@ -465,16 +457,14 @@ def lanczos_extreme(
         betas[j] = beta
         if beta < 1e-14 * max(1.0, abs(alpha)):
             break
-        evals, s = _top_ritz(alphas[:used], betas, 1)
-        theta, s_last = evals[-1], s[-1]
+        theta, s = _top_ritz(alphas[:used], betas)
+        s_last = s[-1]
         if (abs(beta * s_last) <= FORWARD_CHECK * tol * theta * theta
                 and abs(s_last) * np.linalg.norm(forward(w)) <= FORWARD_CHECK * tol * theta):
             break
         if used < m:
             np.multiply(w, 1.0 / beta, out=Q[used])
-    evals, s = _top_ritz(alphas[:used], betas, 2)
-    ritz = float(evals[-1])
-    ritz2 = float(evals[-2]) if used > 1 else None
+    ritz, s = _top_ritz(alphas[:used], betas)
     vec = s @ Q[:used]
     vec = vec / np.linalg.norm(vec)
     resid = float(np.linalg.norm(forward(vec) - vec / ritz))
@@ -484,10 +474,10 @@ def lanczos_extreme(
             f" residual {resid:.3e} (tol {tol:.1e}, dim {dim})"
         )
     return EigenResult(value=ritz, vector=_normalize_phase(vec), residual=resid,
-                       value2=ritz2, matvecs=used)
+                       matvecs=used)
 
 
-# Largest dimension solved densely (the top two eigenpairs of -H by LAPACK's
+# Largest dimension solved densely (the top eigenpair of -H by LAPACK's
 # zheevr); the factor path above it.  The dense residual's product is einsum,
 # which calls no BLAS: from dim 66 on zheevr threads on scipy's OpenBLAS
 # pool, and a threaded product on numpy's pool right after it waits for those
@@ -505,27 +495,28 @@ def lanczos_extreme(
 # 105 2.62/1.36 and 2.54/1.41, 117 3.41/1.50 and 3.51/1.59, 120 3.61/1.48 and
 # 3.67/1.70, 135 4.78/1.42 and 4.73/1.27, 150 5.61/1.81 and 6.16/1.57, 180
 # 8.19/1.79 and 9.31/1.73: it wins from 90 on, so the crossover lies at or
-# below 90.  The constant has not moved with these figures: moving it
-# changes every count in the dims it moves across.
+# below 90.  These figures were timed when the dense call asked zheevr for the
+# top two eigenpairs; it now asks for one.  The constant has not moved with
+# them: moving it changes every count in the dims it moves across.
 DENSE_MAX_DIM = 117
 
 
 def dense_extreme(mat: np.ndarray) -> EigenResult:
-    """The top two eigenpairs of a dense Hermitian matrix by LAPACK's zheevr.
+    """The top eigenpair of a dense Hermitian matrix by LAPACK's zheevr.
 
-    Only the top two are computed, by index; LAPACK returns them ascending.
-    The residual's product is einsum's, not BLAS's: zheevr runs on scipy's
-    OpenBLAS pool, and a threaded product on numpy's pool right after it
-    waits for those threads (see DENSE_MAX_DIM).
+    Only the top one is computed, by index.  The residual's product is
+    einsum's, not BLAS's: zheevr runs on scipy's OpenBLAS pool, and a
+    threaded product on numpy's pool right after it waits for those threads
+    (see DENSE_MAX_DIM).
     """
     dim = mat.shape[0]
-    w, z, _, _, info = zheevr(mat, range="I", il=dim - 1, iu=dim)
+    w, z, _, _, info = zheevr(mat, range="I", il=dim, iu=dim)
     if info != 0:
         raise EigenFailure(f"dense eigensolve failed (LAPACK info {info})")
-    vec = _normalize_phase(np.ascontiguousarray(z[:, 1]))
-    value = float(w[1])
+    vec = _normalize_phase(np.ascontiguousarray(z[:, 0]))
+    value = float(w[0])
     resid = float(np.linalg.norm(np.einsum("ij,j->i", mat, vec) - value * vec))
-    return EigenResult(value=value, vector=vec, residual=resid, value2=float(w[0]))
+    return EigenResult(value=value, vector=vec, residual=resid)
 
 
 @dataclass(frozen=True, eq=False)
@@ -713,9 +704,8 @@ def leading_eigenpair(
     (theta, v) of (sigma I + H)^-1, started from the same vector.  Then
     lambda = sigma - 1 / theta, and the residual tol bounds is that of the
     forward operator sigma I + H, ||(sigma I + H) v - v / theta|| =
-    ||H v + lambda v||, -H's own.  value2 is sigma - 1 / theta_2; matvecs
-    counts the solves, and the factor makes no others.  An EigenFailure
-    propagates.
+    ||H v + lambda v||, -H's own.  matvecs counts the solves, and the factor
+    makes no others.  An EigenFailure propagates.
     """
     if problem.dim <= DENSE_MAX_DIM:
         return dense_extreme(problem.pattern.negated_dense(dual_data(problem, x)))
@@ -737,14 +727,7 @@ def leading_eigenpair(
         return out
 
     inverse = lanczos_extreme(solve, dim, rng, forward=forward, start=start, tol=tol)
-    theta2 = inverse.value2
-    return EigenResult(
-        value=sigma - 1.0 / inverse.value,
-        vector=inverse.vector,
-        residual=inverse.residual,
-        value2=None if theta2 is None or theta2 <= 0 else sigma - 1.0 / theta2,
-        matvecs=inverse.matvecs,
-    )
+    return replace(inverse, value=sigma - 1.0 / inverse.value)
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ from pfbundle import (
     solve,
     synth_radial,
 )
-from pfbundle.bundle import COMP_SCALE, ETA, init_state, step
+from pfbundle.bundle import ETA, init_state, step
 from pfbundle.cli import EXIT_NOT_FEASIBLE, main
 from pfbundle.operators import (
     DENSE_MAX_DIM,
@@ -238,26 +238,31 @@ def test_criterion_5_planted_feasible_end_to_end(
     ):
         problem = build_problem(net, inst.limits, inst.u)
         report = solve(problem, tight_config)
-        cert = report.certificate
-        results.append((name, report, cert))
+        results.append((name, problem, report))
     elapsed = time.perf_counter() - t0
     parts = []
     ok = elapsed < 30.0
-    for name, report, cert in results:
+    for name, problem, report in results:
+        cert = report.certificate
+        # Complementarity of the voltage with H at the center, relative to
+        # ||H||_F.
+        H = dual_matrix(problem, report.center)
+        v = cert.voltage
+        comp = np.linalg.norm(H @ v) * np.linalg.norm(v) if v is not None else np.inf
         case_ok = (
             report.converged
             and report.final_delta <= 1e-5
             and report.verdict == "feasible"
             and cert.slack_total <= 1e-6
             and cert.top_block_err <= 1e-6
-            and cert.comp_res <= 1e-6 * (cert.comp_tol / COMP_SCALE)
+            and comp <= 1e-6 * np.linalg.norm(H.data)
             and cert.duality_gap <= 1e-4
         )
         ok = ok and case_ok
         parts.append(
             f"{name}: delta {report.final_delta:.1e}, verdict {report.verdict}, "
             f"slack {cert.slack_total:.1e}, corner {cert.top_block_err:.1e}, "
-            f"comp {cert.comp_res:.1e}, duality {cert.duality_gap:.1e}"
+            f"comp {comp:.1e}, duality {cert.duality_gap:.1e}"
         )
     record(5, ok, "; ".join(parts) + f"; {elapsed:.1f}s (< 30s)")
 

@@ -87,5 +87,5 @@ def test_traced_lanczos_solve_counts_what_the_solver_did(tracing, lanczos_proble
     assert [span["matvecs"] for span in lanczos] == [eig.matvecs for eig in results]
     assert all(span["matvecs"] > 0 for span in lanczos)
     assembles = named("operators.assemble")
-    assert len(assembles) == report.iterations + 2
+    assert len(assembles) == report.iterations + 1
     assert all(span["nnz"] > 0 for span in assembles)

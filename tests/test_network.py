@@ -616,6 +616,18 @@ def test_synth_radial_rejects_a_bad_bus_count_before_allocating(n_buses, message
     assert peak < 64 * 1024
 
 
+@pytest.mark.parametrize("seed, message", [
+    (2.5, r"^seed must be an integer, got 2\.5$"),
+    ("3", r"^seed must be an integer, got '3'$"),
+    (None, r"^seed must be an integer, got None$"),
+    (True, r"^seed must be an integer, got True$"),
+    (-1, r"^seed must be nonnegative, got -1$"),
+], ids=["fraction", "str", "none", "bool", "negative"])
+def test_synth_radial_rejects_a_seed_that_is_not_a_nonnegative_integer(seed, message):
+    with pytest.raises(NetworkFormatError, match=message):
+        synth_radial(5, seed=seed)
+
+
 def test_replicate_single_copy_is_identity():
     net, lim = synth_radial(6, seed=2)
     out_net, out_lim = replicate_feeder(net, lim, 1)
