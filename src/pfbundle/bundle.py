@@ -130,6 +130,7 @@ class IterationRecord:
     kkt_residual: float
     lambda_neg: float
     eig_matvecs: int
+    eig_factors: int
     prox_seconds: float
     prox_evals: int
     step_norm: float
@@ -144,14 +145,15 @@ class BundleState:
     """Mutable loop state: center, its value and eigenpair, cuts and trace.
 
     The cuts are a + S @ x with intercepts a (3,) and slope rows S (3, n):
-    the fixed, the current and the aggregate cut.  last_vector is the latest
-    evaluation's eigenvector, the next eigensolve's warm start.  rho is the
-    prox weight of the next step, adapted from config.rho by proximity
-    control; last_delta is the previous step's model gap.  The next step's
-    metric is weight rho w_i on box coordinate i and rho t^2 on the free
-    Hermitian tail: gamma_scale is t, slope_sq the running sum of the new
-    cuts' squared box slopes that w comes from, metric the scale vector
-    d = (sqrt(w), t) and box_scale the least and the largest w.
+    the fixed, the current and the aggregate cut.  last_eig is the latest
+    evaluation's eigenpair, whose vector and Temple quotient start the next
+    eigensolve.  rho is the prox weight of the next step, adapted from
+    config.rho by proximity control; last_delta is the previous step's model
+    gap.  The next step's metric is weight rho w_i on box coordinate i and
+    rho t^2 on the free Hermitian tail: gamma_scale is t, slope_sq the
+    running sum of the new cuts' squared box slopes that w comes from, metric
+    the scale vector d = (sqrt(w), t) and box_scale the least and the largest
+    w.
     """
 
     problem: PenaltyObjective
@@ -168,7 +170,7 @@ class BundleState:
     box_scale: tuple = (1.0, 1.0)
     center_eig: EigenResult | None = None
     last_delta: float = float("inf")
-    last_vector: np.ndarray | None = None
+    last_eig: EigenResult | None = None
     iteration: int = 0
     converged: bool = False
     history: list = field(default_factory=list)
@@ -211,8 +213,11 @@ def _start_state(problem: PenaltyObjective, config: SolverConfig) -> BundleState
 # in all (755).  Without the slow-progress condition those ten-bus runs lower
 # the weight after their fast early steps and then take null steps: 1,305 in
 # all.  The threshold 0.5 was chosen under one weight on the box, where 0.8
-# took k = 30 to 35; under today's metric 0.8 takes it to 18 and the ten-bus
-# cases to 755, so the threshold is due a re-tune.
+# took k = 30 to 35.  Re-measured under the per-coordinate metric, 0.8 takes
+# the ten-bus cases to 755 and k = 10 / 30 feasible to 12 / 18, but deep 181
+# to 33 instead of 26, k = 50 feasible to 21 instead of 19 and deep 1,000's
+# relative f gap from 1.2e-5 to 2e-5; 0.3 takes the ten-bus cases to 1,049.
+# So 0.5 stays.
 RHO_GOOD_RATIO = 0.5
 RHO_SLOW_PROGRESS = 0.5
 RHO_MAX_FACTOR = 4.0
@@ -338,7 +343,7 @@ def init_state(problem: PenaltyObjective, config: SolverConfig) -> BundleState:
     eig = leading_eigenpair(problem, state.center, state.rng, tol=config.eig_tol)
     state.f_center, _ = penalty_value(problem, state.center, eig)
     state.center_eig = eig
-    state.last_vector = eig.vector
+    state.last_eig = eig
     return state
 
 
@@ -346,10 +351,10 @@ def step(state: BundleState) -> IterationRecord:
     """One bundle iteration: prox candidate, descent test, cut refresh.
 
     The candidate is evaluated with a single eigenpair call, warm-started
-    from the previous evaluation's eigenvector, that also yields the
-    subgradient slope.  The stopping predicate (model gap at most eps) is
-    checked by the caller on the returned record after the center update has
-    been applied, matching the loop ordering in solve().
+    from the previous evaluation's eigenvector and Temple quotient, that also
+    yields the subgradient slope.  The stopping predicate (model gap at most
+    eps) is checked by the caller on the returned record after the center
+    update has been applied, matching the loop ordering in solve().
     """
     problem = state.problem
     config = state.config
@@ -365,9 +370,10 @@ def step(state: BundleState) -> IterationRecord:
     model_value = float((a + S @ z).max())
     delta = state.f_center - model_value
 
+    last = state.last_eig
     eig = leading_eigenpair(problem, z, state.rng, tol=config.eig_tol,
-                            start=state.last_vector)
-    state.last_vector = eig.vector
+                            start=last.vector, quotient=last.quotient)
+    state.last_eig = eig
     f_z, f_lambda_z = penalty_value(problem, z, eig)
     g = penalty_subgradient(problem, eig)
 
@@ -390,6 +396,7 @@ def step(state: BundleState) -> IterationRecord:
         kkt_residual=prox.kkt_residual,
         lambda_neg=eig.value,
         eig_matvecs=eig.matvecs,
+        eig_factors=eig.factors,
         prox_seconds=prox_seconds,
         prox_evals=prox.diagnostics["evals"],
         step_norm=step_norm,
@@ -544,20 +551,34 @@ class SolveReport:
         )
 
 
+def _failure(exc: Exception) -> str:
+    """The cause of a run's end that a warning names."""
+    if isinstance(exc, EigenFailure):
+        return "eigen solver failed"
+    return "arithmetic left the float64 range"
+
+
 def solve(problem: PenaltyObjective, config: SolverConfig | None = None) -> SolveReport:
     """Run the bundle loop to the model-gap tolerance and recover a certificate.
 
     An eigensolver failure at any stage ends the run with a not_converged
-    report whose warning names the stage.
+    report whose warning names the stage.  So does arithmetic that overflows
+    or makes a NaN, on data or settings too large for float64: the run
+    raises FloatingPointError there instead of a warning, which costs no
+    pass over any array.
     """
     if config is None:
         config = SolverConfig()
-    t0 = time.perf_counter()
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        return _solve(problem, config, time.perf_counter())
+
+
+def _solve(problem: PenaltyObjective, config: SolverConfig, t0: float) -> SolveReport:
     try:
         state = init_state(problem, config)
-    except EigenFailure as exc:
+    except (EigenFailure, FloatingPointError) as exc:
         state = _start_state(problem, config)
-        state.warnings.append(f"eigen solver failed at the start point: {exc}")
+        state.warnings.append(f"{_failure(exc)} at the start point: {exc}")
         unrecovered = PrimalCertificate(False, "infeasible_or_undecided",
                                         detail="no eigenpair at the start point")
         return _report(state, unrecovered, float("inf"), t0)
@@ -567,8 +588,8 @@ def solve(problem: PenaltyObjective, config: SolverConfig | None = None) -> Solv
         while state.iteration < config.max_iters and not state.converged:
             record = step(state)
             final_delta = record.delta
-    except EigenFailure as exc:
-        state.warnings.append(f"eigen solver failed at iteration {state.iteration}: {exc}")
+    except (EigenFailure, FloatingPointError) as exc:
+        state.warnings.append(f"{_failure(exc)} at iteration {state.iteration}: {exc}")
 
     if not state.converged:
         state.warnings.append(
@@ -576,14 +597,19 @@ def solve(problem: PenaltyObjective, config: SolverConfig | None = None) -> Solv
             f" after {state.iteration} iterations"
         )
 
-    certificate = recover_primal(problem, state.center_eig, f_value=state.f_center)
-    if certificate.recovered and certificate.voltage is not None:
-        trace_w = float(np.vdot(certificate.voltage, certificate.voltage).real)
-        if problem.alpha <= trace_w:
-            state.warnings.append(
-                f"penalty weight alpha={problem.alpha:.3g} does not dominate the"
-                f" recovered trace {trace_w:.3g}; raise alpha and re-run"
-            )
+    try:
+        certificate = recover_primal(problem, state.center_eig, f_value=state.f_center)
+        if certificate.recovered and certificate.voltage is not None:
+            trace_w = float(np.vdot(certificate.voltage, certificate.voltage).real)
+            if problem.alpha <= trace_w:
+                state.warnings.append(
+                    f"penalty weight alpha={problem.alpha:.3g} does not dominate the"
+                    f" recovered trace {trace_w:.3g}; raise alpha and re-run"
+                )
+    except FloatingPointError as exc:
+        state.warnings.append(f"{_failure(exc)} in recovery: {exc}")
+        certificate = PrimalCertificate(False, "infeasible_or_undecided",
+                                        detail="recovery left the float64 range")
     return _report(state, certificate, final_delta, t0)
 
 

@@ -14,6 +14,7 @@ import contextlib
 import dataclasses
 import datetime
 import json
+import os
 import platform
 import resource
 import sys
@@ -121,19 +122,26 @@ def cmd_assess(args: argparse.Namespace) -> int:
     problem = build_problem(network, limits, u)
     config = resolve_config(args)
     # The report's file is opened before the solve, so a path that cannot be
-    # written costs no solve.
+    # written costs no solve; if the run raises, the file is removed, so
+    # --out leaves a whole report or none.
     to_stdout = args.out in (None, "-")
     with contextlib.nullcontext(sys.stdout) if to_stdout else open(args.out, "w") as fh:
-        report = solve(problem, config)
-        doc = report.to_dict()
-        doc["network_file"] = args.network
-        doc["injection"] = [float(v) for v in u]
-        doc["manifest"] = run_manifest(args.argv, time.perf_counter() - t0)
-        if args.from_report is not None:
-            doc["manifest"]["reproduced_from"] = args.from_report
-        if args.out is not None:
-            json.dump(doc, fh, indent=1, allow_nan=False)
-            fh.write("\n")
+        try:
+            report = solve(problem, config)
+            doc = report.to_dict()
+            doc["network_file"] = args.network
+            doc["injection"] = [float(v) for v in u]
+            doc["manifest"] = run_manifest(args.argv, time.perf_counter() - t0)
+            if args.from_report is not None:
+                doc["manifest"]["reproduced_from"] = args.from_report
+            if args.out is not None:
+                json.dump(doc, fh, indent=1, allow_nan=False)
+                fh.write("\n")
+        except BaseException:
+            if not to_stdout:
+                fh.close()
+                os.remove(args.out)
+            raise
 
     if args.out != "-":
         cert = report.certificate

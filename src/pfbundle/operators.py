@@ -25,11 +25,13 @@ pattern builds at its first such call) with positive pivots proves it
 (Sylvester's law of inertia; Parlett, The Symmetric Eigenvalue Problem).
 Lanczos then finds the top eigenpair theta of (sigma I + H)^-1, whose solves
 that factor gives, and lambda = sigma - 1 / theta; convergence is judged on
-H's own residual, one sparse product each.  A call shifts just above the
-Rayleigh quotient of its start vector (the previous eigenvector, or the
-all-ones vector when there is none) and starts Lanczos from that vector,
-blended with a small seeded random vector.  The dense solve's residual calls
-no BLAS, so nothing waits for scipy's pool.
+H's own residual, one sparse product each.  A call shifts above the Rayleigh
+quotient mu of its start vector (the previous eigenvector, or the all-ones
+vector when there is none) by a margin that Temple's bound on
+lambda_max(-H) - mu sets from the start's residual and the previous call's
+gap estimate, so that a warm call near the top takes few solves, and starts
+Lanczos from that vector, blended with a small seeded random vector.  The
+dense solve's residual calls no BLAS, so nothing waits for scipy's pool.
 """
 
 from __future__ import annotations
@@ -226,8 +228,9 @@ def build_problem(
     """Assemble problem data; alpha is twice the summed upper voltage band.
 
     Network and limits were checked at construction; here the bands' length
-    is compared with the bus count, and the injection is checked.  The
-    problem shares the network's read-only admittance matrix.
+    is compared with the bus count, and the injection is checked.  Finite
+    inputs whose sums or products here overflow float64 raise ValueError.
+    The problem shares the network's read-only admittance matrix.
     """
     check_limits_length(limits, network.n_buses)
     u = np.asarray(u, dtype=float)
@@ -238,9 +241,15 @@ def build_problem(
     Y = network.admittance
     pattern = dual_pattern(Y)
     yh_data = pattern.yh_data
-    C = pattern.matrix(0.5 * (np.conj(yh_data[pattern.transpose]) + yh_data))
     v1 = network.slack_voltage
-    alpha = 2.0 * float(limits.v_upper.sum())
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            C = pattern.matrix(0.5 * (np.conj(yh_data[pattern.transpose]) + yh_data))
+            m_vec = limit_offset_vector(u, limits)
+            M1 = np.outer(v1, v1.conj())
+            alpha = 2.0 * float(limits.v_upper.sum())
+    except FloatingPointError as exc:
+        raise ValueError(f"problem data leaves the float64 range: {exc}") from None
     if alpha <= 0:
         raise ValueError("alpha must be positive")
     return PenaltyObjective(
@@ -248,9 +257,9 @@ def build_problem(
         Y=Y,
         pattern=pattern,
         C=C,
-        m_vec=limit_offset_vector(u, limits),
+        m_vec=m_vec,
         slack_voltage=v1,
-        M1=np.outer(v1, v1.conj()),
+        M1=M1,
         alpha=alpha,
     )
 
@@ -310,13 +319,20 @@ class EigenResult:
     value is lambda_max(-H); vector is a unit eigenvector; residual is the
     explicitly recomputed ||(-H) v - value * v||.  matvecs counts Lanczos
     operator applications, which on leading_eigenpair's factor path are
-    solves with the factor of sigma I + H (0 on the dense path).
+    solves with the factor of sigma I + H, and factors counts the factor
+    attempts, 1 plus the inertia retries (both 0 on the dense path).
+    quotient is the Temple quotient ||r||^2 / (value - mu) of the call's start
+    vector, whose Rayleigh quotient on -H is mu and residual r: the next warm
+    call's estimate of the gap below the top (NaN on the dense path, or when
+    value is not above mu).
     """
 
     value: float
     vector: np.ndarray = field(repr=False)
     residual: float
     matvecs: int = 0
+    factors: int = 0
+    quotient: float = math.nan
 
 
 def _normalize_phase(v: np.ndarray) -> np.ndarray:
@@ -344,6 +360,11 @@ WARM_BLEND = 1e-3
 # earlier Lanczos on -H alike); at 1/10 it takes 42, and 293 solves in all
 # (6.8 per eigensolve) instead of 285 (6.5).
 FORWARD_CHECK = 0.1
+
+
+def _norm(vec: np.ndarray) -> float:
+    """The Euclidean norm of a vector, as sqrt(vdot): no temporary array."""
+    return math.sqrt(np.vdot(vec, vec).real)
 
 
 def _top_ritz(alphas: np.ndarray, betas: np.ndarray):
@@ -410,29 +431,31 @@ def lanczos_extreme(
     orthogonalization is repeated by the DGKS rule, and only the explicitly
     recomputed forward residual, one forward product, decides convergence.
 
-    A step costs its product with the operator and two matrix-vector
-    products with the basis (four when DGKS repeats the pass).  Everything
-    else is done in place: the three-term update goes through one scratch
-    vector, norms are square roots of vdot, and the next basis vector is
-    written straight into its row.  matvec must return a new array, which
-    the step then overwrites, and must not change its argument, a row of the
-    basis.  Every BLAS call goes through numpy: scipy.linalg.blas runs its own
-    OpenBLAS thread pool beside numpy's, and a call on one pool right after
-    threaded work on the other waits for it.  With scipy's zgemv for the two
-    basis products, whole k=30 and k=20 feeder solves ran 2.2 to 3 times
-    slower at 2 threads; a scipy zaxpy at dim 12,000, where it threads,
-    followed by a numpy product took 8.0 ms against 0.19 ms on one thread.
+    A step costs its product with the operator and two matrix-vector products
+    with the basis (four when DGKS repeats the pass).  Everything else is done
+    in place: the blend is drawn as one real array viewed as complex, the
+    three-term update and the final residual go through one scratch vector,
+    norms are square roots of vdot, and the next basis vector is written
+    straight into its row.  matvec must return a new array, which the step then
+    overwrites, and must not change its argument, a row of the basis.  Every
+    BLAS call goes through numpy: scipy.linalg.blas runs its own OpenBLAS
+    thread pool beside numpy's, and a call on one pool right after threaded
+    work on the other waits for it.  With scipy's zgemv for the two basis
+    products, whole k=30 and k=20 feeder solves ran 2.2 to 3 times slower at 2
+    threads; a scipy zaxpy at dim 12,000, where it threads, followed by a numpy
+    product took 8.0 ms against 0.19 ms on one thread.
     Returns an EigenResult for theta whose residual is the forward one and
     whose matvecs counts the matvec calls; raises EigenFailure if that
-    residual misses tol when the cycle ends, after at most min(dim,
-    MAX_KRYLOV) matvec calls.
+    residual misses tol (or is NaN) when the cycle ends, after at most
+    min(dim, MAX_KRYLOV) matvec calls.
     """
     m = min(dim, MAX_KRYLOV)
-    v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    v = rng.standard_normal(2 * dim).view(complex)
+    v *= WARM_BLEND / _norm(v)
     start = np.asarray(start, dtype=complex)
-    v = start / np.linalg.norm(start) + WARM_BLEND * (v / np.linalg.norm(v))
+    v += start / _norm(start)
     Q = np.empty((m, dim), dtype=complex)
-    Q[0] = v / np.linalg.norm(v)
+    np.divide(v, _norm(v), out=Q[0])
     scratch = np.empty(dim, dtype=complex)
     alphas = np.empty(m)
     betas = np.empty(m)
@@ -447,12 +470,12 @@ def lanczos_extreme(
         # Reorthogonalize against the whole basis; a second pass only when
         # the first cancelled most of w (DGKS).
         basis = Q[: j + 1]
-        before = math.sqrt(np.vdot(w, w).real)
+        before = _norm(w)
         w -= (basis @ w.conj()).conj() @ basis
-        beta = math.sqrt(np.vdot(w, w).real)
+        beta = _norm(w)
         if beta < _DGKS_RATIO * before:
             w -= (basis @ w.conj()).conj() @ basis
-            beta = math.sqrt(np.vdot(w, w).real)
+            beta = _norm(w)
         used = j + 1
         betas[j] = beta
         if beta < 1e-14 * max(1.0, abs(alpha)):
@@ -460,15 +483,17 @@ def lanczos_extreme(
         theta, s = _top_ritz(alphas[:used], betas)
         s_last = s[-1]
         if (abs(beta * s_last) <= FORWARD_CHECK * tol * theta * theta
-                and abs(s_last) * np.linalg.norm(forward(w)) <= FORWARD_CHECK * tol * theta):
+                and abs(s_last) * _norm(forward(w)) <= FORWARD_CHECK * tol * theta):
             break
         if used < m:
             np.multiply(w, 1.0 / beta, out=Q[used])
     ritz, s = _top_ritz(alphas[:used], betas)
     vec = s @ Q[:used]
-    vec = vec / np.linalg.norm(vec)
-    resid = float(np.linalg.norm(forward(vec) - vec / ritz))
-    if resid > tol:
+    vec /= _norm(vec)
+    res = forward(vec)
+    res -= np.divide(vec, ritz, out=scratch)
+    resid = _norm(res)
+    if not resid <= tol:   # NaN included
         raise EigenFailure(
             f"no convergence in {used} Lanczos steps:"
             f" residual {resid:.3e} (tol {tol:.1e}, dim {dim})"
@@ -644,11 +669,35 @@ def shifted_factor(plan: FactorPlan, h_data: np.ndarray, sigma: float):
     return lu
 
 
-# A shift starts this fraction of 1 + |mu| above the start vector's Rayleigh
-# quotient mu, and the margin grows by SHIFT_RAISE until the factor is
-# positive definite.
+# A shift is sigma = mu + margin, with mu the start vector's Rayleigh
+# quotient on -H.  Temple's inequality (Parlett, The Symmetric Eigenvalue
+# Problem, SIAM 1998) bounds lambda_max(-H) - mu by ||r||^2 / (mu - lambda_2)
+# for the start's residual r, and the previous call's Temple quotient g (see
+# EigenResult) stands in for the unknown gap: the first margin tried is
+# TEMPLE_SAFETY ||r||^2 / g, at least SHIFT_FLOOR (1 + |mu|) and at most
+# SHIFT_MARGIN (1 + |mu|).  A factor that is not positive definite there falls
+# back to SHIFT_MARGIN (1 + |mu|), and from there the margin grows by
+# SHIFT_RAISE until one is.  A call with no quotient (the first of a run)
+# takes g = SHIFT_MARGIN (1 + |mu|).  A shift closer to the top takes Lanczos
+# on the shifted inverse there in fewer solves.  Summed solves per run, the
+# fixed margin against this rule, at 1 BLAS thread: k=20 infeasible 206 ->
+# 156, k=30 feasible 136 -> 108, planted deep feeders of 181 / 500 / 1,000 /
+# 2,000 buses (synth_radial(n, seed=3) with DENSE_MAX_DIM's RadialParams)
+# 185 / 369 / 521 / 1,008 -> 134 / 229 / 311 / 547, with the same iterations
+# and factor attempts everywhere but k=50 feasible (one more factor).  Safety
+# 4 takes k=20, k=30, k=50 feasible, deep 181 and deep 500 to 144, 104, 123,
+# 123 and 217 solves, but against the fixed margin it adds a factor on k=30
+# and deep 500 and two on k=50; 64 takes them to 162, 115, 130, 145 and 252;
+# 1, to 157, 105, 118, 146 and 275 with 6 to 22 more factors each than at
+# 16.  Floors of 1e-10 and 1e-6 change k=20, k=30 and deep 500 by 0, 0 and 0
+# and by 0, +1 and +3 solves: the floor seldom binds, and it stays far above
+# the roundoff eps ||H|| at which a computed inertia could flip.  A fixed
+# SHIFT_MARGIN of 0.001 instead cut k=30's solves only to 115 and raised its
+# factors from 20 to 36.
 SHIFT_MARGIN = 0.01
 SHIFT_RAISE = 4.0
+TEMPLE_SAFETY = 16.0
+SHIFT_FLOOR = 1e-8
 
 
 def _gershgorin_top(H: sp.csr_matrix, diag: np.ndarray) -> float:
@@ -657,33 +706,48 @@ def _gershgorin_top(H: sp.csr_matrix, diag: np.ndarray) -> float:
     return float((row_sums - np.abs(diag) - diag).max())
 
 
-def _rayleigh(H: sp.csr_matrix, vec: np.ndarray) -> float:
-    """vec's Rayleigh quotient on -H, at most lambda_max(-H)."""
-    return -float(np.vdot(vec, H @ vec).real / np.vdot(vec, vec).real)
+def _rayleigh(H: sp.csr_matrix, vec: np.ndarray):
+    """(mu, ||r||^2) of vec on -H, from one product with H.
 
-
-def _warm_shift(plan: FactorPlan, H: sp.csr_matrix, start: np.ndarray):
-    """(sigma, factor) for a call started from start.
-
-    sigma starts at mu + SHIFT_MARGIN (1 + |mu|), with mu = _rayleigh(H, start),
-    and the margin grows SHIFT_RAISE-fold until the factor is positive
-    definite.  Past Gershgorin's bound every shift must pass, so a failure
-    there, or a NaN, raises EigenFailure.
+    mu is the Rayleigh quotient of s = vec / ||vec||, at most
+    lambda_max(-H), and r = H s + mu s is its residual, up to sign.
     """
-    mu = _rayleigh(H, start)
+    s = vec / _norm(vec)
+    r = H @ s
+    mu = -float(np.vdot(s, r).real)
+    r += np.multiply(s, mu, out=s)
+    return mu, float(np.vdot(r, r).real)
+
+
+def _warm_shift(plan: FactorPlan, H: sp.csr_matrix, mu: float, rr: float,
+                quotient: float):
+    """(sigma, factor, attempts) for a start with Rayleigh quotient mu, ||r||^2 rr.
+
+    With b = SHIFT_MARGIN (1 + |mu|) and g the previous call's Temple quotient
+    (b when it is NaN or not positive), sigma starts at
+    mu + min(b, max(TEMPLE_SAFETY rr / g, SHIFT_FLOOR (1 + |mu|))).  A shift
+    whose factor is not positive definite moves to mu + b when it was below
+    it, else its margin grows SHIFT_RAISE-fold, so a guess that fails costs
+    one factor.  Past Gershgorin's bound every shift must pass, so a failure
+    there, or a NaN, raises EigenFailure.  attempts counts the factors.
+    """
     margin = SHIFT_MARGIN * (1.0 + abs(mu))
+    gap = quotient if quotient > 0.0 else margin
+    step = min(margin, max(TEMPLE_SAFETY * rr / gap, SHIFT_FLOOR * (1.0 + abs(mu))))
     top = None
+    attempts = 0
     while True:
-        sigma = mu + margin
+        sigma = mu + step
+        attempts += 1
         lu = shifted_factor(plan, H.data, sigma)
         if lu is not None:
-            return sigma, lu
+            return sigma, lu, attempts
         if top is None:
             top = _gershgorin_top(H, H.diagonal().real)
         if not sigma <= top:   # NaN included
             raise EigenFailure(f"no positive definite factor at shift {sigma:.3e}"
                                f" above the Gershgorin bound {top:.3e}")
-        margin *= SHIFT_RAISE
+        step = margin if step < margin else step * SHIFT_RAISE
 
 
 def leading_eigenpair(
@@ -692,20 +756,24 @@ def leading_eigenpair(
     rng: np.random.Generator,
     tol: float = 1e-9,
     start: np.ndarray | None = None,
+    quotient: float = math.nan,
 ) -> EigenResult:
     """lambda_max(-H(x)) with eigenvector; the matrix size picks the path.
 
     Up to DENSE_MAX_DIM, H's values are scattered into a dense -H for
-    dense_extreme, with no sparse matrix built, and start is not used.  Above
-    it the sparse H is assembled and _warm_shift brackets a shift
-    sigma > lambda_max(-H) by inertia alone, from start or, with none, from
-    the all-ones vector.  The positive definite factor of sigma I + H that
-    proves it also gives the solves, and Lanczos finds the top eigenpair
+    dense_extreme, with no sparse matrix built, and start and quotient are
+    not used.  Above it the sparse H is assembled and _warm_shift brackets a
+    shift sigma > lambda_max(-H) by inertia alone, from start or, with none,
+    from the all-ones vector, and from quotient, the previous call's Temple
+    quotient (NaN for none).  The positive definite factor of sigma I + H
+    that proves it also gives the solves, and Lanczos finds the top eigenpair
     (theta, v) of (sigma I + H)^-1, started from the same vector.  Then
     lambda = sigma - 1 / theta, and the residual tol bounds is that of the
     forward operator sigma I + H, ||(sigma I + H) v - v / theta|| =
     ||H v + lambda v||, -H's own.  matvecs counts the solves, and the factor
-    makes no others.  An EigenFailure propagates.
+    makes no others; factors counts the factor attempts, and quotient is
+    this call's Temple quotient, for the next call.  An EigenFailure
+    propagates.
     """
     if problem.dim <= DENSE_MAX_DIM:
         return dense_extreme(problem.pattern.negated_dense(dual_data(problem, x)))
@@ -713,7 +781,8 @@ def leading_eigenpair(
     plan = problem.pattern.factor_plan
     dim = problem.dim
     start = np.ones(dim, dtype=complex) if start is None else np.asarray(start, dtype=complex)
-    sigma, lu = _warm_shift(plan, H, start)
+    mu, rr = _rayleigh(H, start)
+    sigma, lu, factors = _warm_shift(plan, H, mu, rr, quotient)
     order = plan.order
 
     def solve(vec):
@@ -727,7 +796,10 @@ def leading_eigenpair(
         return out
 
     inverse = lanczos_extreme(solve, dim, rng, forward=forward, start=start, tol=tol)
-    return replace(inverse, value=sigma - 1.0 / inverse.value)
+    value = sigma - 1.0 / inverse.value
+    above = value - mu
+    return replace(inverse, value=value, factors=factors,
+                   quotient=rr / above if above > 0.0 else math.nan)
 
 
 # ---------------------------------------------------------------------------

@@ -149,6 +149,29 @@ def build_two_bus():
 TEN_BUS_PARAMS = RadialParams(series_min=0.5, series_max=1.25, shunt=0.1)
 
 
+def criterion_4_feeders():
+    """Replicated, deep, tied and planted-infeasible feeders with dims 138-300."""
+    base, base_limits = synth_radial(10, seed=3, params=TEN_BUS_PARAMS)
+    tie = 0.8 * np.eye(3, dtype=complex) + 0.1 * (np.ones((3, 3)) - np.eye(3))
+    cases = [
+        (replicate_feeder(base, base_limits, 5)[0], plant_feasible),
+        (replicate_feeder(base, base_limits, 11, tie_block=tie)[0], plant_feasible),
+        (synth_radial(60, seed=3, params=TEN_BUS_PARAMS)[0], plant_feasible),
+        (synth_radial(100, seed=5, params=TEN_BUS_PARAMS)[0], plant_infeasible),
+    ]
+    for net, plant in cases:
+        inst = plant(net)
+        problem = build_problem(net, inst.limits, inst.u)
+        assert problem.dim > DENSE_MAX_DIM
+        yield problem
+
+
+def criterion_4_walk_step(rng, problem, x):
+    """The next point of criterion 4's random walk of dual points."""
+    return x + np.concatenate([rng.uniform(-0.02, 0.02, size=problem.n_box),
+                               rng.normal(scale=0.3, size=9)])
+
+
 def build_ten_bus():
     """Random radial feeder sized so certificates come out crisp."""
     net, _ = synth_radial(10, seed=3, params=TEN_BUS_PARAMS)

@@ -26,7 +26,6 @@ from pfbundle import (
 from pfbundle.bundle import ETA, init_state, step
 from pfbundle.cli import EXIT_NOT_FEASIBLE, main
 from pfbundle.operators import (
-    DENSE_MAX_DIM,
     apply_constraint_rank1,
     dual_matrix,
     lanczos_extreme,
@@ -44,6 +43,8 @@ from conftest import (
     ACCEPTANCE_LINES,
     constraint_adjoint_matrix,
     criterion_2_triples,
+    criterion_4_feeders,
+    criterion_4_walk_step,
     shift_invert,
     slack_block_matrix,
 )
@@ -196,8 +197,7 @@ def test_criterion_4_lanczos_vs_dense():
                 worst_resid, float(np.linalg.norm(mat @ eig.vector - eig.value * eig.vector)))
             feeder_calls += 1
             start = eig.vector
-            x = x + np.concatenate([rng.uniform(-0.02, 0.02, size=problem.n_box),
-                                    rng.normal(scale=0.3, size=9)])
+            x = criterion_4_walk_step(rng, problem, x)
     elapsed = time.perf_counter() - t0
     ok = worst_val <= 1e-9 and worst_resid <= 1e-9
     record(
@@ -207,24 +207,6 @@ def test_criterion_4_lanczos_vs_dense():
         f"DENSE_MAX_DIM, eigenvalue err {worst_val:.2e} (<= 1e-9), "
         f"residual {worst_resid:.2e} (<= 1e-9), {elapsed:.1f}s",
     )
-
-
-def criterion_4_feeders():
-    """Replicated, deep, tied and planted-infeasible feeders with dims 138-300."""
-    params = RadialParams(series_min=0.5, series_max=1.25, shunt=0.1)
-    base, base_limits = synth_radial(10, seed=3, params=params)
-    tie = 0.8 * np.eye(3, dtype=complex) + 0.1 * (np.ones((3, 3)) - np.eye(3))
-    cases = [
-        (replicate_feeder(base, base_limits, 5)[0], plant_feasible),
-        (replicate_feeder(base, base_limits, 11, tie_block=tie)[0], plant_feasible),
-        (synth_radial(60, seed=3, params=params)[0], plant_feasible),
-        (synth_radial(100, seed=5, params=params)[0], plant_infeasible),
-    ]
-    for net, plant in cases:
-        inst = plant(net)
-        problem = build_problem(net, inst.limits, inst.u)
-        assert problem.dim > DENSE_MAX_DIM
-        yield problem
 
 
 def test_criterion_5_planted_feasible_end_to_end(

@@ -358,10 +358,12 @@ def test_solve_reports_are_serializable_and_consistent(two_bus, two_bus_planted)
     }
     assert set(doc["history"][0]) == {
         "iteration", "f_center", "f_candidate", "model_value", "delta", "serious",
-        "case_used", "kkt_residual", "lambda_neg", "eig_matvecs", "prox_seconds",
-        "prox_evals", "step_norm", "rho", "gamma_scale", "box_scale_min",
-        "box_scale_max",
+        "case_used", "kkt_residual", "lambda_neg", "eig_matvecs", "eig_factors",
+        "prox_seconds", "prox_evals", "step_norm", "rho", "gamma_scale",
+        "box_scale_min", "box_scale_max",
     }
+    # Two buses run the dense eigen path: no solves and no factors.
+    assert {(h["eig_matvecs"], h["eig_factors"]) for h in doc["history"]} == {(0, 0)}
     assert doc["history"][0]["rho"] == report.config.rho
     assert doc["history"][0]["gamma_scale"] == 1.0
     # The box weights are 1 until the first new cut, then spread.

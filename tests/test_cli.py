@@ -255,6 +255,65 @@ def test_assess_config_error_writes_no_report(feasible_case, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("leaf, flags, message", [
+    (("limits", "q_upper", 0, 1e200), [], "arithmetic left the float64 range at iteration"),
+    (("limits", "p_upper", 3, 1e154), [], "arithmetic left the float64 range at iteration"),
+    (("blocks", 0, "y", 0, 0, 1e308), [], "error: problem data leaves the float64 range"),
+    ((), ["--alpha", "1e300"], "arithmetic left the float64 range at iteration"),
+], ids=["q-upper-1e200", "p-upper-1e154", "admittance-1e308", "alpha-1e300"])
+def test_assess_on_values_too_large_for_float64_ends_in_a_named_outcome(
+    tmp_path, capsys, leaf, flags, message
+):
+    # Finite entries of about 1e154 and more passed the loader, and the run
+    # broke on a NaN metric with a numpy error, leaving an empty report file.
+    # Now the loop ends not converged with a warning naming the cause, or the
+    # problem is refused before the report is opened.  The suite turns
+    # warnings into errors, so no overflow may warn on the way.
+    net, limits = synth_radial(3, seed=1)
+    doc = network_to_dict(net, limits)
+    assert doc["blocks"][0]["i"] == doc["blocks"][0]["j"] == 1   # a diagonal block
+    if leaf:
+        *path, key, value = leaf
+        node = doc
+        for step in path:
+            node = node[step]
+        node[key] = value
+    net_path, out = tmp_path / "huge.json", tmp_path / "r.json"
+    net_path.write_text(json.dumps(doc))
+    code = main(["assess", str(net_path), "--out", str(out), "--max-iters", "30", *flags])
+    err = capsys.readouterr().err
+    assert code == EXIT_ERROR
+    if message.startswith("error:"):
+        assert err.startswith(message)
+        assert not out.exists()
+        return
+
+    def reject(token):
+        raise ValueError(f"non-standard JSON token {token}")
+
+    report = json.loads(out.read_text(), parse_constant=reject)
+    assert report["verdict"] == "not_converged"
+    assert report["warnings"][0].startswith(message)
+    assert f"warning: {message}" in err
+
+
+def test_assess_removes_the_report_file_when_the_run_raises(feasible_case, tmp_path,
+                                                            monkeypatch, capsys):
+    # The report file is opened before the solve; a run that raises leaves
+    # no file rather than an empty one.
+    net_path, u_path, _ = feasible_case
+    out = tmp_path / "r.json"
+
+    def broken(problem, config):
+        raise RuntimeError("solver bug")
+
+    monkeypatch.setattr(cli, "solve", broken)
+    with pytest.raises(RuntimeError, match="solver bug"):
+        main(["assess", net_path, "--injection", u_path, "--out", str(out)])
+    capsys.readouterr()
+    assert not out.exists()
+
+
 def test_assess_flags_override_config_file(feasible_case, tmp_path, capsys):
     net_path, u_path, _ = feasible_case
     cfg = tmp_path / "solver.json"

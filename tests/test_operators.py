@@ -17,6 +17,7 @@ from pfbundle import (
     plant_feasible,
     plant_infeasible,
     replicate_feeder,
+    solve,
     synth_radial,
 )
 from pfbundle import operators
@@ -41,6 +42,8 @@ from conftest import (
     assert_bitwise,
     block_map,
     constraint_adjoint_matrix,
+    criterion_4_feeders,
+    criterion_4_walk_step,
     shift_invert,
     slack_block_matrix,
 )
@@ -521,19 +524,21 @@ def replica_above_dense():
     return problem, random_point(np.random.default_rng(29), problem)
 
 
-def record_shifts(monkeypatch):
-    """Record the sigma of every factor leading_eigenpair proves positive definite."""
-    shifts = []
+def record_factors(monkeypatch):
+    """Record (sigma, proved) for every factor leading_eigenpair attempts.
+
+    A call's last attempt is the one that proved its shift.
+    """
+    attempts = []
     factor = operators.shifted_factor
 
     def recorded(plan, h_data, sigma):
         lu = factor(plan, h_data, sigma)
-        if lu is not None:
-            shifts.append(sigma)
+        attempts.append((sigma, lu is not None))
         return lu
 
     monkeypatch.setattr(operators, "shifted_factor", recorded)
-    return shifts
+    return attempts
 
 
 def test_factor_path_equals_lanczos_on_the_shifted_inverse_bitwise(replica_above_dense,
@@ -546,11 +551,11 @@ def test_factor_path_equals_lanczos_on_the_shifted_inverse_bitwise(replica_above
     H = dual_matrix(problem, x)
     plan = problem.pattern.factor_plan
     order, dim = plan.order, problem.dim
-    shifts = record_shifts(monkeypatch)
+    attempts = record_factors(monkeypatch)
     start = np.random.default_rng(30).normal(size=dim) + 0j
     for warm in (None, start):
         eig = leading_eigenpair(problem, x, np.random.default_rng(31), start=warm)
-        sigma = shifts[-1]
+        sigma, _ = attempts[-1]
         lu = operators.shifted_factor(plan, H.data, sigma)
 
         def solve(v):
@@ -616,7 +621,7 @@ def test_factor_path_operator_inverts_the_shifted_matrix(replica_above_dense, mo
     assert operators.gstrf is gstrf
     problem, point = replica_above_dense
     order, dim = problem.pattern.factor_plan.order, problem.dim
-    shifts = record_shifts(monkeypatch)
+    attempts = record_factors(monkeypatch)
     operators_seen = []
 
     def captured(matvec, *args, **kwargs):
@@ -628,7 +633,7 @@ def test_factor_path_operator_inverts_the_shifted_matrix(replica_above_dense, mo
     for x in (point, problem.start_point()):
         eig = leading_eigenpair(problem, x, rng)
         solve, forward = operators_seen[-1]
-        sigma = shifts[-1]
+        sigma, _ = attempts[-1]
         shifted = dual_matrix(problem, x) + sigma * sp.identity(dim, format="csr")
         public = splu(shifted[order][:, order].tocsc(), permc_spec="NATURAL",
                       diag_pivot_thresh=0.0, panel_size=1, options=dict(SymmetricMode=True))
@@ -773,6 +778,87 @@ def test_first_eigensolve_on_a_deep_3000_bus_feeder_converges():
     plan = problem.pattern.factor_plan
     assert operators.shifted_factor(plan, H.data, eig.value + step) is not None
     assert operators.shifted_factor(plan, H.data, eig.value - step) is None
+
+
+@pytest.fixture(scope="module")
+def deep_181():
+    """The planted-feasible deep 181-bus feeder: dim 543, on the factor path."""
+    net, _ = synth_radial(181, seed=3, params=TEN_BUS_PARAMS)
+    inst = plant_feasible(net)
+    return build_problem(net, inst.limits, inst.u)
+
+
+def test_a_warm_call_given_the_temple_quotient_matches_one_without(deep_181):
+    # Along criterion 4's random walk, each call starts from the previous
+    # eigenvector, as the bundle loop does.  Given the previous call's Temple
+    # quotient the shift sits closer to the top; the eigenpair must not move.
+    rng = np.random.default_rng(36)
+    tol = 1e-9
+    for problem in [*criterion_4_feeders(), deep_181]:
+        x = problem.start_point()
+        prev = leading_eigenpair(problem, x, rng, tol=tol)
+        assert prev.factors >= 1 and prev.quotient > 0.0
+        for _ in range(5):
+            x = criterion_4_walk_step(rng, problem, x)
+            seed = int(rng.integers(2**32))
+            warm = leading_eigenpair(problem, x, np.random.default_rng(seed), tol=tol,
+                                     start=prev.vector, quotient=prev.quotient)
+            fixed = leading_eigenpair(problem, x, np.random.default_rng(seed), tol=tol,
+                                      start=prev.vector)
+            assert abs(warm.value - fixed.value) <= tol
+            assert warm.residual <= tol and fixed.residual <= tol
+            assert warm.factors <= fixed.factors + 1
+            prev = warm
+
+
+def test_a_wrong_temple_quotient_costs_at_most_one_factor(deep_181, monkeypatch):
+    # A quotient 1e12 times too small is capped at the fixed margin b, so the
+    # call takes no extra factor and is the one without a quotient, bit for
+    # bit.  One 1e12 times too large puts the first shift below the top:
+    # that factor fails the inertia test and the call falls back to b, one
+    # extra factor.
+    problem = deep_181
+    rng = np.random.default_rng(37)
+    x = problem.start_point()
+    prev = leading_eigenpair(problem, x, rng)
+    x = criterion_4_walk_step(rng, problem, x)
+    H = dual_matrix(problem, x)
+    top, _ = dense_lambda_max(-H.toarray())
+    mu, _ = operators._rayleigh(H, prev.vector)
+    attempts = record_factors(monkeypatch)
+    calls = {}
+    for name, quotient in (("none", np.nan), ("small", 1e-12 * prev.quotient),
+                           ("large", 1e12 * prev.quotient)):
+        attempts.clear()
+        eig = leading_eigenpair(problem, x, np.random.default_rng(38), start=prev.vector,
+                                quotient=quotient)
+        assert abs(eig.value - top) <= 1e-9 * (1.0 + abs(top))
+        assert eig.residual <= 1e-9
+        assert eig.factors == len(attempts)
+        calls[name] = eig, list(attempts)
+    none, none_attempts = calls["none"]
+    small, small_attempts = calls["small"]
+    assert small_attempts == none_attempts == [(mu + operators.SHIFT_MARGIN * (1.0 + abs(mu)),
+                                                True)]
+    assert (small.value, small.residual, small.matvecs) == (
+        none.value, none.residual, none.matvecs)
+    assert_bitwise(small.vector, none.vector)
+    large, large_attempts = calls["large"]
+    (first, proved), *rest = large_attempts
+    assert first < top and not proved
+    assert rest == none_attempts
+
+
+def test_temple_shift_cuts_the_solves_of_the_k20_infeasible_run():
+    # The benchmark's feeder_k20_infeasible case: 206 solves with the fixed
+    # margin, 156 with the Temple shift, in 30 iterations and as many factors.
+    net, limits = synth_radial(10, seed=3, params=TEN_BUS_PARAMS)
+    net, _ = replicate_feeder(net, limits, 20)
+    inst = plant_infeasible(net)
+    report = solve(build_problem(net, inst.limits, inst.u))
+    assert report.converged and report.verdict == "infeasible_or_undecided"
+    assert sum(h.eig_matvecs for h in report.history) <= 170
+    assert sum(h.eig_factors for h in report.history) <= report.iterations + 2
 
 
 def test_lanczos_with_the_second_gram_schmidt_pass_on_every_step(replica_above_dense,
