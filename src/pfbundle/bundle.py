@@ -584,6 +584,7 @@ def _solve(problem: PenaltyObjective, config: SolverConfig, t0: float) -> SolveR
         return _report(state, unrecovered, float("inf"), t0)
     problem = state.problem
     final_delta = float("inf")
+    record = None
     try:
         while state.iteration < config.max_iters and not state.converged:
             record = step(state)
@@ -591,7 +592,10 @@ def _solve(problem: PenaltyObjective, config: SolverConfig, t0: float) -> SolveR
     except (EigenFailure, FloatingPointError) as exc:
         state.warnings.append(f"{_failure(exc)} at iteration {state.iteration}: {exc}")
 
-    if not state.converged:
+    if record is None:
+        state.warnings.append(f"no iteration completed, so no model gap to compare"
+                              f" with eps {config.eps:.1e}")
+    elif not state.converged:
         state.warnings.append(
             f"model gap {final_delta:.3e} above eps {config.eps:.1e}"
             f" after {state.iteration} iterations"

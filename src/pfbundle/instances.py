@@ -51,26 +51,7 @@ def loss_min_profile(network: ThreePhaseNetwork) -> np.ndarray:
     the trailing block to be positive definite, which holds for any network
     with shunt loading on every bus.
     """
-    return _profile(network, _hermitian_part(network.admittance))
-
-
-def _hermitian_part(Y: sp.csr_matrix) -> sp.csr_matrix:
-    """0.5 * (Y + Y^H) of an assembled admittance, with the bits scipy gives.
-
-    An assembled Y is canonical and its pattern is symmetric (blocks come in
-    mirror pairs), so Y^T's CSR arrays have Y's pattern, and C is computed
-    on it entry by entry, in the order scipy's sparse sum adds.  Sums that
-    are exactly zero are dropped, as that sum drops them; line blocks
-    without mutual coupling have such entries.
-    """
-    transposed = _csc_arrays(Y.shape, Y.indptr, Y.indices, Y.data)[2]
-    total = Y.data + np.conj(transposed)
-    keep = total != 0
-    kept = np.concatenate([[0], np.cumsum(keep)])
-    return sp.csr_matrix(
-        (total[keep] * 0.5, Y.indices[keep], kept[Y.indptr].astype(Y.indptr.dtype)),
-        shape=Y.shape,
-    )
+    return _profile(network, network.hermitian_part)
 
 
 def _profile(network: ThreePhaseNetwork, C: sp.csr_matrix) -> np.ndarray:
@@ -104,7 +85,7 @@ def plant_feasible(network: ThreePhaseNetwork) -> PlantedInstance:
     optimal value is the negated dissipation of the profile.
     """
     Y = network.admittance
-    C = _hermitian_part(Y)
+    C = network.hermitian_part
     v = _profile(network, C)
     s = v * np.conj(Y @ v)
     u = s.real.copy()

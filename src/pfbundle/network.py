@@ -161,11 +161,24 @@ class ThreePhaseNetwork:
 
     @cached_property
     def admittance(self) -> sp.csr_matrix:
-        """The blocks stacked into a read-only sparse 3N x 3N matrix, built once."""
+        """The blocks as a read-only sparse 3N x 3N matrix on H's pattern, built once."""
         Y = _assemble(self)
         for arr in (Y.data, Y.indices, Y.indptr):
             arr.setflags(write=False)
         return Y
+
+    @cached_property
+    def hermitian_part(self) -> sp.csr_matrix:
+        """C = (Y + Y^H) / 2 on Y's symmetric pattern, read-only, built once.
+
+        A sum that leaves the float64 range raises FloatingPointError.
+        """
+        Y = self.admittance
+        transposed = _csc_arrays(Y.shape, Y.indptr, Y.indices, Y.data)[2]
+        with np.errstate(over="raise", invalid="raise"):
+            data = 0.5 * (Y.data + np.conj(transposed))
+        data.setflags(write=False)
+        return sp.csr_matrix((data, Y.indices, Y.indptr), shape=Y.shape)
 
     def _first_block_problem(self) -> str | None:
         """The message for the first offending block, all blocks checked at once."""
@@ -241,17 +254,22 @@ def _frozen_array(value, dtype, shape: tuple, what: str) -> np.ndarray:
 
 
 def _assemble(network: ThreePhaseNetwork) -> sp.csr_matrix:
-    """Y's canonical CSR arrays, written straight from the blocks sorted by key.
+    """Y's canonical CSR arrays on H's pattern, the one place that decides it.
 
-    Scalar row 3 r + p lists row p of each block of block row r, by block
-    column: with the blocks sorted by key, entry (p, c) of the one that is
-    b-th in its block row, which holds count blocks from sorted position
-    first on, lands at 9 first + 3 count p + 3 b + c.  A network's keys are
-    distinct and in range, so the arrays are canonical (explicit zeros
-    kept), and the matrix says so: no later call sorts them in place.
+    Y stores every entry that is nonzero in Y or in its mirror, every
+    diagonal entry (a bus without a diagonal block gets a zero one) and the
+    whole 3x3 slack block.  The blocks, sorted by key, are first written
+    whole: entry (p, c) of the block that is b-th in block row r, which holds
+    count blocks from sorted position first on, lands at
+    9 first + 3 count p + 3 b + c.  That pattern is symmetric, so scipy's
+    CSR-to-CSC kernel run on the positions names each entry's mirror.  The
+    keys are distinct and in range, so the arrays are canonical, and the
+    matrix says so: no later call sorts them in place.
     """
     n = network.n_buses
-    keys, stack = network.keys, network.blocks
+    bare = np.setdiff1d(np.arange(n), network.keys[network.keys[:, 0] == network.keys[:, 1], 0])
+    keys = np.concatenate([network.keys, np.stack([bare, bare], axis=1)])
+    stack = np.concatenate([network.blocks, np.zeros((bare.size, 3, 3), dtype=complex)])
     order = np.argsort(keys[:, 0] * n + keys[:, 1])
     bi, bj = keys[order, 0], keys[order, 1]
     count = np.bincount(bi, minlength=n)
@@ -267,7 +285,11 @@ def _assemble(network: ThreePhaseNetwork) -> sp.csr_matrix:
     indptr = np.empty(3 * n + 1, dtype=np.int32)
     indptr[:-1] = (9 * first[:, None] + 3 * count[:, None] * phase).ravel()
     indptr[-1] = pos.size
-    mat = sp.csr_matrix((data, indices, indptr), shape=(3 * n, 3 * n))
+    rows = np.repeat(np.arange(3 * n), np.diff(indptr))
+    mirror = _csc_arrays((3 * n, 3 * n), indptr, indices, np.arange(pos.size))[2]
+    keep = (data != 0) | (data[mirror] != 0) | (rows == indices) | ((rows < 3) & (indices < 3))
+    kept = np.concatenate([[0], np.cumsum(keep)])[indptr].astype(np.int32)
+    mat = sp.csr_matrix((data[keep], indices[keep], kept), shape=(3 * n, 3 * n))
     mat.has_canonical_format = True
     return mat
 
@@ -604,28 +626,19 @@ def replicate_feeder(
     # The series admittances the base root's diagonal sums, in key order.
     root_series_sum = sum(-vals[root_out], np.zeros((3, 3), complex))
 
-    # One copy's blocks, in base order: a root line (0, j) becomes the pair
-    # (0, j), (j, 0) carrying the coupling and its conjugate transpose, every
-    # block away from the root is kept, and blocks (i, 0) follow from (0, i).
-    inner = (i != 0) & (j != 0)
-    counts = 2 * root_out + inner
-    src = np.repeat(np.arange(keys.shape[0]), counts)
-    second = np.zeros(src.size, dtype=bool)
-    second[(np.cumsum(counts) - counts)[root_out] + 1] = True
-    copy_i = np.where(second, j[src], i[src])
-    copy_j = np.where(second, 0, j[src])
-    copy_vals = vals[src]
+    # One copy's blocks, in base order: every block but the root's diagonal.
+    # A tie replaces each root line's pair (0, j), (j, 0).
+    copy = (i != 0) | (j != 0)
+    copy_i, copy_j, copy_vals = i[copy], j[copy], vals[copy]
     if tie_block is not None:
-        copy_vals[root_out[src]] = -tie_block
         # Swap in the tie series admittance without touching the shunt.
-        root_in = np.flatnonzero((j == 0) & (i != 0))
+        root_in = np.flatnonzero((copy_j == 0) & (copy_i != 0))
         at_bus = np.full(nb, -1)
-        at_bus[i[root_in]] = root_in
-        tied = inner[src] & (copy_i == copy_j) & (at_bus[copy_i] >= 0)
-        copy_vals[tied] = vals[src[tied]] + (
-            tie_block.conj().T - (-vals[at_bus[copy_i[tied]]])
-        )
-    copy_vals[second] = copy_vals[np.flatnonzero(second) - 1].conj().transpose(0, 2, 1)
+        at_bus[copy_i[root_in]] = root_in
+        tied = (copy_i == copy_j) & (at_bus[copy_i] >= 0)
+        copy_vals[tied] += tie_block.conj().T - (-copy_vals[at_bus[copy_i[tied]]])
+        copy_vals[copy_i == 0] = -tie_block
+        copy_vals[root_in] = -tie_block.conj().T
 
     # Copies pack their non-root buses in order; bus 0 is the shared slack.
     shift = (np.arange(k) * (nb - 1))[:, None]

@@ -97,13 +97,14 @@ def limit_offset_vector(u: np.ndarray, limits: OperatingLimits) -> np.ndarray:
 class DualPattern:
     """The fixed CSR sparsity pattern of H and the index maps into its data.
 
-    The pattern is the sorted union of Y's nonzeros, their transposes, the
-    diagonal and the 3x3 slack corner.  transpose[k] is the position of the
+    The pattern is the one the network's admittance Y stores: Y's nonzeros,
+    their mirrors, the diagonal and the 3x3 slack corner, as
+    network._assemble decides.  transpose[k] is the position of the
     mirror entry of position k; diagonal and corner hold the positions of
     the diagonal (in row order) and of the corner (row-major); dense holds
     each position's index into a row-major dim x dim array; yh_data holds
     Y^H's values on the pattern.  The arrays are read-only, since every H
-    shares indptr and indices.
+    shares indptr and indices with Y and C.
     """
 
     indptr: np.ndarray
@@ -141,40 +142,26 @@ class DualPattern:
 
 
 def dual_pattern(Y: sp.csr_matrix) -> DualPattern:
-    """The pattern of H for a square CSR admittance matrix Y.
+    """The pattern of H for a network's admittance Y, read from Y's arrays.
 
-    Keys are row * n + col.  Y's nonzeros arrive in CSR order and their
-    mirrors are sorted once, so the stable sort of all keys merges sorted
-    runs.  The pattern is symmetric: listed column by column it is its own
-    transpose listed row by row, so scipy's CSR-to-CSC kernel run on the
-    positions 0, 1, ... as data names each position's mirror.
+    Y stores H's pattern (network._assemble), which is symmetric: listed
+    column by column it is its own transpose listed row by row, so scipy's
+    CSR-to-CSC kernel run on the positions 0, 1, ... as data names each
+    position's mirror.  Every row holds its diagonal, and the slack rows
+    start with the slack block's three columns.
     """
     n = Y.shape[0]
-    keep = Y.data != 0
-    rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(Y.indptr))[keep]
-    cols = Y.indices[keep].astype(np.int64)
-    y_keys = rows * n + cols
-    diag_keys = np.arange(n, dtype=np.int64) * (n + 1)
-    corner_keys = (np.arange(3)[:, None] * n + np.arange(3)).ravel()
-    keys = np.sort(
-        np.concatenate([y_keys, np.sort(cols * n + rows), diag_keys, corner_keys]),
-        kind="stable",
-    )
-    keys = keys[np.concatenate([[True], keys[1:] != keys[:-1]])]
-    key_rows, key_cols = np.divmod(keys, n)
-    indptr = np.searchsorted(key_rows, np.arange(n + 1)).astype(np.int32)
-    indices = key_cols.astype(np.int32)
-    transpose = _csc_arrays((n, n), indptr, indices, np.arange(keys.size))[2]
-    y_data = np.zeros(keys.size, dtype=complex)
-    y_data[np.searchsorted(keys, y_keys)] = Y.data[keep]
+    indptr, indices = Y.indptr, Y.indices
+    rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
+    transpose = _csc_arrays((n, n), indptr, indices, np.arange(indices.size))[2]
     pattern = DualPattern(
         indptr=indptr,
         indices=indices,
         transpose=transpose,
-        diagonal=np.searchsorted(keys, diag_keys),
-        corner=np.searchsorted(keys, corner_keys),
-        dense=keys,
-        yh_data=np.conj(y_data[transpose]),
+        diagonal=np.flatnonzero(rows == indices),
+        corner=(indptr[:3, None] + np.arange(3)).ravel(),
+        dense=rows * n + indices,
+        yh_data=np.conj(Y.data[transpose]),
     )
     for arr in vars(pattern).values():
         arr.setflags(write=False)
@@ -185,9 +172,9 @@ def dual_pattern(Y: sp.csr_matrix) -> DualPattern:
 class PenaltyObjective:
     """Immutable problem data for the penalized dual objective.
 
-    C is the Hermitian part of Y, stored on H's pattern.  alpha (the limit
-    rule) and beta (the default box) hold until bundle.init_state sets the
-    run's own.
+    C is the network's hermitian_part, on Y's stored pattern, which is H's
+    (network._assemble decides it).  alpha (the limit rule) and beta (the
+    default box) hold until bundle.init_state sets the run's own.
     """
 
     n_buses: int
@@ -230,7 +217,8 @@ def build_problem(
     Network and limits were checked at construction; here the bands' length
     is compared with the bus count, and the injection is checked.  Finite
     inputs whose sums or products here overflow float64 raise ValueError.
-    The problem shares the network's read-only admittance matrix.
+    The problem shares the network's read-only admittance matrix and its
+    Hermitian part.
     """
     check_limits_length(limits, network.n_buses)
     u = np.asarray(u, dtype=float)
@@ -240,11 +228,10 @@ def build_problem(
         raise ValueError("injection contains non-finite entries")
     Y = network.admittance
     pattern = dual_pattern(Y)
-    yh_data = pattern.yh_data
     v1 = network.slack_voltage
     try:
         with np.errstate(over="raise", invalid="raise"):
-            C = pattern.matrix(0.5 * (np.conj(yh_data[pattern.transpose]) + yh_data))
+            C = network.hermitian_part
             m_vec = limit_offset_vector(u, limits)
             M1 = np.outer(v1, v1.conj())
             alpha = 2.0 * float(limits.v_upper.sum())

@@ -425,6 +425,25 @@ def test_eigen_failure_mid_run_ends_in_a_named_report(two_bus, two_bus_planted, 
     json.loads(json.dumps(report.to_dict(), allow_nan=False))
 
 
+def test_eigen_failure_in_the_first_step_names_no_model_gap(two_bus, two_bus_planted,
+                                                            monkeypatch):
+    # Call 1 is the start point; call 2 fails in iteration 1, so no step
+    # completed and there is no model gap to report.
+    calls = count_eigensolves(monkeypatch, fail_at=2)
+    problem = build_problem(two_bus, two_bus_planted.limits, two_bus_planted.u)
+    report = solve(problem)
+    assert len(calls) == 2
+    assert report.verdict == "not_converged"
+    assert report.iterations == 1 and report.history == ()
+    assert report.warnings[:2] == (
+        "eigen solver failed at iteration 1: forced",
+        "no iteration completed, so no model gap to compare with eps 1.0e-05",
+    )
+    assert not any("model gap inf" in w for w in report.warnings)
+    assert report.certificate.recovered
+    json.loads(json.dumps(report.to_dict(), allow_nan=False))
+
+
 def test_solve_runs_one_eigensolve_per_point(ten_bus, ten_bus_planted, monkeypatch):
     # One at the start point and one per candidate; none in recovery.
     calls = count_eigensolves(monkeypatch)

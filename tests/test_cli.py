@@ -1,7 +1,9 @@
 """Command line front end: exit codes, reports, config flags, generators."""
 
+import contextlib
 import copy
 import dataclasses
+import io
 import json
 from pathlib import Path
 
@@ -421,14 +423,22 @@ def cli_documents(tmp_path_factory):
 _JUNK = st.sampled_from([
     None, "1", True, [], [0.5], {"k": 1}, float("nan"), float("inf"),
     -float("inf"), 0, -1, 2**63, 10**400, -(10**400),
+    1e154, 1e200, 1e308, -1e308,
 ])
+
+
+def _reject_constant(token):
+    raise ValueError(f"non-standard JSON token {token}")
 
 
 @settings(database=None, derandomize=True, max_examples=150, deadline=None)
 @given(data=st.data())
 def test_cli_survives_mutated_documents(cli_documents, data):
     # Replace a node with junk, drop it, add a key to an object or shorten a
-    # list: the command runs or exits 1 with an error line, never raises.
+    # list: the command runs or exits 1, never raises.  An assess run leaves
+    # a strict-JSON report or no file; exit 1 comes with the error line
+    # that names the cause and no file, or with a report whose warnings,
+    # printed too, name it.
     root, documents = cli_documents
     kind = data.draw(st.sampled_from(sorted(documents)))
     doc, argv, paths = documents[kind]
@@ -458,7 +468,24 @@ def test_cli_survives_mutated_documents(cli_documents, data):
     mutated = root / f"{kind}.mutated.json"
     mutated.write_text(json.dumps(doc))
     argv = [str(mutated) if arg is None else arg for arg in argv]
-    assert main(argv) in (EXIT_FEASIBLE, EXIT_ERROR, EXIT_NOT_FEASIBLE)
+    out = root / "mutated.report.json"
+    out.unlink(missing_ok=True)
+    if argv[0] == "assess":
+        argv += ["--out", str(out)]
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv)
+    assert code in (EXIT_FEASIBLE, EXIT_ERROR, EXIT_NOT_FEASIBLE)
+    err = err.getvalue()
+    if not out.exists():
+        assert code == EXIT_FEASIBLE or (code == EXIT_ERROR and err.startswith("error: "))
+        assert argv[0] != "assess" or code == EXIT_ERROR
+        return
+    report = json.loads(out.read_text(), parse_constant=_reject_constant)
+    assert (code == EXIT_ERROR) == (report["verdict"] == "not_converged")
+    if code == EXIT_ERROR:
+        assert report["warnings"]
+        assert all(f"warning: {note}" in err for note in report["warnings"])
 
 
 # The key each input file must hold.  A config file needs none, so its key

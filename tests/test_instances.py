@@ -12,7 +12,7 @@ from pfbundle import (
     replicate_feeder,
     synth_radial,
 )
-from pfbundle.instances import _hermitian_part, _profile, loss_min_profile
+from pfbundle.instances import _profile, loss_min_profile
 from pfbundle.operators import apply_constraint_rank1, limit_offset_vector
 
 from conftest import (
@@ -40,7 +40,7 @@ SET_UP_NETWORKS = {
 def test_hermitian_part_and_profile_match_the_scipy_constructions(build):
     net = build()
     Y = net.admittance
-    C = _hermitian_part(Y)
+    C = net.hermitian_part
     expect = (0.5 * (Y + Y.conj().T)).tocsr()
     assert_same_csr(C, expect)
     v1 = net.slack_voltage
@@ -49,10 +49,13 @@ def test_hermitian_part_and_profile_match_the_scipy_constructions(build):
 
 
 def test_hermitian_part_drops_exact_zero_sums():
+    # Y drops the line entries that are zero with their mirrors, so C, on
+    # Y's pattern, holds no exact-zero sum.
     net = SET_UP_NETWORKS["uncoupled-lines"]()
     Y = net.admittance
-    C = _hermitian_part(Y)
-    assert C.nnz < Y.nnz and np.all(C.data != 0)
+    C = net.hermitian_part
+    assert Y.nnz < net.blocks.size and np.all(C.data != 0)
+    assert np.shares_memory(C.indices, Y.indices) and np.shares_memory(C.indptr, Y.indptr)
 
 
 def test_loss_min_profile_solves_the_tail_system(ten_bus):

@@ -211,6 +211,7 @@ def test_set_up_chain_checks_and_assembles_each_network_once(tmp_path, monkeypat
         loss_min_profile(big)
         networks += [net, big]
         assert problem.Y is big.admittance
+        assert problem.C is big.hermitian_part
         with pytest.raises(ValueError, match="read-only"):
             problem.Y.data[0] = 0.0
     # Each network is checked once, at construction, the three-copy tiling
@@ -220,16 +221,26 @@ def test_set_up_chain_checks_and_assembles_each_network_once(tmp_path, monkeypat
     assert [assemblies[id(n)] for n in networks] == [1, 1, 0, 1]
 
 
-def _coo_assembly(net):
-    """Y as COO -> CSR -> sum_duplicates builds it, the reference construction."""
+def _dense_blocks(net):
+    """The blocks written into a dense 3N x 3N array."""
     n = 3 * net.n_buses
-    if not len(net.keys):
-        return sp.csr_matrix((n, n), dtype=complex)
-    keys, vals = 3 * net.keys, net.blocks
-    phase = np.arange(3)
-    rows = np.broadcast_to(keys[:, 0, None, None] + phase[:, None], vals.shape)
-    cols = np.broadcast_to(keys[:, 1, None, None] + phase, vals.shape)
-    mat = sp.coo_matrix((vals.ravel(), (rows.ravel(), cols.ravel())), shape=(n, n)).tocsr()
+    dense = np.zeros((n, n), dtype=complex)
+    for (i, j), blk in zip(net.keys.tolist(), net.blocks):
+        dense[3 * i:3 * i + 3, 3 * j:3 * j + 3] = blk
+    return dense
+
+
+def _coo_assembly(net):
+    """Y by its definition: the stored entries of the dense blocks, COO -> CSR.
+
+    Stored are the entries that are nonzero in Y or in its mirror, the
+    diagonal and the 3x3 slack block.
+    """
+    dense = _dense_blocks(net)
+    stored = (dense != 0) | (dense.T != 0) | np.eye(len(dense), dtype=bool)
+    stored[:3, :3] = True
+    rows, cols = np.nonzero(stored)
+    mat = sp.coo_matrix((dense[rows, cols], (rows, cols)), shape=dense.shape).tocsr()
     mat.sum_duplicates()
     return mat
 
@@ -240,18 +251,47 @@ def _without_diagonal_block():
     return ThreePhaseNetwork(2, two_bus.keys[keep], two_bus.blocks[keep])
 
 
-@pytest.mark.parametrize("build", [
-    build_meshed,
-    lambda: replicate_feeder(*synth_radial(5, seed=2), 3,
-                             tie_block=np.diag([0.3, 0.4, 0.5]).astype(complex))[0],
-    _without_diagonal_block,
-    lambda: ThreePhaseNetwork(2, [], []),
-], ids=["meshed", "tied-replica", "missing-diagonal", "no-blocks"])
+def _triangular_diagonal_block():
+    net, _ = synth_radial(3, seed=6)
+    blocks = block_map(net)
+    blocks[(1, 1)] = np.triu(blocks[(1, 1)])
+    return ThreePhaseNetwork(3, list(blocks), list(blocks.values()))
+
+
+STORED_PATTERN_NETWORKS = {
+    "meshed": build_meshed,
+    "tied-replica": lambda: replicate_feeder(
+        *synth_radial(5, seed=2), 3, tie_block=np.diag([0.3, 0.4, 0.5]).astype(complex))[0],
+    "missing-diagonal": _without_diagonal_block,
+    "triangular-diagonal": _triangular_diagonal_block,
+    "uncoupled-lines": lambda: synth_radial(6, seed=1, params=RadialParams(coupling=0.0))[0],
+    "no-blocks": lambda: ThreePhaseNetwork(2, [], []),
+}
+
+
+@pytest.mark.parametrize("build", STORED_PATTERN_NETWORKS.values(),
+                         ids=STORED_PATTERN_NETWORKS.keys())
 def test_assembly_writes_the_coo_to_csr_arrays(build):
     net = build()
     Y = net.admittance
     assert_same_csr(Y, _coo_assembly(net))
     assert Y.has_canonical_format
+
+
+@pytest.mark.parametrize("build", STORED_PATTERN_NETWORKS.values(),
+                         ids=STORED_PATTERN_NETWORKS.keys())
+def test_admittance_and_c_store_the_dual_pattern(build):
+    net = build()
+    Y = net.admittance
+    dense = Y.toarray()
+    np.testing.assert_array_equal(dense, _dense_blocks(net))
+    rows = np.repeat(np.arange(Y.shape[0]), np.diff(Y.indptr))
+    cols = Y.indices
+    zero_pair = (dense[rows, cols] == 0) & (dense[cols, rows] == 0)
+    assert np.all((rows == cols) | ((rows < 3) & (cols < 3)) | ~zero_pair)
+    np.testing.assert_array_equal(net.hermitian_part.toarray(),
+                                  0.5 * (dense + dense.conj().T))
+    assert not net.hermitian_part.data.flags.writeable
 
 
 def _reference_block_problem(n_buses, blocks):

@@ -12,6 +12,7 @@ from scipy.linalg.lapack import zheevr
 
 from pfbundle import (
     OperatingLimits,
+    RadialParams,
     ThreePhaseNetwork,
     build_problem,
     plant_feasible,
@@ -287,6 +288,9 @@ def test_dual_pattern_equals_the_unique_key_construction_bitwise():
         edited_feeder(drop_bus_2_diagonal)[0],
         edited_feeder(triangular_bus_1_diagonal)[0],
         replicate_feeder(feeder, feeder_limits, 30)[0],
+        # Line blocks without mutual coupling: Y drops their zeros.
+        synth_radial(6, seed=1, params=RadialParams(coupling=0.0))[0],
+        ThreePhaseNetwork(2, [], []),
     )
     for net in networks:
         Y = net.admittance
